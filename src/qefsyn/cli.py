@@ -18,6 +18,7 @@ Exit codes: 0 ok, 2 validation, 3 inadmissible, 4 numerical, 5 io.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -73,6 +74,19 @@ class ProblemInstance:
     oracle_N: int
     synthesis: dict
 
+    def __post_init__(self):
+        if not (np.isfinite(self.theta) and self.theta >= 0):
+            raise ValidationError(
+                f"theta must be finite and nonnegative, got {self.theta}")
+
+
+def _quadrature(base, **fields):
+    """`base` with `fields` replaced; a rejected value is a ValidationError."""
+    try:
+        return dataclasses.replace(base, **fields)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid quadrature setting: {exc}") from exc
+
 
 def load_instance(path):
     """Parse and validate a JSON instance file."""
@@ -116,11 +130,9 @@ def load_instance(path):
             c=_matrix(cdoc, "c", d, n),
         )
     qdoc = doc.get("quadrature", {})
-    quad = QuadratureConfig(
-        abs_tol=float(qdoc.get("abs_tol", 1e-10)),
-        rel_tol=float(qdoc.get("rel_tol", 1e-8)),
-        lambda_max=qdoc.get("lambda_max"),
-    )
+    quad = _quadrature(QuadratureConfig(),
+                       **{k: qdoc[k] for k in ("abs_tol", "rel_tol",
+                                               "lambda_max") if k in qdoc})
     odoc = doc.get("oracle", {})
     return ProblemInstance(
         spec=spec, S=S, K=K, theta=theta, controller=ctrl, quad=quad,
@@ -265,8 +277,6 @@ def build_parser():
     ap.add_argument("--lambda-max", type=float, default=None)
     ap.add_argument("--oracle-N", type=int, default=None)
     ap.add_argument("--oracle-T", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized instance generation")
     ap.add_argument("--output", default=None, help="CSV output path")
     ap.add_argument("--controller-out", default=None,
                     help="path for the synthesized controller JSON")
@@ -282,23 +292,24 @@ _COMMANDS = {
 }
 
 
+def _with_overrides(inst, args):
+    """The instance with the command-line overrides, validated again."""
+    quad = {}
+    if args.quad_tol is not None:
+        quad.update(abs_tol=args.quad_tol, rel_tol=args.quad_tol)
+    if args.lambda_max is not None:
+        quad["lambda_max"] = args.lambda_max
+    changes = {"quad": _quadrature(inst.quad, **quad)}
+    for name in ("theta", "oracle_N", "oracle_T"):
+        if getattr(args, name) is not None:
+            changes[name] = getattr(args, name)
+    return dataclasses.replace(inst, **changes)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        inst = load_instance(args.instance)
-        if args.theta is not None:
-            inst.theta = args.theta
-        if args.quad_tol is not None:
-            inst.quad.abs_tol = args.quad_tol
-            inst.quad.rel_tol = args.quad_tol
-        if args.lambda_max is not None:
-            inst.quad.lambda_max = args.lambda_max
-        if args.oracle_N is not None:
-            inst.oracle_N = args.oracle_N
-        if args.oracle_T is not None:
-            inst.oracle_T = args.oracle_T
-        if args.seed is not None:
-            np.random.seed(args.seed)
+        inst = _with_overrides(load_instance(args.instance), args)
         return _COMMANDS[args.command](inst, args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

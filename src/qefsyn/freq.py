@@ -6,39 +6,42 @@ with Delta = cos(theta Psi) - theta Phi sinc(theta Psi) built from the
 quantum spectral pair Phi = F F* (Hermitian PSD) and Psi = F J F*
 (skew-Hermitian) of the closed-loop transfer function F = calC G calB.
 
+All per-frequency work is one batched sweep over an array of frequencies
+(`spectral_sweep`): a stacked solve for G = (i lambda I - calA)^{-1}, then
+F, Phi, Psi and a stacked eigh of i Psi = U diag(d0) U*.  None of it
+depends on theta: i theta Psi has eigenvalues theta d0 and the same U.
+
 ln det Delta is real on the admissible set: with T = tanc(theta Psi) > 0,
     det Delta = det(cos(theta Psi)) * det(I - theta Phi T),
 and the second factor has the (real) eigenvalues 1 - theta mu_j where mu_j
-are the eigenvalues of the Hermitian matrix sqrt(T) Phi sqrt(T).  The
-implementation evaluates ln det Delta through this factorization, so the
-admissibility condition theta*mu < 1 is monitored at every quadrature node.
+are the eigenvalues of the Hermitian matrix sqrt(T) Phi sqrt(T), which is
+s W s with s = sqrt(tanhc(theta d0)) and the theta-free W = U* Phi U.  So
+the admissibility condition theta*mu < 1 is monitored at every quadrature
+node, and a bisection over theta costs one stacked eigvalsh per step.
 
 The integrand is conjugate-even in lambda, so integration runs over
 [0, lambda_max] plus a 1/lambda-substituted tail, each with an adaptive
-Gauss-Kronrod 7-15 rule.
+Gauss-Kronrod 7-15 rule; each panel, or all body and all tail nodes of a
+frozen grid, is one sweep.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, NumericalError
-from qefsyn.matfun import sinc_mat
 from qefsyn.model import is_hurwitz
 
 __all__ = [
-    "FreqSample",
     "QuadratureConfig",
     "AdmissibilityReport",
-    "resolvent",
-    "transfer",
-    "spectral_pair",
+    "SpectralSweep",
+    "spectral_sweep",
+    "sinhc",
+    "tanhc",
     "delta_matrix",
     "check_admissible",
-    "spec1_value",
-    "spec1_critical_theta",
     "qef_growth_rate",
     "growth_rate_grid",
     "FrequencyGrid",
@@ -85,21 +88,27 @@ class QuadratureConfig:
     max_subdivisions: int = 400
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.lambda_max is not None and self.lambda_max <= 0:
+        if self.lambda_max is not None and not self.lambda_max > 0:
             raise ValueError("lambda_max must be positive")
 
 
-def _panel(f, a, b):
-    """Kronrod and Gauss estimates of the vector integral of f over [a, b]."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = f(mid + half * _NODES)          # (15, k)
-    ik = half * (_WK @ vals)
-    ig = half * (_WG_FULL @ vals)
-    err = float(np.max(np.abs(ik - ig))) if ik.size else 0.0
-    fmax = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return ik, err, fmax
+def _panels(f, edges):
+    """Kronrod integrals and error estimates of f on consecutive panels.
+
+    One call of f evaluates every node of every panel, in panel order.
+    Returns the Kronrod estimates, shape (panels, k), and the per-panel
+    error estimates |Kronrod - Gauss|, maximised over the k components.
+    """
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = f((mid[:, None] + half[:, None] * _NODES).ravel())
+    vals = vals.reshape(len(mid), len(_NODES), -1)        # (panels, 15, k)
+    ik = half[:, None] * (_WK @ vals)
+    ig = half[:, None] * (_WG_FULL @ vals)
+    return ik, np.max(np.abs(ik - ig), axis=1)
 
 
 def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, breakpoints=()):
@@ -120,18 +129,20 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, breakpoints=()):
     _STALL_LIMIT = 60
     _STALL_SLACK = 100.0
     edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    intervals = []
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        ik, err, _ = _panel(f, pa, pb)
-        intervals.append((pa, pb, ik, err))
+    iks, errs = _panels(f, edges)
+    intervals = list(zip(edges[:-1], edges[1:], iks, errs))
+
+    def totals():
+        total = np.sum(np.stack([iv[2] for iv in intervals]), axis=0)
+        tol = max(abs_tol, rel_tol * float(np.max(np.abs(total))))
+        return total, sum(iv[3] for iv in intervals), tol
+
     n_sub = 0
     best_err = np.inf
     stall = 0
     converged = False
     while n_sub < max_subdivisions:
-        total = np.sum(np.stack([iv[2] for iv in intervals]), axis=0)
-        tot_err = sum(iv[3] for iv in intervals)
-        tol = max(abs_tol, rel_tol * float(np.max(np.abs(total))))
+        total, tot_err, tol = totals()
         if tot_err <= tol:
             converged = True
             break
@@ -145,25 +156,21 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, breakpoints=()):
         worst = max(range(len(intervals)), key=lambda i: intervals[i][3])
         wa, wb, _, _ = intervals.pop(worst)
         wm = 0.5 * (wa + wb)
-        i1, e1, _ = _panel(f, wa, wm)
-        i2, e2, _ = _panel(f, wm, wb)
+        (i1, i2), (e1, e2) = _panels(f, (wa, wm, wb))
         intervals.append((wa, wm, i1, e1))
         intervals.append((wm, wb, i2, e2))
         n_sub += 1
     if not converged:
-        total = np.sum(np.stack([iv[2] for iv in intervals]), axis=0)
-        tot_err = sum(iv[3] for iv in intervals)
-        tol = max(abs_tol, rel_tol * float(np.max(np.abs(total))))
+        total, tot_err, tol = totals()
         if tot_err > _STALL_SLACK * tol:
             raise NumericalError(
                 "frequency quadrature did not converge within "
                 f"{n_sub} subdivisions (error {tot_err:.2e})"
             )
     intervals.sort(key=lambda iv: iv[0])
-    total = np.sum(np.stack([iv[2] for iv in intervals]), axis=0)
-    tot_err = sum(iv[3] for iv in intervals)
+    total, tot_err, _ = totals()
     edges = np.array([iv[0] for iv in intervals] + [intervals[-1][1]])
-    return total, tot_err, edges
+    return total, float(tot_err), edges
 
 
 def resonance_breakpoints(calA, lam_max):
@@ -204,20 +211,17 @@ def integrate_half_line(f, lam_max, quad, breakpoints=(), grid=None):
     u = 1/lambda, which is exact for integrands decaying like 1/lambda^2.
     f takes an array of frequencies and returns an array (npts, k).
     Passing a FrequencyGrid skips adaptivity and evaluates the composite
-    rule on the stored panels; the returned grid can be reused.
+    rule on the stored panels, with one call of f for all body nodes and
+    one for all tail nodes; the returned grid can be reused.
     """
     def tail(u):
         return f(1.0 / u) / (u**2)[:, None]
 
     if grid is not None:
-        total = None
-        err = 0.0
-        for g_edges, g_f in ((grid.body_edges, f), (grid.tail_edges, tail)):
-            for pa, pb in zip(g_edges[:-1], g_edges[1:]):
-                ik, perr, _ = _panel(g_f, pa, pb)
-                total = ik if total is None else total + ik
-                err += perr
-        return total, err, grid
+        body, err1 = _panels(f, grid.body_edges)
+        tail_val, err2 = _panels(tail, grid.tail_edges)
+        return (body.sum(axis=0) + tail_val.sum(axis=0),
+                float(err1.sum() + err2.sum()), grid)
 
     body, err1, body_edges = _adaptive(
         f, 0.0, lam_max, 0.5 * quad.abs_tol, 0.5 * quad.rel_tol,
@@ -238,6 +242,9 @@ def integrate_half_line(f, lam_max, quad, breakpoints=(), grid=None):
 # ---------------------------------------------------------------------------
 # Per-frequency quantities
 
+#: resolvent residual above which a frequency is a near-singular shift
+_RESOLVENT_TOL = 1e-8
+
 
 def default_lambda_max(calA):
     """Truncation frequency: 50x the spectral radius of the system matrix."""
@@ -245,110 +252,140 @@ def default_lambda_max(calA):
     return 50.0 * max(rho, 1.0)
 
 
-def resolvent(calA, lam):
-    """G(i lambda) = (i lambda I - calA)^{-1} via an LU solve."""
-    calA = np.asarray(calA)
-    two_n = calA.shape[0]
-    shifted = 1j * lam * np.eye(two_n) - calA
-    try:
-        lu, piv = scipy.linalg.lu_factor(shifted)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular resolvent shift at lambda={lam}") from exc
-    G = scipy.linalg.lu_solve((lu, piv), np.eye(two_n, dtype=complex))
-    res = np.max(np.abs(shifted @ G - np.eye(two_n)))
-    if res > 1e-8:
-        raise NumericalError(
-            f"resolvent residual {res:.2e} at lambda={lam}: near-singular shift"
+def _over_x(fn, x):
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    big = np.abs(x) > 1e-8
+    out[big] = fn(x[big]) / x[big]
+    return out
+
+
+def sinhc(x):
+    """sinh(x)/x elementwise for real x, with the value 1 near 0."""
+    return _over_x(np.sinh, x)
+
+
+def tanhc(x):
+    """tanh(x)/x elementwise for real x, with the value 1 near 0."""
+    return _over_x(np.tanh, x)
+
+
+def _conj_t(X):
+    return X.conj().swapaxes(-1, -2)
+
+
+@dataclass(frozen=True)
+class SpectralSweep:
+    """Theta-free per-frequency quantities, stacked one node per `lams` entry.
+
+    G, F = calC G calB, (Phi, Psi), i Psi = U diag(d0) U* and W = U* Phi U.
+    A node whose resolvent `residual` misses the tolerance is a
+    near-singular shift and holds zeros in place of its G.
+    """
+
+    lams: np.ndarray
+    G: np.ndarray
+    F: np.ndarray
+    Phi: np.ndarray
+    Psi: np.ndarray
+    d0: np.ndarray
+    U: np.ndarray
+    W: np.ndarray
+    residual: np.ndarray
+
+    @property
+    def failed(self):
+        """Nodes whose resolvent missed the residual tolerance."""
+        return ~(self.residual <= _RESOLVENT_TOL)
+
+    def raise_first(self, inadmissible=None):
+        """Raise for the first failing node in node order, if any.
+
+        A failed resolvent is a NumericalError and a set `inadmissible`
+        entry an InadmissibleError; the resolvent comes first at a node.
+        """
+        failed = self.failed
+        bad = failed if inadmissible is None else failed | inadmissible
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        if failed[k]:
+            raise NumericalError(
+                f"resolvent residual {self.residual[k]:.2e} at "
+                f"lambda={self.lams[k]}: near-singular shift"
+            )
+        raise InadmissibleError(
+            "spectral admissibility violated: theta * lambda_max"
+            "(Phi tanc(theta Psi)) >= 1 at a quadrature node"
         )
-    return G
+
+    def mu(self, theta):
+        """Ascending eigenvalues of sqrt(T) Phi sqrt(T), T = tanc(theta Psi)."""
+        s = np.sqrt(tanhc(theta * self.d0))
+        return np.linalg.eigvalsh(s[:, :, None] * self.W * s[:, None, :])
+
+    def spec1(self, theta):
+        """theta * lambda_max(Phi tanc(theta Psi)) per node."""
+        self.raise_first()
+        return theta * self.mu(theta)[:, -1]
+
+    def log_det_delta(self, theta):
+        """ln det Delta per node, checking theta mu < 1 at every node."""
+        factors = 1.0 - theta * self.mu(theta)
+        self.raise_first(np.any(factors <= 0.0, axis=1))
+        return (np.sum(np.log(np.cosh(theta * self.d0)), axis=1)
+                + np.sum(np.log(factors), axis=1))
+
+    def delta(self, theta):
+        """Delta = cos(theta Psi) - theta Phi sinc(theta Psi) per node.
+
+        Failed nodes are not checked; callers raise for them in order.
+        """
+        x = theta * self.d0
+        Uh = _conj_t(self.U)
+        cosm = (self.U * np.cosh(x)[:, None, :]) @ Uh
+        sincm = (self.U * sinhc(x)[:, None, :]) @ Uh
+        return cosm - theta * self.Phi @ sincm
 
 
-def transfer(cl, lam):
-    """Closed-loop transfer value F(i lambda) = calC G(i lambda) calB."""
-    return cl.calC @ resolvent(cl.calA, lam) @ cl.calB
+def spectral_sweep(cl, lams):
+    """The SpectralSweep of a closed loop at the frequencies `lams`.
 
-
-def spectral_pair(cl, lam):
-    """Quantum spectral pair (Phi, Psi) = (F F*, F J F*) at one frequency."""
-    F = transfer(cl, lam)
-    Phi = F @ F.conj().T
-    Psi = F @ cl.J @ F.conj().T
+    A resolvent residual |(i lambda I - calA) G - I| above 1e-8 marks a
+    near-singular shift, which the sweep's methods raise as NumericalError.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    calA = np.asarray(cl.calA)
+    eye = np.eye(calA.shape[0])
+    shifted = 1j * lams[:, None, None] * eye - calA
+    try:
+        G = np.linalg.solve(shifted, np.broadcast_to(eye, shifted.shape))
+    except np.linalg.LinAlgError:
+        # an exactly singular shift: its pseudo-inverse fails the residual
+        G = np.linalg.pinv(shifted)
+    residual = np.max(np.abs(shifted @ G - eye), axis=(1, 2))
+    # zeros keep the eigensolves finite; the methods raise for these nodes
+    G[~(residual <= _RESOLVENT_TOL)] = 0.0
+    F = cl.calC @ G @ cl.calB
+    Phi, Psi = F @ _conj_t(F), F @ cl.J @ _conj_t(F)
     # enforce the exact symmetry classes against round-off
-    Phi = 0.5 * (Phi + Phi.conj().T)
-    Psi = 0.5 * (Psi - Psi.conj().T)
-    return Phi, Psi
+    Phi = 0.5 * (Phi + _conj_t(Phi))
+    Psi = 0.5 * (Psi - _conj_t(Psi))
+    d0, U = np.linalg.eigh(1j * Psi)
+    W = _conj_t(U) @ Phi @ U
+    return SpectralSweep(lams=lams, G=G, F=F, Phi=Phi, Psi=Psi, d0=d0, U=U,
+                         W=W, residual=residual)
 
 
 def delta_matrix(Phi, Psi, theta):
-    """Delta = cos(theta Psi) - theta Phi sinc(theta Psi)."""
+    """Delta = cos(theta Psi) - theta Phi sinc(theta Psi), formed directly."""
     nu = Phi.shape[0]
     if theta == 0.0:
         return np.eye(nu, dtype=complex)
     d, U = np.linalg.eigh(1j * theta * np.asarray(Psi))
     cosm = (U * np.cosh(d)) @ U.conj().T
-    sincm = (U * _sinhc(d)) @ U.conj().T
+    sincm = (U * sinhc(d)) @ U.conj().T
     return cosm - theta * np.asarray(Phi) @ sincm
-
-
-@dataclass(frozen=True)
-class FreqSample:
-    """Per-frequency quantities entering the cost and gradient integrands."""
-
-    lam: float
-    F: np.ndarray
-    Phi: np.ndarray
-    Psi: np.ndarray
-    Delta: np.ndarray
-
-
-def freq_sample(cl, lam, theta):
-    F = transfer(cl, lam)
-    Phi = F @ F.conj().T
-    Psi = F @ cl.J @ F.conj().T
-    Phi = 0.5 * (Phi + Phi.conj().T)
-    Psi = 0.5 * (Psi - Psi.conj().T)
-    return FreqSample(lam=lam, F=F, Phi=Phi, Psi=Psi,
-                      Delta=delta_matrix(Phi, Psi, theta))
-
-
-def _sinhc(x):
-    out = np.ones_like(np.asarray(x, dtype=float))
-    big = np.abs(x) > 1e-8
-    out[big] = np.sinh(x[big]) / x[big]
-    return out
-
-
-def _tanhc(x):
-    out = np.ones_like(np.asarray(x, dtype=float))
-    big = np.abs(x) > 1e-8
-    out[big] = np.tanh(x[big]) / x[big]
-    return out
-
-
-def log_det_delta(cl, lam, theta):
-    """ln det Delta(lambda), real-valued on the admissible set.
-
-    Raises InadmissibleError when the spectral condition theta * mu < 1
-    fails at this frequency (mu ranging over the eigenvalues of the
-    Hermitian product sqrt(T) Phi sqrt(T), T = tanc(theta Psi)).
-    """
-    Phi, Psi = spectral_pair(cl, lam)
-    if theta == 0.0:
-        return 0.0
-    d, U = np.linalg.eigh(1j * theta * Psi)
-    sqrt_t = U * np.sqrt(_tanhc(d))
-    mu = np.linalg.eigvalsh(sqrt_t.conj().T @ Phi @ sqrt_t)
-    return _logdet_from_parts(d, mu, theta)
-
-
-def _logdet_from_parts(d, mu, theta):
-    factors = 1.0 - theta * mu
-    if np.any(factors <= 0.0):
-        raise InadmissibleError(
-            "spectral admissibility violated: theta * lambda_max"
-            "(Phi tanc(theta Psi)) >= 1 at a quadrature node"
-        )
-    return float(np.sum(np.log(np.cosh(d))) + np.sum(np.log(factors)))
 
 
 @dataclass(frozen=True)
@@ -376,17 +413,6 @@ class AdmissibilityReport:
                            self.hurwitz and self.spec1_ok and self.psi_ok)
 
 
-def spec1_value(cl, theta, lam):
-    """theta * lambda_max(Phi tanc(theta Psi)) at one frequency."""
-    Phi, Psi = spectral_pair(cl, lam)
-    if theta == 0.0:
-        return 0.0
-    d, U = np.linalg.eigh(1j * theta * Psi)
-    sqrt_t = U * np.sqrt(_tanhc(d))
-    mu = np.linalg.eigvalsh(sqrt_t.conj().T @ Phi @ sqrt_t)
-    return float(theta * np.max(mu)) if mu.size else 0.0
-
-
 def _admissibility_grid(cl, n_base=241):
     lam_max = default_lambda_max(cl.calA)
     # dense near the resolvent features, sparser in the tail
@@ -402,7 +428,8 @@ def check_admissible(cl, theta, grid=None):
     The supremum of the spectral condition is first located on a base grid
     and then certified on a 3x refined grid around the maximizer.  The
     Psi-invertibility check reports the worst relative singular-value
-    ratio of Psi over the grid.
+    ratio of Psi over the grid; i Psi is Hermitian, so that ratio is
+    min|d0| / max|d0| of its eigenvalues.
     """
     hurwitz = is_hurwitz(cl.calA)
     if not hurwitz:
@@ -410,22 +437,17 @@ def check_admissible(cl, theta, grid=None):
                                    hurwitz=False)
     if grid is None:
         grid = _admissibility_grid(cl)
-    vals = np.array([spec1_value(cl, theta, lam) for lam in grid])
+    sweep = spectral_sweep(cl, grid)
+    vals = sweep.spec1(theta)
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    fine = np.linspace(lo, hi, 90)
-    vals_fine = [spec1_value(cl, theta, lam) for lam in fine]
-    sup = max(float(np.max(vals)), max(vals_fine))
+    vals_fine = spectral_sweep(cl, np.linspace(lo, hi, 90)).spec1(theta)
+    sup = max(float(np.max(vals)), float(np.max(vals_fine)))
 
-    min_rel = np.inf
-    for lam in grid:
-        _, Psi = spectral_pair(cl, lam)
-        s = np.linalg.svd(Psi, compute_uv=False)
-        if s[0] == 0.0:
-            min_rel = 0.0
-            break
-        min_rel = min(min_rel, float(s[-1] / s[0]))
+    sigma = np.abs(sweep.d0)      # an all-zero Psi gives the ratio 0
+    min_rel = float(np.min(np.min(sigma, axis=1) / np.maximum(
+        np.max(sigma, axis=1), np.finfo(float).tiny)))
     return AdmissibilityReport(spec1_sup=sup, psi_min_rel_sigma=min_rel,
                                hurwitz=True)
 
@@ -435,14 +457,15 @@ def theta_for_spec1(cl, target, theta_hi=None, tol=1e-4):
 
     The supremum saturates towards 1 from below when the transfer matrix
     is square and invertible, so targets well inside (0, 1) are the
-    meaningful way to pin a risk level to this plant.
+    meaningful way to pin a risk level to this plant.  The grid is swept
+    once; every bisection step reuses its theta-free parts.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie in (0, 1)")
-    grid = _admissibility_grid(cl)
+    sweep = spectral_sweep(cl, _admissibility_grid(cl))
 
     def sup_at(theta):
-        return max(spec1_value(cl, theta, lam) for lam in grid)
+        return float(np.max(sweep.spec1(theta)))
 
     lo, hi = 0.0, theta_hi if theta_hi is not None else 1.0
     for _ in range(80):
@@ -462,30 +485,22 @@ def theta_for_spec1(cl, target, theta_hi=None, tol=1e-4):
     return lo
 
 
-def spec1_critical_theta(cl, theta_hi=None, tol=1e-3):
-    """Largest theta for which the spectral condition holds (bisection)."""
-    grid = _admissibility_grid(cl)
-
-    def sup_at(theta):
-        return max(spec1_value(cl, theta, lam) for lam in grid)
-
-    lo, hi = 0.0, theta_hi if theta_hi is not None else 1.0
-    # grow the bracket until the condition fails
-    for _ in range(80):
-        if sup_at(hi) >= 1.0:
-            break
-        lo, hi = hi, 2.0 * hi
+def _growth_rate(cl, theta, quad, grid):
+    """Growth rate and its grid; resonances seed only adaptive grids."""
+    if quad is None:
+        quad = QuadratureConfig()
+    if grid is None:
+        lam_max = quad.lambda_max or default_lambda_max(cl.calA)
+        breakpoints = resonance_breakpoints(cl.calA, lam_max)
     else:
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if sup_at(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * hi:
-            break
-    return lo
+        lam_max, breakpoints = grid.lam_max, ()
+
+    def f(lams):
+        return spectral_sweep(cl, lams).log_det_delta(theta)[:, None]
+
+    total, _, grid = integrate_half_line(f, lam_max, quad, grid=grid,
+                                         breakpoints=breakpoints)
+    return -float(total[0]) / (2.0 * np.pi), grid
 
 
 def qef_growth_rate(cl, theta, quad=None, grid=None):
@@ -496,37 +511,17 @@ def qef_growth_rate(cl, theta, quad=None, grid=None):
     A FrequencyGrid from `growth_rate_grid` pins the subdivision, which
     is what finite-difference studies over nearby controllers need.
     """
-    if quad is None:
-        quad = QuadratureConfig()
     if not is_hurwitz(cl.calA):
         raise InadmissibleError("closed loop is not Hurwitz")
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     if theta == 0.0:
         return 0.0
-    lam_max = grid.lam_max if grid is not None else (
-        quad.lambda_max or default_lambda_max(cl.calA))
-
-    def f(lams):
-        return np.array([[log_det_delta(cl, lam, theta)] for lam in lams])
-
-    total, _, _ = integrate_half_line(
-        f, lam_max, quad, grid=grid,
-        breakpoints=resonance_breakpoints(cl.calA, lam_max))
-    return -float(total[0]) / (2.0 * np.pi)
+    return _growth_rate(cl, theta, quad, grid)[0]
 
 
 def growth_rate_grid(cl, theta, quad=None):
     """The adaptive subdivision used for the growth rate of this system."""
-    if quad is None:
-        quad = QuadratureConfig()
     if not is_hurwitz(cl.calA):
         raise InadmissibleError("closed loop is not Hurwitz")
-    lam_max = quad.lambda_max or default_lambda_max(cl.calA)
-
-    def f(lams):
-        return np.array([[log_det_delta(cl, lam, theta)] for lam in lams])
-
-    _, _, grid = integrate_half_line(
-        f, lam_max, quad, breakpoints=resonance_breakpoints(cl.calA, lam_max))
-    return grid
+    return _growth_rate(cl, theta, quad, None)[1]

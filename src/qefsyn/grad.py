@@ -22,10 +22,10 @@ from qefsyn.errors import InadmissibleError
 from qefsyn.freq import (
     QuadratureConfig,
     default_lambda_max,
-    delta_matrix,
     integrate_half_line,
-    resolvent,
     resonance_breakpoints,
+    sinhc,
+    spectral_sweep,
 )
 from qefsyn.matfun import gateaux_cos, gateaux_sin
 from qefsyn.model import is_hurwitz
@@ -47,10 +47,7 @@ _PSI_COND_MAX = 1e8
 
 def _sinc_of(theta, Psi):
     d, U = np.linalg.eigh(1j * theta * Psi)
-    vals = np.ones_like(d)
-    big = np.abs(d) > 1e-8
-    vals[big] = np.sinh(d[big]) / d[big]
-    return (U * vals) @ U.conj().T
+    return (U * sinhc(d)) @ U.conj().T
 
 
 def _right_solve(A, B):
@@ -80,35 +77,39 @@ def psi_fn(Phi, Psi, Delta, theta):
             - _sinc_of(theta, Psi) @ X)
 
 
-def _chi_integrand(cl, theta, lam):
-    """Unprojected gradient integrand at one frequency, (2n+m) x (2n+nu)."""
-    G = resolvent(cl.calA, lam)
-    F = cl.calC @ G @ cl.calB
-    Phi = F @ F.conj().T
-    Psi = F @ cl.J @ F.conj().T
-    Phi = 0.5 * (Phi + Phi.conj().T)
-    Psi = 0.5 * (Psi - Psi.conj().T)
-    nu = F.shape[0]
+def _chi_integrand(cl, theta, lams):
+    """Unprojected gradient integrands, (len(lams), 2n+m, 2n+nu).
+
+    The spectral quantities come from one sweep over all the frequencies;
+    the weight functions phi and psi are still formed node by node, in
+    node order, so the first failing node decides which error is raised.
+    """
+    sweep = spectral_sweep(cl, lams)
+    Fh = sweep.F.conj().swapaxes(1, 2)
+    k, nu = len(sweep.lams), cl.nu
     if theta == 0.0:
-        mid = 2.0 * F.conj().T
+        sweep.raise_first()
+        mid = 2.0 * Fh
     else:
-        Delta = delta_matrix(Phi, Psi, theta)
-        phi = phi_fn(Phi, Psi, Delta, theta)
-        psi = psi_fn(Phi, Psi, Delta, theta)
-        mid = (F.conj().T @ (phi + phi.conj().T)
-               + cl.J @ F.conj().T @ (psi - psi.conj().T))
-    left = np.vstack([G @ cl.calB, np.eye(cl.m, dtype=complex)])
-    right = np.hstack([cl.calC @ G, np.eye(nu, dtype=complex)])
+        Delta = sweep.delta(theta)
+        mid = np.empty_like(Fh)
+        for j in range(k):
+            if sweep.failed[j]:
+                sweep.raise_first()
+            args = (sweep.Phi[j], sweep.Psi[j], Delta[j], theta)
+            phi, psi = phi_fn(*args), psi_fn(*args)
+            mid[j] = (Fh[j] @ (phi + phi.conj().T)
+                      + cl.J @ Fh[j] @ (psi - psi.conj().T))
+    left = np.concatenate(
+        [sweep.G @ cl.calB, np.broadcast_to(np.eye(cl.m), (k, cl.m, cl.m))],
+        axis=1)
+    right = np.concatenate(
+        [cl.calC @ sweep.G, np.broadcast_to(np.eye(nu), (k, nu, nu))],
+        axis=2)
     out = left @ mid @ right
     # the bottom-right m x nu block is discarded by the projection; zero it
     # here so it does not participate in the quadrature error control
-    out[-cl.m:, -nu:] = 0.0
-    return out
-
-
-def _project(chi, m, nu):
-    out = chi.copy()
-    out[-m:, -nu:] = 0.0
+    out[:, -cl.m:, -nu:] = 0.0
     return out
 
 
@@ -119,21 +120,18 @@ def chi_matrix(cl, theta, quad=None):
     if not is_hurwitz(cl.calA):
         raise InadmissibleError("closed loop is not Hurwitz")
     lam_max = quad.lambda_max or default_lambda_max(cl.calA)
-    two_n = cl.calA.shape[0]
-    m, nu = cl.m, cl.nu
-    shape = (two_n + m, two_n + nu)
 
     # conjugate evenness in lambda: the full-line integral is twice the
     # real part of the half-line one, so integrate Re per frequency (the
     # imaginary part decays only like 1/lambda and must not be integrated)
     def f(lams):
-        return np.array([_chi_integrand(cl, theta, lam).real.ravel()
-                         for lam in lams])
+        return _chi_integrand(cl, theta, lams).real.reshape(len(lams), -1)
 
     total, err, _ = integrate_half_line(
         f, lam_max, quad, breakpoints=resonance_breakpoints(cl.calA, lam_max))
-    chi = total.reshape(shape) / (2.0 * np.pi)
-    return _project(chi, m, nu), err
+    # the integrand's bottom-right m x nu block is zero: chi is projected
+    two_n = cl.calA.shape[0]
+    return total.reshape(two_n + cl.m, two_n + cl.nu) / (2.0 * np.pi), err
 
 
 def build_k_factors(plant, K_weight):

@@ -144,7 +144,6 @@ class DerivedPlant:
     E: np.ndarray
     C: np.ndarray
     J: np.ndarray
-    Omega: np.ndarray
 
     @property
     def n(self):
@@ -196,8 +195,7 @@ def derive_plant(spec):
         raise ValidationError(
             f"realizability residual Theta C^T + B J D^T = {res_c:.2e}"
         )
-    Omega = np.eye(spec.m) + 1j * J
-    return DerivedPlant(spec=spec, A=A, B=B, E=E, C=C, J=J, Omega=Omega)
+    return DerivedPlant(spec=spec, A=A, B=B, E=E, C=C, J=J)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ classes exactly in floating point).  The finite-horizon log-cost is then
     ln Xi_T = -(1/2) Tr(ln cos(theta L_T) + ln(I - theta P_T K_T)),
 
 with K_T = tanc(theta L_T), evaluated through the Hermitian eigenproblems
-of i L_T and sqrt(K_T) P_T sqrt(K_T).  This path never touches the
-frequency-domain machinery and serves as its validation oracle.
+of i L_T and sqrt(K_T) P_T sqrt(K_T).  Apart from the scalar tanhc helper
+it shares, this path never touches the frequency-domain machinery and
+serves as its validation oracle.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
+from qefsyn.freq import tanhc
 from qefsyn.model import is_hurwitz
 from qefsyn.gramians import solve_lyapunov
 
@@ -96,13 +98,6 @@ def _kernel_tables(cl, times):
     return mho, pk
 
 
-def _tanhc(x):
-    out = np.ones_like(np.asarray(x, dtype=float))
-    big = np.abs(x) > 1e-8
-    out[big] = np.tanh(x[big]) / x[big]
-    return out
-
-
 def build_operators(cl, theta, T, N):
     """Nystrom discretization of the commutator and covariance operators."""
     if N < 2:
@@ -134,7 +129,7 @@ def build_operators(cl, theta, T, N):
     P = 0.5 * (P + P.T)
 
     d, U = np.linalg.eigh(1j * L)
-    K = (U * _tanhc(theta * d)) @ U.conj().T
+    K = (U * tanhc(theta * d)) @ U.conj().T
     K = 0.5 * (K + K.conj().T).real
     return OracleGrid(T=T, N=N, theta=theta, times=times, weights=w,
                       L=L, P=P, d=d, U=U, K=K)
@@ -152,7 +147,7 @@ def finite_horizon_qef(grid, theta=None):
     if theta == 0.0:
         return 0.0
     if theta != grid.theta:
-        K = (grid.U * _tanhc(theta * d)) @ grid.U.conj().T
+        K = (grid.U * tanhc(theta * d)) @ grid.U.conj().T
         K = 0.5 * (K + K.conj().T).real
     else:
         K = grid.K

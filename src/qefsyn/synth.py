@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from qefsyn.errors import InadmissibleError, NumericalError
+from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import QuadratureConfig, check_admissible, qef_growth_rate
 from qefsyn.grad import frechet_derivatives, optimality_residual
 from qefsyn.model import ControllerParams, assemble_closed_loop, is_hurwitz
@@ -88,7 +88,7 @@ def lqg_controller(plant, weights):
 def _admissible(plant, weights, ctrl, theta):
     try:
         cl = assemble_closed_loop(plant, weights, ctrl)
-    except Exception:
+    except ValidationError:
         return None, None
     report = check_admissible(cl, theta)
     return cl, report

@@ -13,7 +13,6 @@ from qefsyn.freq import (
     check_admissible,
     growth_rate_grid,
     qef_growth_rate,
-    spec1_value,
     theta_for_spec1,
 )
 from qefsyn.grad import chi_matrix, frechet_derivatives, sandwich_blocks

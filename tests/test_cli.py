@@ -163,3 +163,35 @@ def test_grad_check_command(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "block,row,col,analytic,fd,rel_err"
     assert out[-1].startswith("max_rel_err,")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lambda-max", "-5"],    # used to print a growth rate of wrong sign
+    ["--quad-tol", "-1"],      # used to spin and exit as a numerical error
+    ["--theta", "-0.1"],       # used to end in an uncaught ValueError
+])
+def test_bad_override_is_a_validation_error(tmp_path, capsys, flags):
+    path = _write(tmp_path, _canonical_doc(with_controller=True))
+    assert cli.main(["evaluate", path, *flags]) == cli.EXIT_VALIDATION
+    assert "ups," not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_max", -5.0), ("abs_tol", 0.0), ("rel_tol", "tight"),
+    ("theta", -0.1),
+])
+def test_bad_instance_setting_is_a_validation_error(tmp_path, capsys, field,
+                                                    value):
+    doc = _canonical_doc(with_controller=True)
+    if field == "theta":
+        doc["theta"] = value
+    else:
+        doc["quadrature"][field] = value
+    path = _write(tmp_path, doc)
+    assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+
+
+def test_seed_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["validate", "inst.json", "--seed", "1"])
+    assert exc.value.code == 2

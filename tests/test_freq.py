@@ -1,9 +1,12 @@
 """Quadrature machinery, per-frequency quantities, growth rate, admissibility."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qefsyn.errors import InadmissibleError
+from qefsyn.errors import InadmissibleError, NumericalError
 from qefsyn.freq import (
     QuadratureConfig,
     check_admissible,
@@ -11,14 +14,11 @@ from qefsyn.freq import (
     delta_matrix,
     growth_rate_grid,
     integrate_half_line,
-    log_det_delta,
     qef_growth_rate,
-    resolvent,
     resonance_breakpoints,
-    spec1_value,
-    spectral_pair,
+    spectral_sweep,
+    tanhc,
     theta_for_spec1,
-    transfer,
 )
 from qefsyn.gramians import lqg_cost
 from qefsyn.model import ControllerParams, assemble_closed_loop
@@ -75,43 +75,112 @@ def test_resonance_breakpoints_cover_imag_parts(cl_square):
 
 
 def test_resolvent_identity(cl_square):
-    G = resolvent(cl_square.calA, 1.3)
+    G = spectral_sweep(cl_square, [1.3]).G[0]
     assert np.allclose((1j * 1.3 * np.eye(4) - cl_square.calA) @ G, np.eye(4))
 
 
 def test_transfer_conjugate_evenness(cl_square):
     # F(-lambda) = conj(F(lambda)) for real state-space matrices
-    F1 = transfer(cl_square, 0.7)
-    F2 = transfer(cl_square, -0.7)
+    F1, F2 = spectral_sweep(cl_square, [0.7, -0.7]).F
     assert np.allclose(F2, F1.conj())
 
 
 def test_spectral_pair_symmetry_classes(cl_square):
-    Phi, Psi = spectral_pair(cl_square, 0.9)
+    sweep = spectral_sweep(cl_square, [0.9])
+    Phi, Psi = sweep.Phi[0], sweep.Psi[0]
     assert np.allclose(Phi, Phi.conj().T)
     assert np.allclose(Psi, -Psi.conj().T)
     assert np.min(np.linalg.eigvalsh(Phi)) >= -1e-12
+    # the cached eigenbasis diagonalises i Psi
+    U, d0 = sweep.U[0], sweep.d0[0]
+    assert np.allclose(U @ np.diag(d0) @ U.conj().T, 1j * Psi)
 
 
 def test_delta_matrix_theta_zero(cl_square):
-    Phi, Psi = spectral_pair(cl_square, 0.4)
-    assert np.allclose(delta_matrix(Phi, Psi, 0.0), np.eye(2))
+    sweep = spectral_sweep(cl_square, [0.4])
+    assert np.allclose(delta_matrix(sweep.Phi[0], sweep.Psi[0], 0.0),
+                       np.eye(2))
+    assert np.allclose(sweep.delta(0.0)[0], np.eye(2))
 
 
 def test_log_det_delta_real_and_matches_direct(cl_square):
     theta = 0.05
-    val = log_det_delta(cl_square, 0.8, theta)
-    Phi, Psi = spectral_pair(cl_square, 0.8)
-    direct = np.linalg.slogdet(delta_matrix(Phi, Psi, theta))
-    assert np.isclose(val, direct[1], atol=1e-10)
-    assert isinstance(val, float)
+    sweep = spectral_sweep(cl_square, [0.8])
+    val = sweep.log_det_delta(theta)
+    direct = np.linalg.slogdet(delta_matrix(sweep.Phi[0], sweep.Psi[0],
+                                            theta))
+    assert val.shape == (1,) and val.dtype == float
+    assert np.isclose(val[0], direct[1], atol=1e-10)
+    assert np.allclose(sweep.delta(theta)[0],
+                       delta_matrix(sweep.Phi[0], sweep.Psi[0], theta))
 
 
 def test_log_det_delta_inadmissible_at_large_theta(cl_square):
     # near the peak frequency a huge theta violates the spectral condition
+    sweep = spectral_sweep(cl_square, np.linspace(0.0, 5.0, 60))
     with pytest.raises(InadmissibleError):
-        for lam in np.linspace(0.0, 5.0, 60):
-            log_det_delta(cl_square, lam, 1e3)
+        sweep.log_det_delta(1e3)
+
+
+def test_sweep_log_det_matches_direct_on_grid_nodes(cl_square, quad_fast):
+    # body nodes and tail nodes (lambda = 1/u) of an adaptive grid, each
+    # compared with slogdet of the directly formed Delta
+    theta = 0.05
+    grid = growth_rate_grid(cl_square, theta, quad_fast)
+
+    def nodes(edges):
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        x = np.linspace(-0.99, 0.99, 7)
+        return (mid[:, None] + half[:, None] * x).ravel()
+
+    for lams in (nodes(grid.body_edges), 1.0 / nodes(grid.tail_edges)):
+        sweep = spectral_sweep(cl_square, lams)
+        batched = sweep.log_det_delta(theta)
+        for k in range(len(lams)):
+            sign, logdet = np.linalg.slogdet(
+                delta_matrix(sweep.Phi[k], sweep.Psi[k], theta))
+            assert sign.real > 0
+            assert abs(batched[k] - logdet) <= 1e-12 * (1 + abs(logdet))
+
+
+def test_sweep_raises_first_failing_node():
+    # a classical first-order lag (J = 0, so Psi = 0 and theta mu =
+    # theta / (1 + lambda^2)) next to an uncoupled undamped mode whose
+    # shift at lambda = 7 is exactly singular
+    loop = SimpleNamespace(
+        calA=scipy.linalg.block_diag([[-1.0]], [[0.0, 7.0], [-7.0, 0.0]]),
+        calB=np.array([[1.0], [0.0], [0.0]]),
+        calC=np.array([[1.0, 0.0, 0.0]]),
+        J=np.zeros((1, 1)))
+    theta, ok, inadmissible, singular = 4.0, 3.0, 0.5, 7.0
+    assert list(spectral_sweep(loop, [ok, inadmissible, singular]).failed) \
+        == [False, False, True]
+    assert np.allclose(spectral_sweep(loop, [ok]).spec1(theta), 0.4)
+    # the first failing node decides, whichever way it fails
+    with pytest.raises(InadmissibleError):
+        spectral_sweep(loop, [ok, inadmissible, singular]).log_det_delta(theta)
+    with pytest.raises(NumericalError):
+        spectral_sweep(loop, [ok, singular, inadmissible]).log_det_delta(theta)
+    with pytest.raises(NumericalError):
+        spectral_sweep(loop, [ok, singular]).spec1(theta)
+    with pytest.raises(NumericalError):
+        spectral_sweep(loop, [singular]).log_det_delta(0.0)
+
+
+def test_sweep_spec1_cache_matches_direct_eigh(cl_square):
+    lams = np.linspace(0.0, default_lambda_max(cl_square.calA), 97)
+    sweep = spectral_sweep(cl_square, lams)
+    for theta in (1e-3, 0.05, 0.7, 12.0):
+        direct = []
+        for Phi, Psi in zip(sweep.Phi, sweep.Psi):
+            d, U = np.linalg.eigh(1j * theta * Psi)
+            sqrt_t = U * np.sqrt(tanhc(d))
+            mu = np.linalg.eigvalsh(sqrt_t.conj().T @ Phi @ sqrt_t)
+            direct.append(theta * np.max(mu))
+        cached = sweep.spec1(theta)
+        assert np.allclose(cached, direct, rtol=1e-12, atol=1e-15)
+        assert abs(np.max(cached) - max(direct)) <= 1e-12 * max(direct)
 
 
 def test_growth_rate_zero_cases(cl_square, canonical_plant, quad_fast):
@@ -169,14 +238,14 @@ def test_check_admissible_unstable(canonical_plant, weights_square):
 
 
 def test_spec1_value_zero_theta(cl_square):
-    assert spec1_value(cl_square, 0.0, 1.0) == 0.0
+    assert spectral_sweep(cl_square, [1.0]).spec1(0.0)[0] == 0.0
 
 
 def test_theta_for_spec1_hits_target(cl_square):
     target = 0.3
     theta = theta_for_spec1(cl_square, target)
     grid = np.linspace(0.0, default_lambda_max(cl_square.calA), 400)
-    sup = max(spec1_value(cl_square, theta, lam) for lam in grid)
+    sup = np.max(spectral_sweep(cl_square, grid).spec1(theta))
     assert abs(sup - target) <= 0.02
 
 

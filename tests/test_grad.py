@@ -9,7 +9,7 @@ from qefsyn.freq import (
     delta_matrix,
     growth_rate_grid,
     qef_growth_rate,
-    spectral_pair,
+    spectral_sweep,
     theta_for_spec1,
 )
 from qefsyn.grad import (
@@ -36,7 +36,8 @@ def test_phi_reduces_to_delta_inverse_when_psi_zero():
 
 def test_psi_fn_rejects_singular_psi(cl_lqg):
     # with stacked nu=3 weights Psi has rank <= 2 and is singular
-    Phi, Psi = spectral_pair(cl_lqg, 0.5)
+    sweep = spectral_sweep(cl_lqg, [0.5])
+    Phi, Psi = sweep.Phi[0], sweep.Psi[0]
     Delta = delta_matrix(Phi, Psi, 0.05)
     with pytest.raises(InadmissibleError):
         psi_fn(Phi, Psi, Delta, 0.05)

@@ -59,7 +59,6 @@ def test_derive_plant_canonical(canonical_plant, canonical_spec):
                           + canonical_spec.M.T @ p.J @ canonical_spec.M))
     assert np.allclose(p.B, 2.0 * canonical_spec.Theta @ canonical_spec.M.T)
     assert np.allclose(p.C, 2.0 * canonical_spec.D @ p.J @ canonical_spec.M)
-    assert np.allclose(p.Omega, np.eye(2) + 1j * p.J)
 
 
 @settings(max_examples=50, deadline=None)

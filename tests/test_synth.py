@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qefsyn.errors import NumericalError
+from qefsyn import synth
+from qefsyn.errors import NumericalError, ValidationError
 from qefsyn.freq import QuadratureConfig, check_admissible, theta_for_spec1
 from qefsyn.instances import random_stable_instance
 from qefsyn.model import assemble_closed_loop, is_hurwitz
@@ -66,3 +67,23 @@ def test_synthesize_final_controller_admissible(canonical_plant,
     cl = assemble_closed_loop(canonical_plant, weights_square,
                               report.controller)
     assert check_admissible(cl, theta).admissible
+
+
+def test_admissible_maps_only_validation_errors(canonical_plant,
+                                                weights_square, monkeypatch):
+    ctrl = lqg_controller(canonical_plant, weights_square)
+
+    def raise_(exc):
+        def assemble(*args):
+            raise exc
+        return assemble
+
+    monkeypatch.setattr(synth, "assemble_closed_loop",
+                        raise_(ValidationError("shape mismatch")))
+    assert synth._admissible(canonical_plant, weights_square, ctrl,
+                             0.05) == (None, None)
+    # anything else is a bug in closed-loop assembly, not inadmissibility
+    monkeypatch.setattr(synth, "assemble_closed_loop",
+                        raise_(RuntimeError("assembly bug")))
+    with pytest.raises(RuntimeError, match="assembly bug"):
+        synth._admissible(canonical_plant, weights_square, ctrl, 0.05)
