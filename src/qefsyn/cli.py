@@ -20,6 +20,7 @@ Exit codes: 0 ok, 2 validation, 3 inadmissible, 4 numerical, 5 io.
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -75,9 +76,22 @@ class ProblemInstance:
     synthesis: dict
 
     def __post_init__(self):
-        if not (np.isfinite(self.theta) and self.theta >= 0):
-            raise ValidationError(
-                f"theta must be finite and nonnegative, got {self.theta}")
+        self.theta = _number("theta", self.theta, lambda t: t >= 0,
+                             "finite and nonnegative")
+        if self.oracle_T is not None:
+            self.oracle_T = _number("oracle T", self.oracle_T,
+                                    lambda t: t > 0, "finite and positive")
+        self.oracle_N = _number("oracle N", self.oracle_N, lambda n: n >= 2,
+                                "an integer >= 2", numbers.Integral)
+
+
+def _number(name, value, valid, what, kind=numbers.Real):
+    """`value` as a float (an int for an Integral `kind`) if it is a finite
+    number of that kind and `valid`; otherwise a ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (np.isfinite(value) and valid(value))):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
 
 
 def _quadrature(base, **fields):
@@ -119,7 +133,6 @@ def load_instance(path):
     nu = S_flat.size // n
     S = S_flat.reshape(nu, n)
     K = _matrix(w, "K", nu, d)
-    theta = float(doc.get("theta", 0.0))
 
     ctrl = None
     if "controller" in doc:
@@ -135,8 +148,8 @@ def load_instance(path):
                                                "lambda_max") if k in qdoc})
     odoc = doc.get("oracle", {})
     return ProblemInstance(
-        spec=spec, S=S, K=K, theta=theta, controller=ctrl, quad=quad,
-        oracle_T=odoc.get("T"), oracle_N=int(odoc.get("N", 800)),
+        spec=spec, S=S, K=K, theta=doc.get("theta", 0.0), controller=ctrl,
+        quad=quad, oracle_T=odoc.get("T"), oracle_N=odoc.get("N", 800),
         synthesis=doc.get("synthesis", {}),
     )
 
@@ -218,7 +231,9 @@ def cmd_oracle_compare(inst, args):
     _, _, cl = _closed_loop(inst, require_controller=False)
     theta = inst.theta
     ups = qef_growth_rate(cl, theta, inst.quad)
-    T_final = inst.oracle_T or oracle.default_horizon(cl.calA)
+    T_final = inst.oracle_T
+    if T_final is None:
+        T_final = oracle.default_horizon(cl.calA)
     T_list = [T_final / 4, T_final / 2, T_final]
     rows = oracle.growth_rate_estimate(cl, theta, T_list, inst.oracle_N)
     out = args.output or "oracle.csv"

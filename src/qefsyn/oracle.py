@@ -3,15 +3,18 @@
 The commutator kernel mho(tau) = calC Lambda(tau) calC^T and covariance
 kernel P(tau) of the penalized process are discretized into dense integral
 operators on [0, T] by a symmetrized Nystrom rule (trapezoidal weights with
-sqrt-weight scaling, which preserves the skew-Hermitian / Hermitian operator
+sqrt-weight scaling, which preserves the skew-symmetric / symmetric operator
 classes exactly in floating point).  The finite-horizon log-cost is then
 
     ln Xi_T = -(1/2) Tr(ln cos(theta L_T) + ln(I - theta P_T K_T)),
 
-with K_T = tanc(theta L_T), evaluated through the Hermitian eigenproblems
-of i L_T and sqrt(K_T) P_T sqrt(K_T).  Apart from the scalar tanhc helper
-it shares, this path never touches the frequency-domain machinery and
-serves as its validation oracle.
+with K_T = tanc(theta L_T).  L_T is real skew-symmetric, so i L_T has the
+eigenvalues +-d, and cos and tanc are even: both matrix functions depend on
+L_T only through L_T^T L_T = V diag(d^2) V^T, one real symmetric
+eigenproblem.  With D = tanhc(theta d), K_T = V D V^T and the spectrum of
+sqrt(K_T) P_T sqrt(K_T) is that of D^(1/2) V^T P_T V D^(1/2).  Apart from
+the scalar tanhc helper it shares, this path never touches the
+frequency-domain machinery and serves as its validation oracle.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
+from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import tanhc
 from qefsyn.model import is_hurwitz
 from qefsyn.gramians import solve_lyapunov
@@ -74,11 +77,16 @@ class OracleGrid:
     theta: float
     times: np.ndarray
     weights: np.ndarray
-    L: np.ndarray             # skew-symmetric commutator operator
-    P: np.ndarray             # symmetric covariance operator
-    d: np.ndarray             # eigenvalues of i L (real)
-    U: np.ndarray             # eigenvectors of i L
-    K: np.ndarray             # tanc(theta L), symmetric PD
+    L: np.ndarray             # real skew-symmetric commutator operator
+    P: np.ndarray             # real symmetric covariance operator
+    d: np.ndarray             # |eigenvalues of i L|, ascending
+    V: np.ndarray             # L^T L = V diag(d^2) V^T, V real orthogonal
+
+    @property
+    def K(self):
+        """tanc(theta L) = V diag(tanhc(theta d)) V^T, real symmetric PD."""
+        K = (self.V * tanhc(self.theta * self.d)) @ self.V.T
+        return 0.5 * (K + K.T)
 
 
 def _kernel_tables(cl, times):
@@ -102,6 +110,8 @@ def build_operators(cl, theta, T, N):
     """Nystrom discretization of the commutator and covariance operators."""
     if N < 2:
         raise ValidationError("grid needs at least two points")
+    if not (np.isfinite(T) and T > 0):
+        raise ValidationError(f"horizon must be finite and positive, got {T}")
     if not is_hurwitz(cl.calA):
         raise InadmissibleError("closed loop is not Hurwitz")
     times = np.linspace(0.0, T, N)
@@ -128,38 +138,28 @@ def build_operators(cl, theta, T, N):
     L = 0.5 * (L - L.T)
     P = 0.5 * (P + P.T)
 
-    d, U = np.linalg.eigh(1j * L)
-    K = (U * tanhc(theta * d)) @ U.conj().T
-    K = 0.5 * (K + K.conj().T).real
+    # each nonzero d appears twice (+-d), and an odd N nu adds an exact zero
+    d2, V = np.linalg.eigh(L.T @ L)
     return OracleGrid(T=T, N=N, theta=theta, times=times, weights=w,
-                      L=L, P=P, d=d, U=U, K=K)
+                      L=L, P=P, d=np.sqrt(np.clip(d2, 0.0, None)), V=V)
 
 
 def finite_horizon_qef(grid, theta=None):
     """ln Xi_T for the discretized operators (real scalar)."""
-    # Note: the spectrum of the discretized compact operator accumulates at
-    # zero by construction, so near-zero eigenvalues are expected and
-    # harmless here (every spectral function involved is analytic and even
-    # at 0); only an exact structural kernel would invalidate the formula,
-    # and that cannot be distinguished numerically.
+    # the spectrum of the discretized compact operator accumulates at zero;
+    # that is harmless, as every spectral function here is even and analytic
     theta = grid.theta if theta is None else theta
-    d = grid.d
     if theta == 0.0:
         return 0.0
-    if theta != grid.theta:
-        K = (grid.U * tanhc(theta * d)) @ grid.U.conj().T
-        K = 0.5 * (K + K.conj().T).real
-    else:
-        K = grid.K
-    kvals, kvecs = np.linalg.eigh(K)
-    kvals = np.clip(kvals, 0.0, None)
-    sqrtK = (kvecs * np.sqrt(kvals)) @ kvecs.T
-    s = np.linalg.eigvalsh(sqrtK @ grid.P @ sqrtK)
+    # spectrum of sqrt(K) P sqrt(K), in the eigenbasis V that K shares
+    sqrt_t = np.sqrt(tanhc(theta * grid.d))
+    s = np.linalg.eigvalsh(sqrt_t[:, None] * (grid.V.T @ grid.P @ grid.V)
+                           * sqrt_t)
     if theta * float(np.max(s, initial=0.0)) >= 1.0:
         raise InadmissibleError(
             "theta * lambda_max(P_T K_T) >= 1: finite-horizon formula invalid"
         )
-    term_cos = float(np.sum(np.log(np.cosh(theta * d))))
+    term_cos = float(np.sum(np.log(np.cosh(theta * grid.d))))
     term_pk = float(np.sum(np.log1p(-theta * np.clip(s, 0.0, None))))
     return -0.5 * (term_cos + term_pk)
 

@@ -179,6 +179,7 @@ def test_bad_override_is_a_validation_error(tmp_path, capsys, flags):
 @pytest.mark.parametrize("field, value", [
     ("lambda_max", -5.0), ("abs_tol", 0.0), ("rel_tol", "tight"),
     ("theta", -0.1),
+    ("theta", "abc"),          # used to end in an uncaught ValueError
 ])
 def test_bad_instance_setting_is_a_validation_error(tmp_path, capsys, field,
                                                     value):
@@ -189,6 +190,38 @@ def test_bad_instance_setting_is_a_validation_error(tmp_path, capsys, field,
         doc["quadrature"][field] = value
     path = _write(tmp_path, doc)
     assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("flags", [
+    ["--oracle-T", "-5"],      # used to end in an uncaught LinAlgError
+    ["--oracle-T", "nan"],     # likewise
+    ["--oracle-T", "0"],       # used to run silently at the default horizon
+    ["--oracle-N", "1"],
+])
+def test_bad_oracle_override_is_a_validation_error(tmp_path, flags):
+    path = _write(tmp_path, _canonical_doc(with_controller=True))
+    out = tmp_path / "oracle.csv"
+    code = cli.main(["oracle-compare", path, "--oracle-N", "40", *flags,
+                     "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("oracle_doc", [
+    {"T": -1},                 # used to end in an uncaught LinAlgError
+    {"T": "long"},
+    {"N": "x"},                # used to end in an uncaught ValueError
+    {"N": 40.5},
+])
+def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path,
+                                                           oracle_doc):
+    doc = _canonical_doc(with_controller=True)
+    doc["oracle"] = oracle_doc
+    out = tmp_path / "oracle.csv"
+    code = cli.main(["oracle-compare", _write(tmp_path, doc),
+                     "--output", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_seed_flag_is_rejected(tmp_path):

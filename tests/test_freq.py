@@ -115,11 +115,21 @@ def test_log_det_delta_real_and_matches_direct(cl_square):
                        delta_matrix(sweep.Phi[0], sweep.Psi[0], theta))
 
 
-def test_log_det_delta_inadmissible_at_large_theta(cl_square):
-    # near the peak frequency a huge theta violates the spectral condition
-    sweep = spectral_sweep(cl_square, np.linspace(0.0, 5.0, 60))
+def test_log_det_delta_inadmissible_at_large_theta():
+    # a classical first-order lag (J = 0, so Psi = 0 and theta mu =
+    # theta / (1 + lambda^2)): at theta = 2 the spectral condition fails by
+    # a clear margin below lambda = 1, not by round-off
+    lag = SimpleNamespace(calA=np.array([[-1.0]]), calB=np.array([[1.0]]),
+                          calC=np.array([[1.0]]), J=np.zeros((1, 1)))
+    lams = np.linspace(0.0, 5.0, 60)
+    theta = 2.0
+    sweep = spectral_sweep(lag, lams)
+    assert np.allclose(sweep.spec1(theta), theta / (1.0 + lams**2))
     with pytest.raises(InadmissibleError):
-        sweep.log_det_delta(1e3)
+        sweep.log_det_delta(theta)
+    admissible = lams[lams > 1.1]
+    assert np.allclose(spectral_sweep(lag, admissible).log_det_delta(theta),
+                       np.log1p(-theta / (1.0 + admissible**2)))
 
 
 def test_sweep_log_det_matches_direct_on_grid_nodes(cl_square, quad_fast):

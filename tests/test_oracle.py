@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qefsyn.errors import InadmissibleError, ValidationError
+from qefsyn.freq import tanhc, theta_for_spec1
 from qefsyn.oracle import (
     build_operators,
     ccr_kernel,
@@ -67,6 +68,43 @@ def test_build_operators_rejects_unstable(canonical_plant, weights_square):
     cl = assemble_closed_loop(canonical_plant, weights_square, ctrl)
     with pytest.raises(InadmissibleError):
         build_operators(cl, 0.05, T=5.0, N=20)
+
+
+def test_build_operators_rejects_bad_horizon(cl_square):
+    for T in (-5.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            build_operators(cl_square, 0.05, T=T, N=20)
+
+
+def _complex_route(grid, theta):
+    """ln Xi_T and K_T by the complex eigh(i L) and an eigh(K) for sqrt(K)."""
+    d, U = np.linalg.eigh(1j * grid.L)
+    K = (U * tanhc(theta * d)) @ U.conj().T
+    K = 0.5 * (K + K.conj().T).real
+    kvals, kvecs = np.linalg.eigh(K)
+    sqrtK = (kvecs * np.sqrt(np.clip(kvals, 0.0, None))) @ kvecs.T
+    s = np.linalg.eigvalsh(sqrtK @ grid.P @ sqrtK)
+    value = -0.5 * (np.sum(np.log(np.cosh(theta * d)))
+                    + np.sum(np.log1p(-theta * np.clip(s, 0.0, None))))
+    return value, K
+
+
+@pytest.mark.parametrize("N", [40, 41])
+def test_real_route_matches_complex_reference(cl_lqg, N):
+    # nu = 3, so N nu is even for N = 40 and odd for N = 41, where the
+    # skew-symmetric L has an exact zero eigenvalue without a +- partner
+    theta = theta_for_spec1(cl_lqg, 0.25)
+    grid = build_operators(cl_lqg, theta, T=default_horizon(cl_lqg.calA), N=N)
+    assert grid.L.shape == (3 * N, 3 * N)
+    d_ref = np.sort(np.abs(np.linalg.eigvalsh(1j * grid.L)))
+    assert np.allclose(grid.d**2, d_ref**2, rtol=0.0,
+                       atol=1e-12 * d_ref[-1]**2)
+    ref, K_ref = _complex_route(grid, theta)
+    assert np.max(np.abs(grid.K - K_ref)) <= 1e-12
+    assert abs(finite_horizon_qef(grid) - ref) <= 1e-12 * abs(ref)
+    ref_other, _ = _complex_route(grid, 0.6 * theta)
+    assert (abs(finite_horizon_qef(grid, 0.6 * theta) - ref_other)
+            <= 1e-12 * abs(ref_other))
 
 
 def test_finite_horizon_qef_zero_theta(cl_square):
