@@ -50,10 +50,18 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _matrix(obj, key, rows, cols):
+def _array(obj, key):
+    """obj[key] as a flat float array; missing or non-numeric is invalid."""
     if key not in obj:
         raise ValidationError(f"missing array {key!r}")
-    flat = np.asarray(obj[key], dtype=float)
+    try:
+        return np.asarray(obj[key], dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key!r} is not a numeric array: {exc}") from exc
+
+
+def _matrix(obj, key, rows, cols):
+    flat = _array(obj, key)
     if flat.size != rows * cols:
         raise ValidationError(
             f"{key!r} has {flat.size} entries, expected {rows}x{cols}"
@@ -83,6 +91,23 @@ class ProblemInstance:
                                     lambda t: t > 0, "finite and positive")
         self.oracle_N = _number("oracle N", self.oracle_N, lambda n: n >= 2,
                                 "an integer >= 2", numbers.Integral)
+        if not isinstance(self.synthesis, dict):
+            raise ValidationError("'synthesis' must be an object")
+        self.synthesis = {
+            key: _number(f"synthesis {key}", self.synthesis[key], valid,
+                         what, kind)
+            for key, (kind, valid, what) in _SYNTHESIS.items()
+            if key in self.synthesis}
+
+
+#: the JSON "synthesis" settings passed on to SynthesisConfig
+_SYNTHESIS = {
+    "max_iters": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
+    "grad_tol": (numbers.Real, lambda v: v > 0, "finite and positive"),
+    "initial_step": (numbers.Real, lambda v: v > 0, "finite and positive"),
+    "backtrack_factor": (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)"),
+    "armijo_c": (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)"),
+}
 
 
 def _number(name, value, valid, what, kind=numbers.Real):
@@ -114,7 +139,9 @@ def load_instance(path):
 
     try:
         p = doc["plant"]
-        n, m, d, r = (int(p[k]) for k in ("n", "m", "d", "r"))
+        n, m, d, r = (_number(f"plant {k}", p[k], lambda v: v >= 1,
+                              "an integer >= 1", numbers.Integral)
+                      for k in ("n", "m", "d", "r"))
     except KeyError as exc:
         raise ValidationError(f"missing plant field {exc}") from exc
     spec = PlantSpec(
@@ -127,9 +154,10 @@ def load_instance(path):
     w = doc.get("weights")
     if w is None:
         raise ValidationError("missing 'weights'")
-    S_flat = np.asarray(w["S"], dtype=float)
-    if S_flat.size % n != 0:
-        raise ValidationError("weights.S length must be a multiple of n")
+    S_flat = _array(w, "S")
+    if S_flat.size == 0 or S_flat.size % n != 0:
+        raise ValidationError("weights.S length must be a positive multiple "
+                              "of n")
     nu = S_flat.size // n
     S = S_flat.reshape(nu, n)
     K = _matrix(w, "K", nu, d)
@@ -248,16 +276,9 @@ def cmd_oracle_compare(inst, args):
 
 def cmd_synthesize(inst, args):
     plant = derive_plant(inst.spec)
-    sdoc = inst.synthesis
-    cfg = SynthesisConfig(
-        theta=inst.theta,
-        max_iters=int(sdoc.get("max_iters", 500)),
-        grad_tol=float(sdoc.get("grad_tol", 1e-6)),
-        initial_step=float(sdoc.get("initial_step", 1.0)),
-        backtrack_factor=float(sdoc.get("backtrack_factor", 0.5)),
-        armijo_c=float(sdoc.get("armijo_c", 1e-4)),
-        quad=inst.quad,
-    )
+    if inst.theta == 0.0:
+        raise ValidationError("synthesize needs theta > 0")
+    cfg = SynthesisConfig(theta=inst.theta, quad=inst.quad, **inst.synthesis)
     report = synthesize(plant, (inst.S, inst.K), cfg)
     trace = args.output or "trace.csv"
     with open(trace, "w") as fh:

@@ -298,11 +298,15 @@ class SpectralSweep:
         """Nodes whose resolvent missed the residual tolerance."""
         return ~(self.residual <= _RESOLVENT_TOL)
 
-    def raise_first(self, inadmissible=None):
+    def raise_first(self, inadmissible=None,
+                    reason="spectral admissibility violated: theta * "
+                           "lambda_max(Phi tanc(theta Psi)) >= 1 at a "
+                           "quadrature node"):
         """Raise for the first failing node in node order, if any.
 
         A failed resolvent is a NumericalError and a set `inadmissible`
-        entry an InadmissibleError; the resolvent comes first at a node.
+        entry an InadmissibleError with message `reason`; the resolvent
+        comes first at a node.
         """
         failed = self.failed
         bad = failed if inadmissible is None else failed | inadmissible
@@ -314,10 +318,7 @@ class SpectralSweep:
                 f"resolvent residual {self.residual[k]:.2e} at "
                 f"lambda={self.lams[k]}: near-singular shift"
             )
-        raise InadmissibleError(
-            "spectral admissibility violated: theta * lambda_max"
-            "(Phi tanc(theta Psi)) >= 1 at a quadrature node"
-        )
+        raise InadmissibleError(reason)
 
     def mu(self, theta):
         """Ascending eigenvalues of sqrt(T) Phi sqrt(T), T = tanc(theta Psi)."""

@@ -2,12 +2,23 @@
 
 The per-frequency weight functions are
     phi = sinc(theta Psi) Delta^{-1},
-    psi = (sin[[theta Psi, 0], [Delta^{-1} Phi Psi^{-1}, theta Psi]]
-           - cos[[theta Psi, 0], [Delta^{-1}, theta Psi]])_{21}
-          - sinc(theta Psi) Delta^{-1} Phi Psi^{-1},
-the bottom-left blocks being Gateaux derivatives of sin/cos evaluated by the
-block-triangular construction.  The gradient matrix is the projected real
-frequency integral
+    psi = sin'(theta Psi)[X] - cos'(theta Psi)[Delta^{-1}] - sinc(theta Psi) X,
+with X = Delta^{-1} Phi Psi^{-1} and f'(A)[E] the Gateaux derivative of f
+at A along E.  They are formed in closed form in the eigenbasis the
+spectral sweep already holds: with i Psi = U diag(d0) U*, W = U* Phi U and
+x = theta d0, theta Psi has the eigenvalues -i x, and by Daleckii-Krein
+(Higham, Functions of Matrices, SIAM 2008, Thm 3.11)
+f'(theta Psi)[E] = U (L_f o U* E U) U*, where L_f holds the first divided
+differences of f on -i x.  In product form, which stays accurate as
+d_j -> d_k,
+    L_sin[j,k] = cosh((x_j + x_k)/2) sinhc((x_j - x_k)/2),
+    L_cos[j,k] = i sinh((x_j + x_k)/2) sinhc((x_j - x_k)/2).
+With Delta~ = U* Delta U = diag(cosh x) - theta W diag(sinhc x),
+    phi = U diag(sinhc x) Delta~^{-1} U*,
+    X~  = U* X U = Delta~^{-1} W diag(i / d0),
+    psi = U (L_sin o X~ - L_cos o Delta~^{-1} - diag(sinhc x) X~) U*,
+all stacked over the nodes of a quadrature panel.  The gradient matrix is
+the projected real frequency integral
     chi = (1/(4 pi)) Re int fP([[G calB], [I_m]]
               (F^*(phi + phi^*) + J F^*(psi - psi^*)) [calC G, I_nu]) dlam,
 and the derivatives in (a, b, c) are theta times the three nontrivial
@@ -27,13 +38,10 @@ from qefsyn.freq import (
     sinhc,
     spectral_sweep,
 )
-from qefsyn.matfun import gateaux_cos, gateaux_sin
 from qefsyn.model import is_hurwitz
 
 __all__ = [
     "GradReport",
-    "phi_fn",
-    "psi_fn",
     "chi_matrix",
     "build_k_factors",
     "sandwich_blocks",
@@ -41,48 +49,49 @@ __all__ = [
     "optimality_residual",
 ]
 
-#: condition-number ceiling for Psi^{-1} products
+#: condition-number ceilings for Psi^{-1} and Delta^{-1} products
 _PSI_COND_MAX = 1e8
+_DELTA_COND_MAX = 1e12
 
 
-def _sinc_of(theta, Psi):
-    d, U = np.linalg.eigh(1j * theta * Psi)
-    return (U * sinhc(d)) @ U.conj().T
+def _weights(sweep, theta):
+    """phi and psi at every node of a sweep, theta > 0, stacked by node.
 
-
-def _right_solve(A, B):
-    """A B^{-1} via a linear solve against B."""
-    return np.linalg.solve(B.conj().T, A.conj().T).conj().T
-
-
-def phi_fn(Phi, Psi, Delta, theta):
-    """phi = sinc(theta Psi) Delta^{-1}."""
-    if np.linalg.cond(Delta) > 1e12:
-        raise InadmissibleError("Delta is numerically singular")
-    return _right_solve(_sinc_of(theta, Psi), Delta)
-
-
-def psi_fn(Phi, Psi, Delta, theta):
-    """psi per the block-triangular derivative formula; needs Psi invertible."""
-    if np.linalg.cond(Psi) > _PSI_COND_MAX:
-        raise InadmissibleError(
-            "Psi is numerically singular: det Psi != 0 fails"
-        )
-    if np.linalg.cond(Delta) > 1e12:
-        raise InadmissibleError("Delta is numerically singular")
-    Dinv = np.linalg.inv(Delta)
-    X = _right_solve(Dinv @ Phi, Psi)        # Delta^{-1} Phi Psi^{-1}
-    tP = theta * Psi
-    return (gateaux_sin(tP, X) - gateaux_cos(tP, Dinv)
-            - _sinc_of(theta, Psi) @ X)
+    A failed resolvent, cond(Psi) > 1e8 or cond(Delta) > 1e12 raises for
+    the first failing node in node order.  i Psi is Hermitian, so cond(Psi)
+    is max|d0| / min|d0|; Delta and Delta~ = U* Delta U share their
+    singular values.
+    """
+    d0, U, W = sweep.d0, sweep.U, sweep.W
+    x = theta * d0
+    sx = sinhc(x)
+    Dt = (np.cosh(x)[:, :, None] * np.eye(d0.shape[1])
+          - theta * W * sx[:, None, :])
+    absd = np.abs(d0)
+    dmin, dmax = absd.min(axis=1), absd.max(axis=1)
+    sv = np.linalg.svd(Dt, compute_uv=False)
+    singular = ((dmin == 0.0) | (dmax > _PSI_COND_MAX * dmin)
+                | ~(sv[:, 0] <= _DELTA_COND_MAX * sv[:, -1]))
+    sweep.raise_first(singular, reason="Psi or Delta is numerically "
+                      "singular at a quadrature node (the gradient needs "
+                      "det Psi != 0)")
+    Dinv = np.linalg.inv(Dt)
+    Xt = Dinv @ W * (1j / d0)[:, None, :]          # U* Delta^-1 Phi Psi^-1 U
+    # first divided differences of sin and cos on the eigenvalues -i x
+    half_sum = 0.5 * (x[:, :, None] + x[:, None, :])
+    dd = sinhc(0.5 * (x[:, :, None] - x[:, None, :]))
+    phit = sx[:, :, None] * Dinv
+    psit = (np.cosh(half_sum) * dd * Xt - 1j * np.sinh(half_sum) * dd * Dinv
+            - sx[:, :, None] * Xt)
+    Uh = U.conj().swapaxes(1, 2)
+    return U @ phit @ Uh, U @ psit @ Uh
 
 
 def _chi_integrand(cl, theta, lams):
     """Unprojected gradient integrands, (len(lams), 2n+m, 2n+nu).
 
-    The spectral quantities come from one sweep over all the frequencies;
-    the weight functions phi and psi are still formed node by node, in
-    node order, so the first failing node decides which error is raised.
+    The spectral quantities and the weight functions phi and psi come
+    from one sweep over all the frequencies.
     """
     sweep = spectral_sweep(cl, lams)
     Fh = sweep.F.conj().swapaxes(1, 2)
@@ -91,15 +100,9 @@ def _chi_integrand(cl, theta, lams):
         sweep.raise_first()
         mid = 2.0 * Fh
     else:
-        Delta = sweep.delta(theta)
-        mid = np.empty_like(Fh)
-        for j in range(k):
-            if sweep.failed[j]:
-                sweep.raise_first()
-            args = (sweep.Phi[j], sweep.Psi[j], Delta[j], theta)
-            phi, psi = phi_fn(*args), psi_fn(*args)
-            mid[j] = (Fh[j] @ (phi + phi.conj().T)
-                      + cl.J @ Fh[j] @ (psi - psi.conj().T))
+        phi, psi = _weights(sweep, theta)
+        mid = (Fh @ (phi + phi.conj().swapaxes(1, 2))
+               + cl.J @ Fh @ (psi - psi.conj().swapaxes(1, 2)))
     left = np.concatenate(
         [sweep.G @ cl.calB, np.broadcast_to(np.eye(cl.m), (k, cl.m, cl.m))],
         axis=1)

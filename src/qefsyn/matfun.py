@@ -1,38 +1,32 @@
 """Entire functions of dense square matrices and their Gateaux derivatives.
 
 cos/sin of a general (possibly defective) matrix go through the matrix
-exponential of +-iM; the derivative of cos/sin in a direction gamma is the
-bottom-left block of the same function applied to the 2x2 block-lower-
-triangular matrix [[beta, 0], [gamma, beta]].  sinc and tanc of
-skew-Hermitian arguments are evaluated through the eigendecomposition of
-the Hermitian matrix i*M, which treats the removable singularity at 0
-analytically.
+exponential of +-iM; the derivative of exp/cos/sin in a direction gamma is
+the bottom-left block of the same function applied to the 2x2
+block-lower-triangular matrix [[beta, 0], [gamma, beta]].  The gradient
+path forms its derivatives of sin/cos in closed form (see `qefsyn.grad`);
+these block-triangular routes stay as the independent reference: the tests
+check the closed form against them, and the acceptance criteria check them
+against finite differences and the trace-adjoint identity.
 """
 
 import numpy as np
 import scipy.linalg
 
-from qefsyn.errors import NumericalError, ValidationError
+from qefsyn.errors import ValidationError
 
 __all__ = [
     "mat_exp",
     "mat_cos",
     "mat_sin",
-    "sinc_mat",
-    "tanc_mat",
     "gateaux_exp",
     "gateaux_cos",
     "gateaux_sin",
     "trace_adjoint_check",
-    "logm_principal",
-    "logdet",
 ]
 
 #: imaginary residue below which a nominally real result is truncated to real
 _REAL_CUTOFF = 1e-13
-
-#: minimum eigenvalue distance of a tanc argument to the poles of tan
-_TANC_POLE_TOL = 1e-8
 
 
 def _as_square(M, name="M"):
@@ -76,83 +70,6 @@ def mat_sin(M):
     E = scipy.linalg.expm(1j * M)
     Em = scipy.linalg.expm(-1j * M)
     return _maybe_real((E - Em) / 2j, was_real)
-
-
-def _sinc_scalar(z):
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    out = np.empty_like(z)
-    zs = z[small]
-    # series keeps full accuracy where sin(z)/z loses digits
-    out[small] = 1.0 - zs**2 / 6.0 + zs**4 / 120.0
-    zb = z[~small]
-    out[~small] = np.sin(zb) / zb
-    return out
-
-
-def _tanc_scalar(z):
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    out = np.empty_like(z)
-    zs = z[small]
-    out[small] = 1.0 + zs**2 / 3.0 + 2.0 * zs**4 / 15.0
-    zb = z[~small]
-    out[~small] = np.tan(zb) / zb
-    return out
-
-
-def _is_skew_hermitian(M):
-    scale = max(1.0, np.max(np.abs(M)))
-    return np.max(np.abs(M + M.conj().T)) <= 1e-12 * scale
-
-
-def _skew_hermitian_apply(M, scalar_f):
-    """f(M) for skew-Hermitian M via the Hermitian eigenproblem of i*M."""
-    d, U = np.linalg.eigh(1j * M)
-    # eigenvalues of M are -i*d with d real
-    vals = scalar_f(-1j * d)
-    return U @ np.diag(vals) @ U.conj().T
-
-
-def sinc_mat(M):
-    """Primary matrix function sinc M = sin(M) M^{-1} with sinc 0 = 1."""
-    M = _as_square(M)
-    was_real = np.isrealobj(M)
-    if _is_skew_hermitian(M):
-        out = _skew_hermitian_apply(M, _sinc_scalar)
-    else:
-        out = scipy.linalg.funm(np.asarray(M, dtype=complex),
-                                _sinc_scalar)
-    return _maybe_real(out, was_real)
-
-
-def _tanc_pole_guard(eigvals):
-    # poles of tan at odd multiples of pi/2, on the real axis
-    re = eigvals.real
-    im = eigvals.imag
-    k = np.round(re / np.pi - 0.5)
-    poles = (2 * k + 1) * np.pi / 2
-    dist = np.hypot(re - poles, im)
-    if np.min(dist) < _TANC_POLE_TOL:
-        raise NumericalError(
-            "tanc argument has an eigenvalue within "
-            f"{_TANC_POLE_TOL:g} of a pole of tan"
-        )
-
-
-def tanc_mat(M):
-    """Primary matrix function tanc M = tan(M) M^{-1} with tanc 0 = 1."""
-    M = _as_square(M)
-    was_real = np.isrealobj(M)
-    if _is_skew_hermitian(M):
-        d, U = np.linalg.eigh(1j * M)
-        _tanc_pole_guard(-1j * d)
-        out = U @ np.diag(_tanc_scalar(-1j * d)) @ U.conj().T
-    else:
-        _tanc_pole_guard(np.linalg.eigvals(M))
-        out = scipy.linalg.funm(np.asarray(M, dtype=complex),
-                                _tanc_scalar)
-    return _maybe_real(out, was_real)
 
 
 def _block_lower(beta, gamma):
@@ -204,38 +121,3 @@ def trace_adjoint_check(f, alpha, beta, dbeta):
     lhs = np.trace(np.asarray(alpha) @ g(beta, dbeta))
     rhs = np.trace(g(beta, alpha) @ np.asarray(dbeta))
     return lhs, rhs
-
-
-def logm_principal(M):
-    """Principal matrix logarithm; rejects spectra near the branch cut."""
-    M = _as_square(M)
-    eig = np.linalg.eigvals(M)
-    scale = max(1.0, np.max(np.abs(eig)))
-    on_cut = (eig.real <= 0) & (np.abs(eig.imag) <= 1e-10 * scale)
-    if np.any(on_cut):
-        raise NumericalError(
-            "matrix has an eigenvalue on or near the negative real axis; "
-            "principal logarithm undefined"
-        )
-    out = scipy.linalg.logm(M)
-    return _maybe_real(np.asarray(out, dtype=complex), np.isrealobj(M))
-
-
-def logdet(M):
-    """log det M through a pivoted LU factorization, principal branch."""
-    M = _as_square(M)
-    eig = np.linalg.eigvals(M)
-    scale = max(1.0, np.max(np.abs(eig)))
-    on_cut = (eig.real <= 0) & (np.abs(eig.imag) <= 1e-10 * scale)
-    if np.any(on_cut):
-        raise NumericalError(
-            "matrix has an eigenvalue on or near the negative real axis; "
-            "log det branch ill-defined"
-        )
-    lu, piv = scipy.linalg.lu_factor(M)
-    diag = np.diag(lu).astype(complex)
-    sign_perm = 1.0 if np.sum(piv != np.arange(len(piv))) % 2 == 0 else -1.0
-    val = np.sum(np.log(diag)) + (0.0 if sign_perm > 0 else 1j * np.pi)
-    # wrap onto the principal branch
-    val = val.real + 1j * ((val.imag + np.pi) % (2 * np.pi) - np.pi)
-    return complex(val)

@@ -224,6 +224,52 @@ def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("synthesis, theta", [
+    pytest.param({"max_iters": "x"}, 0.05, id="iters-string"),  # ValueError
+    pytest.param({"max_iters": 2.7}, 0.05, id="iters-fraction"),  # truncated
+    pytest.param({"max_iters": 0}, 0.05, id="iters-zero"),
+    pytest.param({"grad_tol": -1}, 0.05, id="tol-negative"),  # ValueError
+    pytest.param({"initial_step": 0.0}, 0.05, id="step-zero"),
+    pytest.param({"backtrack_factor": 1.0}, 0.05, id="backtrack-one"),
+    pytest.param({"armijo_c": "small"}, 0.05, id="armijo-string"),
+    pytest.param([30], 0.05, id="not-an-object"),
+    pytest.param({"max_iters": 30}, 0.0, id="theta-zero"),
+])
+def test_bad_synthesis_setting_is_a_validation_error(tmp_path, synthesis,
+                                                     theta):
+    doc = _canonical_doc(theta=theta)
+    doc["synthesis"] = synthesis
+    trace = tmp_path / "trace.csv"
+    code = cli.main(["synthesize", _write(tmp_path, doc),
+                     "--output", str(trace),
+                     "--controller-out", str(tmp_path / "controller.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("block, changes", [
+    pytest.param("plant", {"n": "two"}, id="n-string"),  # used: ValueError
+    pytest.param("plant", {"d": 1.5}, id="d-fraction"),
+    pytest.param("plant", {"r": 0}, id="r-zero"),
+    pytest.param("weights", {"S": None}, id="S-missing"),  # used: KeyError
+    pytest.param("weights", {"S": "abc"}, id="S-string"),  # used: ValueError
+    pytest.param("weights", {"S": [], "K": []}, id="S-empty"),  # IndexError
+    pytest.param("weights", {"K": ["a", "b"]}, id="K-strings"),
+])
+def test_bad_plant_or_weights_is_a_validation_error(tmp_path, block,
+                                                    changes):
+    doc = _canonical_doc(with_controller=True)
+    for key, value in changes.items():
+        if value is None:
+            del doc[block][key]
+        else:
+            doc[block][key] = value
+    path = _write(tmp_path, doc)
+    with pytest.raises(ValidationError):
+        cli.load_instance(path)
+    assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+
+
 def test_seed_flag_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["validate", "inst.json", "--seed", "1"])

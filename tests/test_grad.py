@@ -1,4 +1,5 @@
-"""Gradient matrix: weight functions, dual-route limit, finite differences."""
+"""Gradient matrix: closed-form weights against the block-triangular
+reference, dual-route limit, finite differences, similarity invariance."""
 
 import numpy as np
 import pytest
@@ -6,59 +7,140 @@ import pytest
 from qefsyn.errors import InadmissibleError
 from qefsyn.freq import (
     QuadratureConfig,
+    SpectralSweep,
     delta_matrix,
     growth_rate_grid,
     qef_growth_rate,
+    sinhc,
     spectral_sweep,
     theta_for_spec1,
 )
 from qefsyn.grad import (
+    _chi_integrand,
+    _weights,
     build_k_factors,
     chi_matrix,
     frechet_derivatives,
     optimality_residual,
-    phi_fn,
-    psi_fn,
     sandwich_blocks,
 )
 from qefsyn.gramians import chi0
+from qefsyn.instances import random_stable_instance
+from qefsyn.matfun import gateaux_cos, gateaux_sin
 from qefsyn.model import ControllerParams, assemble_closed_loop
 
 
+def _reference_weights(Phi, Psi, theta):
+    """phi and psi at one node by the block-triangular Gateaux route."""
+    d, U = np.linalg.eigh(1j * theta * Psi)
+    sinc = (U * sinhc(d)) @ U.conj().T
+    Dinv = np.linalg.inv(delta_matrix(Phi, Psi, theta))
+    X = Dinv @ Phi @ np.linalg.inv(Psi)
+    tP = theta * Psi
+    return sinc @ Dinv, gateaux_sin(tP, X) - gateaux_cos(tP, Dinv) - sinc @ X
+
+
+def _reference_integrand(cl, theta, lams):
+    """The unprojected chi integrand formed node by node from the reference."""
+    sweep = spectral_sweep(cl, lams)
+    out = []
+    for k in range(len(lams)):
+        phi, psi = _reference_weights(sweep.Phi[k], sweep.Psi[k], theta)
+        Fh = sweep.F[k].conj().T
+        mid = (Fh @ (phi + phi.conj().T)
+               + cl.J @ Fh @ (psi - psi.conj().T))
+        left = np.vstack([sweep.G[k] @ cl.calB, np.eye(cl.m)])
+        right = np.hstack([cl.calC @ sweep.G[k], np.eye(cl.nu)])
+        node = left @ mid @ right
+        node[-cl.m:, -cl.nu:] = 0.0
+        out.append(node)
+    return np.array(out)
+
+
+def _synthetic_sweep(d0, Phi_scale=0.3, seed=7):
+    """A sweep with prescribed eigenvalues d0 of i Psi, one node per row."""
+    d0 = np.asarray(d0, dtype=float)
+    k, nu = d0.shape
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((k, nu, nu))
+                        + 1j * rng.standard_normal((k, nu, nu)))
+    Uh = U.conj().swapaxes(1, 2)
+    Psi = -1j * (U * d0[:, None, :]) @ Uh
+    B = rng.standard_normal((k, nu, nu)) + 1j * rng.standard_normal((k, nu, nu))
+    Phi = Phi_scale * B @ B.conj().swapaxes(1, 2) / nu
+    return SpectralSweep(lams=np.arange(k, dtype=float), G=None, F=None,
+                         Phi=Phi, Psi=Psi, d0=d0, U=U, W=Uh @ Phi @ U,
+                         residual=np.zeros(k))
+
+
+def _max_rel(new, ref):
+    """Worst node-wise relative Frobenius gap of two stacks."""
+    return float(np.max(np.linalg.norm(new - ref, axis=(1, 2))
+                        / np.linalg.norm(ref, axis=(1, 2))))
+
+
 def test_phi_reduces_to_delta_inverse_when_psi_zero():
-    Phi = np.diag([0.5, 0.2]).astype(complex)
-    Psi = np.zeros((2, 2), dtype=complex)
+    # as Psi -> 0 (kept invertible), sinc(theta Psi) -> I and phi -> Delta^-1
+    sweep = _synthetic_sweep([[1e-10, -2e-10, 3e-10]])
     theta = 0.3
-    Delta = delta_matrix(Phi, Psi, theta)
-    phi = phi_fn(Phi, Psi, Delta, theta)
-    assert np.allclose(phi, np.linalg.inv(Delta))
+    phi, _ = _weights(sweep, theta)
+    Delta = delta_matrix(sweep.Phi[0], sweep.Psi[0], theta)
+    assert np.allclose(phi[0], np.linalg.inv(Delta), rtol=0, atol=1e-14)
 
 
-def test_psi_fn_rejects_singular_psi(cl_lqg):
+def test_psi_fn_rejects_singular_psi(cl_lqg, quad_fast):
     # with stacked nu=3 weights Psi has rank <= 2 and is singular
-    sweep = spectral_sweep(cl_lqg, [0.5])
-    Phi, Psi = sweep.Phi[0], sweep.Psi[0]
-    Delta = delta_matrix(Phi, Psi, 0.05)
-    with pytest.raises(InadmissibleError):
-        psi_fn(Phi, Psi, Delta, 0.05)
+    with pytest.raises(InadmissibleError, match="singular"):
+        _chi_integrand(cl_lqg, 0.05, [0.5])
+    with pytest.raises(InadmissibleError, match="singular"):
+        chi_matrix(cl_lqg, 0.05, quad_fast)
 
 
 def test_psi_fn_finite_difference():
-    # check the block-triangular psi formula against a finite difference of
-    # the scalar integrand d/dtheta is not direct; instead verify the two
-    # Gateaux blocks via the scalar case where everything is explicit
-    Phi = np.array([[0.7]], dtype=complex)
-    Psi = np.array([[0.4j]], dtype=complex)
+    # the scalar case, where sin'(t p) X - cos'(t p) dinv - sinc(t p) X is
+    # explicit by commutative calculus
+    Phi = np.array([[[0.7]]], dtype=complex)
+    Psi = np.array([[[0.4j]]], dtype=complex)
     theta = 0.3
-    Delta = delta_matrix(Phi, Psi, theta)
-    psi = psi_fn(Phi, Psi, Delta, theta)
-    # scalar reduction: psi = sin'(t p) X - cos'(t p) via commutative calculus
-    tp = complex(theta * Psi[0, 0])
-    dinv = 1.0 / complex(Delta[0, 0])
-    X = dinv * complex(Phi[0, 0]) / complex(Psi[0, 0])
+    sweep = SpectralSweep(lams=np.zeros(1), G=None, F=None, Phi=Phi, Psi=Psi,
+                          d0=np.array([[-0.4]]), U=np.ones((1, 1, 1)),
+                          W=Phi, residual=np.zeros(1))
+    _, psi = _weights(sweep, theta)
+    tp = complex(theta * Psi[0, 0, 0])
+    dinv = 1.0 / complex(delta_matrix(Phi[0], Psi[0], theta)[0, 0])
+    X = dinv * complex(Phi[0, 0, 0]) / complex(Psi[0, 0, 0])
     sinc = np.sin(tp) / tp
     expected = np.cos(tp) * X + np.sin(tp) * dinv - sinc * X
-    assert np.isclose(complex(psi[0, 0]), expected, atol=1e-12)
+    assert np.isclose(complex(psi[0, 0, 0]), expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d0", [
+    [[0.7, 0.7 + 1e-9, -1.1]],        # nearly equal eigenvalues
+    [[-2.0, -2.0 + 1e-12, 0.4]],
+    [[0.9, 0.9, -0.5]],               # an exactly repeated eigenvalue
+    [[0.7, 0.7 + 1e-5, 1.3], [3.0, -0.2, 0.6]],
+])
+def test_weights_match_block_triangular_reference(d0):
+    sweep = _synthetic_sweep(d0)
+    theta = 0.8
+    phi, psi = _weights(sweep, theta)
+    ref = [_reference_weights(sweep.Phi[k], sweep.Psi[k], theta)
+           for k in range(len(sweep.d0))]
+    assert _max_rel(phi, np.array([r[0] for r in ref])) <= 1e-12
+    assert _max_rel(psi, np.array([r[1] for r in ref])) <= 1e-12
+
+
+@pytest.mark.parametrize("loop", ["cl_square", "random"])
+def test_chi_integrand_matches_block_triangular_reference(loop, request):
+    if loop == "random":
+        _, _, cl = random_stable_instance(np.random.default_rng(13))
+    else:
+        cl = request.getfixturevalue(loop)
+    theta = theta_for_spec1(cl, 0.4)
+    lams = np.concatenate([np.linspace(0.0, 5.0, 41)[1:],
+                           np.geomspace(5.0, 1e5, 12)])
+    assert _max_rel(_chi_integrand(cl, theta, lams),
+                    _reference_integrand(cl, theta, lams)) <= 1e-12
 
 
 def test_chi_zero_theta_matches_gramian_route(cl_square, quad_fast):
@@ -127,3 +209,18 @@ def test_quad_error_reported(cl_square, quad_fast):
     report = frechet_derivatives(cl_square, 0.05, quad_fast)
     assert np.isfinite(report.quad_error)
     assert optimality_residual(report) >= 0.0
+
+
+@pytest.mark.parametrize("seed", [13, 16, 41])
+def test_gradient_similarity_invariance(seed):
+    # (T a T^-1, T b, c T^-1) leaves the cost unchanged, so the derivative
+    # along T = I + eps E vanishes for every E
+    _, ctrl, cl = random_stable_instance(np.random.default_rng(seed))
+    report = frechet_derivatives(cl, theta_for_spec1(cl, 0.4))
+    Ga, Gb, Gc = report.dUps_da, report.dUps_db, report.dUps_dc
+    a, b, c = ctrl.a, ctrl.b, ctrl.c
+    resid = Ga @ a.T - a.T @ Ga + Gb @ b.T - c.T @ Gc
+    scale = max(np.linalg.norm(Ga) * np.linalg.norm(a),
+                np.linalg.norm(Gb) * np.linalg.norm(b),
+                np.linalg.norm(Gc) * np.linalg.norm(c))
+    assert np.linalg.norm(resid) <= 1e-10 * scale

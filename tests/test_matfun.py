@@ -1,22 +1,18 @@
-"""Matrix entire functions, removable-singularity functions, Gateaux blocks."""
+"""Matrix entire functions and their block-triangular Gateaux derivatives."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from qefsyn.errors import NumericalError, ValidationError
+from qefsyn.errors import ValidationError
 from qefsyn.matfun import (
     gateaux_cos,
     gateaux_exp,
     gateaux_sin,
-    logdet,
-    logm_principal,
     mat_cos,
     mat_exp,
     mat_sin,
-    sinc_mat,
-    tanc_mat,
     trace_adjoint_check,
 )
 
@@ -49,38 +45,6 @@ def test_cos_sin_diagonal_exact():
     d = np.array([0.3, -1.2, 2.5])
     assert np.allclose(mat_cos(np.diag(d)), np.diag(np.cos(d)))
     assert np.allclose(mat_sin(np.diag(d)), np.diag(np.sin(d)))
-
-
-def test_sinc_at_zero_is_identity():
-    assert np.allclose(sinc_mat(np.zeros((3, 3))), np.eye(3))
-    assert np.allclose(tanc_mat(np.zeros((2, 2))), np.eye(2))
-
-
-def test_sinc_matches_sin_times_inverse(rng):
-    M = _rand(rng, 3) + 0.5 * np.eye(3)       # keep M invertible
-    expected = mat_sin(M) @ np.linalg.inv(M)
-    assert np.allclose(sinc_mat(M), expected, atol=1e-9)
-
-
-def test_sinc_skew_hermitian_path(rng):
-    A = _rand(rng, 4, complex_=True)
-    M = A - A.conj().T                        # skew-Hermitian
-    out = sinc_mat(M)
-    expected = mat_sin(M) @ np.linalg.inv(M)
-    assert np.allclose(out, expected, atol=1e-10)
-    # sinc of a skew-Hermitian matrix is Hermitian (even function)
-    assert np.allclose(out, out.conj().T, atol=1e-12)
-
-
-def test_tanc_matches_tan_times_inverse(rng):
-    M = 0.3 * _rand(rng, 3) + 0.2 * np.eye(3)
-    expected = (mat_sin(M) @ np.linalg.inv(mat_cos(M))) @ np.linalg.inv(M)
-    assert np.allclose(tanc_mat(M), expected, atol=1e-9)
-
-
-def test_tanc_pole_guard():
-    with pytest.raises(NumericalError):
-        tanc_mat(np.diag([np.pi / 2, 0.1]))
 
 
 def test_gateaux_matches_finite_difference(rng):
@@ -119,28 +83,3 @@ def test_trace_adjoint_identity(seed, nu, f):
 def test_trace_adjoint_rejects_unknown_function():
     with pytest.raises(ValidationError):
         trace_adjoint_check("tan", np.eye(2), np.eye(2), np.eye(2))
-
-
-def test_logm_principal_inverts_exp(rng):
-    M = 0.5 * _rand(rng, 3)
-    assert np.allclose(logm_principal(scipy.linalg.expm(M)), M, atol=1e-10)
-
-
-def test_logm_principal_rejects_branch_cut():
-    with pytest.raises(NumericalError):
-        logm_principal(np.diag([-1.0, 2.0]))
-
-
-def test_logdet_matches_slogdet(rng):
-    M = _rand(rng, 4, complex_=True) + 2.0 * np.eye(4)
-    val = logdet(M)
-    assert np.isclose(np.exp(val), np.linalg.det(M), atol=1e-10)
-
-
-def test_logdet_real_spd(rng):
-    A = _rand(rng, 4)
-    M = A @ A.T + np.eye(4)
-    sign, ld = np.linalg.slogdet(M)
-    val = logdet(M)
-    assert abs(val.imag) < 1e-12
-    assert np.isclose(val.real, ld)
