@@ -14,6 +14,10 @@ arrays:
       "synthesis": {"max_iters": ..., "grad_tol": ...}
     }
 
+The document and each block are objects; the document and its quadrature,
+oracle and synthesis blocks hold no keys but the ones shown (synthesis also
+takes "initial_step", "backtrack_factor" and "armijo_c").
+
 Exit codes: 0 ok, 2 validation, 3 inadmissible, 4 numerical, 5 io.
 """
 
@@ -91,8 +95,7 @@ class ProblemInstance:
                                     lambda t: t > 0, "finite and positive")
         self.oracle_N = _number("oracle N", self.oracle_N, lambda n: n >= 2,
                                 "an integer >= 2", numbers.Integral)
-        if not isinstance(self.synthesis, dict):
-            raise ValidationError("'synthesis' must be an object")
+        _object(self.synthesis, "synthesis", _SYNTHESIS)
         self.synthesis = {
             key: _number(f"synthesis {key}", self.synthesis[key], valid,
                          what, kind)
@@ -108,6 +111,18 @@ _SYNTHESIS = {
     "backtrack_factor": (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)"),
     "armijo_c": (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)"),
 }
+
+
+def _object(value, name, keys=None):
+    """`value` if it is a JSON object holding no key outside `keys`."""
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{name} must be an object, got {type(value).__name__}")
+    unknown = [] if keys is None else [k for k in value if k not in keys]
+    if unknown:
+        raise ValidationError(
+            f"unknown {name} setting {', '.join(map(repr, unknown))}")
+    return value
 
 
 def _number(name, value, valid, what, kind=numbers.Real):
@@ -137,8 +152,12 @@ def load_instance(path):
     except json.JSONDecodeError as exc:
         raise ValidationError(f"instance file is not valid JSON: {exc}") from exc
 
+    # a misspelt optional key such as "theta" would otherwise fall back to
+    # its default without a word
+    doc = _object(doc, "instance", ("plant", "weights", "theta", "controller",
+                                    "quadrature", "oracle", "synthesis"))
     try:
-        p = doc["plant"]
+        p = _object(doc["plant"], "plant")
         n, m, d, r = (_number(f"plant {k}", p[k], lambda v: v >= 1,
                               "an integer >= 1", numbers.Integral)
                       for k in ("n", "m", "d", "r"))
@@ -151,9 +170,9 @@ def load_instance(path):
         N=_matrix(p, "N", d, n),
         D=_matrix(p, "D", r, m),
     )
-    w = doc.get("weights")
-    if w is None:
+    if "weights" not in doc:
         raise ValidationError("missing 'weights'")
+    w = _object(doc["weights"], "weights")
     S_flat = _array(w, "S")
     if S_flat.size == 0 or S_flat.size % n != 0:
         raise ValidationError("weights.S length must be a positive multiple "
@@ -164,17 +183,16 @@ def load_instance(path):
 
     ctrl = None
     if "controller" in doc:
-        cdoc = doc["controller"]
+        cdoc = _object(doc["controller"], "controller")
         ctrl = ControllerParams(
             a=_matrix(cdoc, "a", n, n),
             b=_matrix(cdoc, "b", n, r),
             c=_matrix(cdoc, "c", d, n),
         )
-    qdoc = doc.get("quadrature", {})
     quad = _quadrature(QuadratureConfig(),
-                       **{k: qdoc[k] for k in ("abs_tol", "rel_tol",
-                                               "lambda_max") if k in qdoc})
-    odoc = doc.get("oracle", {})
+                       **_object(doc.get("quadrature", {}), "quadrature",
+                                 ("abs_tol", "rel_tol", "lambda_max")))
+    odoc = _object(doc.get("oracle", {}), "oracle", ("T", "N"))
     return ProblemInstance(
         spec=spec, S=S, K=K, theta=doc.get("theta", 0.0), controller=ctrl,
         quad=quad, oracle_T=odoc.get("T"), oracle_N=odoc.get("N", 800),

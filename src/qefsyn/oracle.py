@@ -11,19 +11,32 @@ classes exactly in floating point).  The finite-horizon log-cost is then
 with K_T = tanc(theta L_T).  L_T is real skew-symmetric, so i L_T has the
 eigenvalues +-d, and cos and tanc are even: both matrix functions depend on
 L_T only through L_T^T L_T = V diag(d^2) V^T, one real symmetric
-eigenproblem.  With D = tanhc(theta d), K_T = V D V^T and the spectrum of
-sqrt(K_T) P_T sqrt(K_T) is that of D^(1/2) V^T P_T V D^(1/2).  Apart from
-the scalar tanhc helper it shares, this path never touches the
-frequency-domain machinery and serves as its validation oracle.
+eigenproblem.  With x = theta d, K_T = V diag(tanhc(x)) V^T and
+
+    ln det(I - theta sqrt(K_T) P_T sqrt(K_T))
+        = ln det K_T + ln det(K_T^{-1} - theta P_T),
+
+where K_T^{-1} - theta P_T is positive definite exactly when the
+admissibility condition theta lambda_max(P_T K_T) < 1 holds.  One Cholesky
+factor R of K_T^{-1} - theta P_T therefore decides admissibility and gives
+the log-determinant, and since ln cosh + ln tanhc = ln sinhc,
+
+    ln Xi_T = -(1/2) (sum ln sinhc(x) + 2 sum ln diag R).
+
+Each horizon costs one eigensolve (in `build_operators`) and one Cholesky
+(in `finite_horizon_qef`).  Apart from the scalar sinhc/tanhc helpers it
+shares, this path never touches the frequency-domain machinery and serves as
+its validation oracle.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, ValidationError
-from qefsyn.freq import tanhc
+from qefsyn.freq import sinhc, tanhc
 from qefsyn.model import is_hurwitz
 from qefsyn.gramians import solve_lyapunov
 
@@ -106,10 +119,33 @@ def _kernel_tables(cl, times):
     return mho, pk
 
 
+def _check_theta(theta):
+    if (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
+            or not (np.isfinite(theta) and theta >= 0)):
+        raise ValidationError(
+            f"theta must be finite and nonnegative, got {theta!r}")
+
+
+def _toeplitz_operator(table, sign, sw):
+    """Dense operator with block (i, j) = sw_i sw_j K(t_i - t_j).
+
+    `table` holds K at the nonnegative lags and K(-tau) = sign K(tau)^T.
+    """
+    N, nu, _ = table.shape
+    # by_lag[k] is K at lag k - (N - 1), for lags -(N - 1) ... N - 1
+    by_lag = np.concatenate((sign * table[:0:-1].transpose(0, 2, 1), table))
+    idx = np.arange(N)
+    blocks = by_lag[(N - 1) + idx[:, None] - idx[None, :]]
+    blocks *= (sw[:, None] * sw[None, :])[:, :, None, None]
+    return blocks.transpose(0, 2, 1, 3).reshape(N * nu, N * nu)
+
+
 def build_operators(cl, theta, T, N):
     """Nystrom discretization of the commutator and covariance operators."""
-    if N < 2:
-        raise ValidationError("grid needs at least two points")
+    _check_theta(theta)
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 2:
+        raise ValidationError(
+            f"grid size must be an integer >= 2, got {N!r}")
     if not (np.isfinite(T) and T > 0):
         raise ValidationError(f"horizon must be finite and positive, got {T}")
     if not is_hurwitz(cl.calA):
@@ -121,20 +157,8 @@ def build_operators(cl, theta, T, N):
     sw = np.sqrt(w)
 
     mho, pk = _kernel_tables(cl, times)
-    nu = cl.calC.shape[0]
-
-    # block-Toeplitz assembly: block (i, j) is sqrt(w_i w_j) K(t_i - t_j)
-    idx = np.arange(N)
-    lag = idx[:, None] - idx[None, :]
-    L_blocks = np.where(lag[:, :, None, None] >= 0,
-                        mho[np.abs(lag)],
-                        -np.transpose(mho[np.abs(lag)], (0, 1, 3, 2)))
-    P_blocks = np.where(lag[:, :, None, None] >= 0,
-                        pk[np.abs(lag)],
-                        np.transpose(pk[np.abs(lag)], (0, 1, 3, 2)))
-    scale = sw[:, None, None, None] * sw[None, :, None, None]
-    L = (L_blocks * scale).transpose(0, 2, 1, 3).reshape(N * nu, N * nu)
-    P = (P_blocks * scale).transpose(0, 2, 1, 3).reshape(N * nu, N * nu)
+    L = _toeplitz_operator(mho, -1.0, sw)
+    P = _toeplitz_operator(pk, 1.0, sw)
     L = 0.5 * (L - L.T)
     P = 0.5 * (P + P.T)
 
@@ -148,20 +172,27 @@ def finite_horizon_qef(grid, theta=None):
     """ln Xi_T for the discretized operators (real scalar)."""
     # the spectrum of the discretized compact operator accumulates at zero;
     # that is harmless, as every spectral function here is even and analytic
-    theta = grid.theta if theta is None else theta
+    if theta is None:
+        theta = grid.theta
+    else:
+        _check_theta(theta)
     if theta == 0.0:
         return 0.0
-    # spectrum of sqrt(K) P sqrt(K), in the eigenbasis V that K shares
-    sqrt_t = np.sqrt(tanhc(theta * grid.d))
-    s = np.linalg.eigvalsh(sqrt_t[:, None] * (grid.V.T @ grid.P @ grid.V)
-                           * sqrt_t)
-    if theta * float(np.max(s, initial=0.0)) >= 1.0:
+    x = theta * grid.d
+    # K^{-1} - theta P = G G^T - theta P by one syrk into the upper triangle,
+    # the one the Cholesky reads; the transposes hand BLAS Fortran order.
+    # The factor exists iff theta lambda_max(P K) < 1.
+    G = grid.V / np.sqrt(tanhc(x))
+    A = scipy.linalg.blas.dsyrk(1.0, G.T, beta=1.0, c=(-theta * grid.P).T,
+                                trans=1, overwrite_c=1)
+    try:
+        R = scipy.linalg.cholesky(A, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
         raise InadmissibleError(
             "theta * lambda_max(P_T K_T) >= 1: finite-horizon formula invalid"
-        )
-    term_cos = float(np.sum(np.log(np.cosh(theta * grid.d))))
-    term_pk = float(np.sum(np.log1p(-theta * np.clip(s, 0.0, None))))
-    return -0.5 * (term_cos + term_pk)
+        ) from None
+    return -0.5 * (float(np.sum(np.log(sinhc(x))))
+                   + 2.0 * float(np.sum(np.log(np.diag(R)))))
 
 
 def default_horizon(calA, multiple=40.0):

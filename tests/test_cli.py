@@ -1,6 +1,10 @@
 """CLI: instance parsing, command dispatch, exit codes, CSV emission."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,7 @@ def test_bad_override_is_a_validation_error(tmp_path, capsys, flags):
     ("lambda_max", -5.0), ("abs_tol", 0.0), ("rel_tol", "tight"),
     ("theta", -0.1),
     ("theta", "abc"),          # used to end in an uncaught ValueError
+    ("abs_tl", 1e-3),          # used to run silently at the default tolerances
 ])
 def test_bad_instance_setting_is_a_validation_error(tmp_path, capsys, field,
                                                     value):
@@ -212,6 +217,7 @@ def test_bad_oracle_override_is_a_validation_error(tmp_path, flags):
     {"T": "long"},
     {"N": "x"},                # used to end in an uncaught ValueError
     {"N": 40.5},
+    {"T": 40.0, "n": 400},     # unknown keys used to be dropped silently
 ])
 def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path,
                                                            oracle_doc):
@@ -233,6 +239,7 @@ def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path,
     pytest.param({"backtrack_factor": 1.0}, 0.05, id="backtrack-one"),
     pytest.param({"armijo_c": "small"}, 0.05, id="armijo-string"),
     pytest.param([30], 0.05, id="not-an-object"),
+    pytest.param({"max_iter": 30}, 0.05, id="unknown-key"),  # was dropped
     pytest.param({"max_iters": 30}, 0.0, id="theta-zero"),
 ])
 def test_bad_synthesis_setting_is_a_validation_error(tmp_path, synthesis,
@@ -268,6 +275,51 @@ def test_bad_plant_or_weights_is_a_validation_error(tmp_path, block,
     with pytest.raises(ValidationError):
         cli.load_instance(path)
     assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("block, value", [
+    pytest.param(None, [1, 2], id="document"),  # used: TypeError
+    pytest.param("plant", [1], id="plant"),  # used: TypeError
+    pytest.param("weights", "S", id="weights"),
+    pytest.param("controller", [1], id="controller"),
+    pytest.param("quadrature", "x", id="quadrature"),  # used to be ignored
+    pytest.param("oracle", [1], id="oracle"),  # used: AttributeError
+])
+def test_non_object_block_is_a_validation_error(tmp_path, block, value):
+    doc = _canonical_doc(with_controller=True)
+    if block is None:
+        doc = value
+    else:
+        doc[block] = value
+    path = _write(tmp_path, doc)
+    with pytest.raises(ValidationError, match="must be an object"):
+        cli.load_instance(path)
+    assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+
+
+def test_unknown_key_is_named(tmp_path):
+    doc = _canonical_doc()
+    doc["synthesis"] = {"max_iter": 30}
+    with pytest.raises(ValidationError, match="'max_iter'"):
+        cli.load_instance(_write(tmp_path, doc))
+    # a misspelt theta used to evaluate silently at theta = 0
+    doc = _canonical_doc(with_controller=True)
+    doc["thata"] = doc.pop("theta")
+    path = _write(tmp_path, doc)
+    with pytest.raises(ValidationError, match="'thata'"):
+        cli.load_instance(path)
+    assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+
+
+def test_written_instances_load(tmp_path):
+    # the instance files the bundled script writes must keep loading
+    root = Path(__file__).resolve().parents[1]
+    path = tmp_path / "canonical.json"
+    subprocess.run([sys.executable, str(root / "scripts" / "write_instance.py"),
+                    str(path), "--stacked-weights", "--with-controller"],
+                   check=True, capture_output=True,
+                   env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert cli.load_instance(str(path)).controller is not None
 
 
 def test_seed_flag_is_rejected(tmp_path):

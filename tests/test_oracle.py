@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import tanhc, theta_for_spec1
@@ -59,6 +60,50 @@ def test_build_operators_symmetry_classes(cl_square):
 def test_build_operators_rejects_tiny_grid(cl_square):
     with pytest.raises(ValidationError):
         build_operators(cl_square, 0.05, T=1.0, N=1)
+
+
+def test_build_operators_rejects_non_integer_grid(cl_square):
+    for N in (40.5, "40", True):
+        with pytest.raises(ValidationError):
+            build_operators(cl_square, 0.05, T=1.0, N=N)
+
+
+def test_oracle_rejects_bad_theta(cl_square):
+    grid = build_operators(cl_square, 0.05, T=5.0, N=40)
+    for theta in (-0.1, np.nan, np.inf, "0.1"):
+        with pytest.raises(ValidationError):
+            build_operators(cl_square, theta, T=5.0, N=40)
+        with pytest.raises(ValidationError):
+            finite_horizon_qef(grid, theta)
+
+
+def test_build_operators_matches_blockwise_reference(cl_lqg):
+    # block (i, j) = sqrt(w_i w_j) K(t_i - t_j), with mho(-tau) = -mho(tau)^T
+    # and P(-tau) = P(tau)^T, each kernel value from its own expm
+    N, T = 7, 3.0
+    grid = build_operators(cl_lqg, 0.05, T=T, N=N)
+    Sigma = scipy.linalg.solve_continuous_lyapunov(
+        cl_lqg.calA, -cl_lqg.calB @ cl_lqg.calB.T)
+    C = cl_lqg.calC
+    nu = C.shape[0]
+    assert nu == 3
+
+    def kernels(tau):
+        E = scipy.linalg.expm(abs(tau) * cl_lqg.calA)
+        mho = C @ E @ cl_lqg.Gamma @ C.T
+        pk = C @ E @ Sigma @ C.T
+        return (mho, pk) if tau >= 0 else (-mho.T, pk.T)
+
+    L_ref = np.empty((N * nu, N * nu))
+    P_ref = np.empty((N * nu, N * nu))
+    for i in range(N):
+        for j in range(N):
+            mho, pk = kernels(grid.times[i] - grid.times[j])
+            scale = np.sqrt(grid.weights[i] * grid.weights[j])
+            L_ref[i * nu:(i + 1) * nu, j * nu:(j + 1) * nu] = scale * mho
+            P_ref[i * nu:(i + 1) * nu, j * nu:(j + 1) * nu] = scale * pk
+    assert np.max(np.abs(grid.L - L_ref)) <= 1e-12 * np.max(np.abs(L_ref))
+    assert np.max(np.abs(grid.P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
 
 
 def test_build_operators_rejects_unstable(canonical_plant, weights_square):
@@ -125,6 +170,37 @@ def test_finite_horizon_qef_rejects_excess_risk(cl_square):
     grid = build_operators(cl_square, 50.0, T=20.0, N=60)
     with pytest.raises(InadmissibleError):
         finite_horizon_qef(grid)
+
+
+def test_admissibility_boundary_matches_eigenvalue_reference(
+        canonical_plant, weights_lqg):
+    # On the LQG loops theta lambda_max(P K) only tends to 1 as theta grows,
+    # so a perturbed controller gives a boundary that is crossed for real.
+    from qefsyn.model import ControllerParams, assemble_closed_loop
+    from qefsyn.synth import lqg_controller
+    ctrl = lqg_controller(canonical_plant, weights_lqg) + ControllerParams(
+        a=0.05 * np.array([[1.0, -0.5], [0.25, 0.75]]),
+        b=0.05 * np.array([[-0.5], [1.0]]),
+        c=0.05 * np.array([[0.5, -0.25]]))
+    cl = assemble_closed_loop(canonical_plant, weights_lqg, ctrl)
+    grid = build_operators(cl, 0.05, T=default_horizon(cl.calA), N=30)
+    VPV = grid.V.T @ grid.P @ grid.V
+
+    # theta* solves theta lambda_max(D^1/2 V^T P V D^1/2) = 1, D = tanhc(theta d)
+    def excess(theta):
+        sqrt_t = np.sqrt(tanhc(theta * grid.d))
+        s = np.linalg.eigvalsh(sqrt_t[:, None] * VPV * sqrt_t)
+        return theta * s[-1] - 1.0
+
+    lo, hi = 0.0, theta_for_spec1(cl, 0.25)
+    while excess(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    with pytest.raises(InadmissibleError):
+        finite_horizon_qef(grid, hi * (1 + 1e-6))
+    assert np.isfinite(finite_horizon_qef(grid, lo * (1 - 1e-6)))
 
 
 def test_default_horizon_scaling(cl_square):
