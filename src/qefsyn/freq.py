@@ -25,6 +25,7 @@ Gauss-Kronrod 7-15 rule; each panel, or all body and all tail nodes of a
 frozen grid, is one sweep.
 """
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +33,8 @@ import numpy as np
 
 from qefsyn.errors import InadmissibleError, NumericalError
 from qefsyn.model import is_hurwitz
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "QuadratureConfig",
@@ -124,7 +127,8 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, breakpoints=()):
     unresolved feature shrinks the estimate steadily, while noise-level
     estimates scale with panel width and their sum stays flat.  A result
     within a modest factor of the request is then returned (the estimate
-    is part of the return value); anything worse raises NumericalError.
+    is part of the return value) with a logged warning; anything worse
+    raises NumericalError.
     """
     _STALL_LIMIT = 60
     _STALL_SLACK = 100.0
@@ -167,6 +171,9 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, breakpoints=()):
                 "frequency quadrature did not converge within "
                 f"{n_sub} subdivisions (error {tot_err:.2e})"
             )
+        logger.warning(
+            "frequency quadrature stalled after %d subdivisions: error "
+            "%.2e above the tolerance %.2e", n_sub, tot_err, tol)
     intervals.sort(key=lambda iv: iv[0])
     total, tot_err, _ = totals()
     edges = np.array([iv[0] for iv in intervals] + [intervals[-1][1]])
@@ -459,7 +466,9 @@ def theta_for_spec1(cl, target, theta_hi=None, tol=1e-4):
     The supremum saturates towards 1 from below when the transfer matrix
     is square and invertible, so targets well inside (0, 1) are the
     meaningful way to pin a risk level to this plant.  The grid is swept
-    once; every bisection step reuses its theta-free parts.
+    once; every bisection step reuses its theta-free parts.  A target that
+    80 doublings of theta do not reach is a ValueError naming the
+    supremum reached.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie in (0, 1)")
@@ -470,11 +479,15 @@ def theta_for_spec1(cl, target, theta_hi=None, tol=1e-4):
 
     lo, hi = 0.0, theta_hi if theta_hi is not None else 1.0
     for _ in range(80):
-        if sup_at(hi) >= target:
+        sup = sup_at(hi)
+        if sup >= target:
             break
         lo, hi = hi, 2.0 * hi
     else:
-        return hi
+        raise ValueError(
+            f"spec1 target {target:g} is not reached: the supremum is "
+            f"{sup:.6g} at theta={lo:.6g}"
+        )
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if sup_at(mid) < target:

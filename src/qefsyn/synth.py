@@ -6,6 +6,15 @@ solves the limiting small-risk problem exactly and initializes a plain
 gradient descent on the exponential-cost growth rate over the controller
 triple (a, b, c), with a backtracking line search that keeps every iterate
 stabilizing and spectrally admissible.
+
+Each backtracking trial runs, in order: closed-loop assembly (a
+ValidationError rejects the trial), the cost by `qef_growth_rate` (an
+InadmissibleError rejects it), the Armijo test, and only then
+`check_admissible`, which accepts the trial if it passes.  The cost raises
+InadmissibleError cheaply for a non-Hurwitz loop or for theta mu >= 1 at a
+quadrature node, so most inadmissible trials never reach the check.  A
+NumericalError from the cost is re-raised only if the trial passes the
+check; otherwise the trial is rejected.
 """
 
 from dataclasses import dataclass, field
@@ -85,19 +94,45 @@ def lqg_controller(plant, weights):
     return ctrl
 
 
-def _admissible(plant, weights, ctrl, theta):
+def _closed_loop(plant, weights, ctrl):
+    """The closed loop of `ctrl`, or None where it cannot be assembled."""
     try:
-        cl = assemble_closed_loop(plant, weights, ctrl)
+        return assemble_closed_loop(plant, weights, ctrl)
     except ValidationError:
-        return None, None
-    report = check_admissible(cl, theta)
-    return cl, report
+        return None
 
 
-def _descent_stage(plant, weights, ctrl, theta, cfg, iterates, adm_hist,
-                   iter_offset):
-    """One descent run at fixed theta; returns (ctrl, cost, resid, reason)."""
-    cl, adm = _admissible(plant, weights, ctrl, theta)
+def _admissible(plant, weights, ctrl, theta):
+    cl = _closed_loop(plant, weights, ctrl)
+    return cl, None if cl is None else check_admissible(cl, theta)
+
+
+def _trial_cost(cl, theta, quad):
+    """Growth rate of a trial loop; inf where the cost rejects the trial.
+
+    A non-Hurwitz loop, or theta mu >= 1 at a quadrature node, is an
+    InadmissibleError and rejects the trial.  A NumericalError is raised
+    only for a trial that passes the admissibility check; a trial that
+    fails it is rejected, as it would have been before its cost was tried.
+    """
+    try:
+        return qef_growth_rate(cl, theta, quad)
+    except InadmissibleError:
+        return np.inf
+    except NumericalError:
+        if not check_admissible(cl, theta).admissible:
+            return np.inf
+        raise
+
+
+def _descent_stage(plant, weights, ctrl, start, theta, cfg, iterates,
+                   adm_hist, iter_offset):
+    """One descent run at fixed theta; returns (ctrl, cost, resid, reason).
+
+    `start` is the (closed loop, admissibility report) pair of `ctrl` at
+    this theta, so the start is not certified twice.
+    """
+    cl, adm = start
     if cl is None or not adm.admissible:
         raise InadmissibleError(
             f"initial controller inadmissible at theta={theta:g}"
@@ -119,17 +154,16 @@ def _descent_stage(plant, weights, ctrl, theta, cfg, iterates, adm_hist,
                 b=ctrl.b - step * report.dUps_db,
                 c=ctrl.c - step * report.dUps_dc,
             )
-            cl_t, adm_t = _admissible(plant, weights, trial, theta)
-            if cl_t is not None and adm_t.admissible:
-                try:
-                    ups_t = qef_growth_rate(cl_t, theta, cfg.quad)
-                except InadmissibleError:
-                    ups_t = np.inf
+            cl_t = _closed_loop(plant, weights, trial)
+            if cl_t is not None:
+                ups_t = _trial_cost(cl_t, theta, cfg.quad)
                 if ups_t <= ups - cfg.armijo_c * step * resid**2:
-                    ctrl, cl, adm, ups = trial, cl_t, adm_t, ups_t
-                    iterates[-1] = (it, iterates[-1][1], resid, step)
-                    accepted = True
-                    break
+                    adm_t = check_admissible(cl_t, theta)
+                    if adm_t.admissible:
+                        ctrl, cl, adm, ups = trial, cl_t, adm_t, ups_t
+                        iterates[-1] = (it, iterates[-1][1], resid, step)
+                        accepted = True
+                        break
             step *= cfg.backtrack_factor
         if not accepted:
             return ctrl, ups, resid, "line-search failure", it
@@ -149,23 +183,26 @@ def synthesize(plant, weights, cfg):
     with the previous stage's minimizer.
     """
     ctrl = lqg_controller(plant, weights)
-    _, adm = _admissible(plant, weights, ctrl, cfg.theta)
-    if adm is not None and adm.admissible:
+    start = _admissible(plant, weights, ctrl, cfg.theta)
+    if start[1] is not None and start[1].admissible:
         stages = [cfg.theta]
     else:
         ladder = cfg.theta_continuation or [cfg.theta / 8, cfg.theta / 4,
                                             cfg.theta / 2, cfg.theta]
         stages = list(ladder)
-        _, adm0 = _admissible(plant, weights, ctrl, stages[0])
-        if adm0 is None or not adm0.admissible:
+        start = _admissible(plant, weights, ctrl, stages[0])
+        if start[1] is None or not start[1].admissible:
             raise InadmissibleError(
                 "LQG initializer inadmissible at every continuation stage"
             )
     iterates, adm_hist = [], []
     offset = 0
-    for theta in stages:
+    for k, theta in enumerate(stages):
+        if k:
+            start = _admissible(plant, weights, ctrl, theta)
         ctrl, ups, resid, reason, offset = _descent_stage(
-            plant, weights, ctrl, theta, cfg, iterates, adm_hist, offset)
+            plant, weights, ctrl, start, theta, cfg, iterates, adm_hist,
+            offset)
         offset += 1
     return SynthesisReport(iterates=iterates, controller=ctrl, cost=ups,
                            residual=resid, admissibility=adm_hist,

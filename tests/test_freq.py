@@ -1,5 +1,6 @@
 """Quadrature machinery, per-frequency quantities, growth rate, admissibility."""
 
+import logging
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.linalg
 from qefsyn.errors import InadmissibleError, NumericalError
 from qefsyn.freq import (
     QuadratureConfig,
+    _adaptive,
     check_admissible,
     default_lambda_max,
     delta_matrix,
@@ -22,6 +24,7 @@ from qefsyn.freq import (
 )
 from qefsyn.gramians import lqg_cost
 from qefsyn.model import ControllerParams, assemble_closed_loop
+from qefsyn.synth import lqg_controller
 
 
 def _vec(f):
@@ -257,6 +260,41 @@ def test_theta_for_spec1_hits_target(cl_square):
     grid = np.linspace(0.0, default_lambda_max(cl_square.calA), 400)
     sup = np.max(spectral_sweep(cl_square, grid).spec1(theta))
     assert abs(sup - target) <= 0.02
+
+
+def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,
+                                                    weights_square):
+    # with S = 0 and c = 0 the cost output is zero, so spec1 is zero at
+    # every theta and no doubling reaches the target
+    S, K = weights_square
+    weights = (np.zeros_like(S), K)
+    ctrl = lqg_controller(canonical_plant, weights_square)
+    ctrl = ControllerParams(a=ctrl.a, b=ctrl.b, c=np.zeros_like(ctrl.c))
+    cl = assemble_closed_loop(canonical_plant, weights, ctrl)
+    with pytest.raises(ValueError,
+                       match=r"target 0\.3 is not reached: the supremum is 0 "):
+        theta_for_spec1(cl, 0.3)
+
+
+def test_adaptive_stall_logs_a_warning(caplog):
+    # a smooth integrand under a 1e-9 evaluation-noise floor: at 1e-11 the
+    # error estimate stops shrinking within the 100x stall slack
+    def f(x):
+        return (np.exp(-x) + 1e-9 * np.sin(1e7 * x))[:, None]
+
+    with caplog.at_level(logging.WARNING, logger="qefsyn.freq"):
+        total, err, _ = _adaptive(f, 0.0, 1.0, 1e-11, 1e-15, 400)
+    assert 1e-11 < err <= 100 * 1e-11
+    assert abs(total[0] - (1.0 - np.exp(-1.0))) <= 1e-9
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert f"error {err:.2e} above the tolerance 1.00e-11" in record.message
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="qefsyn.freq"):
+        _, err, _ = _adaptive(f, 0.0, 1.0, 1e-9, 1e-15, 400)
+    assert err <= 1e-9
+    assert not caplog.records
 
 
 def test_quadrature_config_validation():

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import tanhc, theta_for_spec1
+from qefsyn.model import ControllerParams, assemble_closed_loop
 from qefsyn.oracle import (
     build_operators,
     ccr_kernel,
@@ -13,6 +14,7 @@ from qefsyn.oracle import (
     finite_horizon_qef,
     growth_rate_estimate,
 )
+from qefsyn.synth import lqg_controller
 
 
 def test_ccr_kernel_at_zero_is_gamma(cl_square):
@@ -107,7 +109,6 @@ def test_build_operators_matches_blockwise_reference(cl_lqg):
 
 
 def test_build_operators_rejects_unstable(canonical_plant, weights_square):
-    from qefsyn.model import ControllerParams, assemble_closed_loop
     ctrl = ControllerParams(a=np.eye(2), b=np.zeros((2, 1)),
                             c=np.zeros((1, 2)))
     cl = assemble_closed_loop(canonical_plant, weights_square, ctrl)
@@ -166,23 +167,33 @@ def test_finite_horizon_qef_positive_and_increasing(cl_square):
     assert v[0] < v[1] < v[2]
 
 
-def test_finite_horizon_qef_rejects_excess_risk(cl_square):
-    grid = build_operators(cl_square, 50.0, T=20.0, N=60)
+def _perturbed_loop(plant, weights):
+    """Criterion 2's loop: the LQG controller plus a fixed perturbation.
+
+    On the LQG loops theta lambda_max(P K) only tends to 1 as theta grows;
+    on this loop it crosses 1 for real, at theta* ~ 5.7.
+    """
+    ctrl = lqg_controller(plant, weights) + ControllerParams(
+        a=0.05 * np.array([[1.0, -0.5], [0.25, 0.75]]),
+        b=0.05 * np.array([[-0.5], [1.0]]),
+        c=0.05 * np.array([[0.5, -0.25]]))
+    return assemble_closed_loop(plant, weights, ctrl)
+
+
+def test_finite_horizon_qef_rejects_excess_risk(canonical_plant, weights_lqg):
+    cl = _perturbed_loop(canonical_plant, weights_lqg)
+    theta = 20.0
+    grid = build_operators(cl, theta, T=20.0, N=60)
+    # P K is similar to the symmetric sqrt(K) P sqrt(K): real spectrum
+    excess = theta * np.max(np.linalg.eigvals(grid.P @ grid.K).real)
+    assert excess > 1.0 + 1e-4
     with pytest.raises(InadmissibleError):
         finite_horizon_qef(grid)
 
 
 def test_admissibility_boundary_matches_eigenvalue_reference(
         canonical_plant, weights_lqg):
-    # On the LQG loops theta lambda_max(P K) only tends to 1 as theta grows,
-    # so a perturbed controller gives a boundary that is crossed for real.
-    from qefsyn.model import ControllerParams, assemble_closed_loop
-    from qefsyn.synth import lqg_controller
-    ctrl = lqg_controller(canonical_plant, weights_lqg) + ControllerParams(
-        a=0.05 * np.array([[1.0, -0.5], [0.25, 0.75]]),
-        b=0.05 * np.array([[-0.5], [1.0]]),
-        c=0.05 * np.array([[0.5, -0.25]]))
-    cl = assemble_closed_loop(canonical_plant, weights_lqg, ctrl)
+    cl = _perturbed_loop(canonical_plant, weights_lqg)
     grid = build_operators(cl, 0.05, T=default_horizon(cl.calA), N=30)
     VPV = grid.V.T @ grid.P @ grid.V
 

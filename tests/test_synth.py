@@ -5,8 +5,14 @@ import pytest
 
 from qefsyn import synth
 from qefsyn.errors import NumericalError, ValidationError
-from qefsyn.freq import QuadratureConfig, check_admissible, theta_for_spec1
-from qefsyn.instances import random_stable_instance
+from qefsyn.freq import (
+    AdmissibilityReport,
+    QuadratureConfig,
+    check_admissible,
+    qef_growth_rate,
+    theta_for_spec1,
+)
+from qefsyn.instances import canonical_weights_square, random_stable_instance
 from qefsyn.model import assemble_closed_loop, is_hurwitz
 from qefsyn.synth import SynthesisConfig, lqg_controller, synthesize
 
@@ -87,3 +93,93 @@ def test_admissible_maps_only_validation_errors(canonical_plant,
                         raise_(RuntimeError("assembly bug")))
     with pytest.raises(RuntimeError, match="assembly bug"):
         synth._admissible(canonical_plant, weights_square, ctrl, 0.05)
+
+
+@pytest.fixture(scope="module")
+def pool_problem():
+    """Plant 16 of the benchmark's synthesis pool, one descent iteration.
+
+    Its first trial step passes Armijo and the admissibility check.
+    """
+    weights = canonical_weights_square()
+    plant, _, cl = random_stable_instance(np.random.default_rng(16),
+                                          weights=weights)
+    cfg = SynthesisConfig(theta=theta_for_spec1(cl, 0.4), max_iters=1,
+                          quad=QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9))
+    _, _, resid, full_step = synthesize(plant, weights, cfg).iterates[0]
+    assert full_step == cfg.initial_step / (1.0 + resid)
+    return plant, weights, cfg, full_step
+
+
+def _failing(report):
+    """`report` with its spectral supremum pushed past the margin."""
+    return AdmissibilityReport(spec1_sup=1.0,
+                               psi_min_rel_sigma=report.psi_min_rel_sigma,
+                               hurwitz=report.hurwitz)
+
+
+def test_check_failing_after_armijo_halves_the_step(pool_problem,
+                                                    monkeypatch):
+    plant, weights, cfg, full_step = pool_problem
+    checks = []
+
+    def check(cl, theta):
+        checks.append(theta)
+        report = check_admissible(cl, theta)
+        # the start is check 1; check 2 is the first trial to pass Armijo
+        return _failing(report) if len(checks) == 2 else report
+
+    monkeypatch.setattr(synth, "check_admissible", check)
+    report = synthesize(plant, weights, cfg)
+    assert report.iterates[0][3] == cfg.backtrack_factor * full_step
+    assert len(checks) == 3
+    assert all(a.admissible for a in report.admissibility)
+
+
+@pytest.mark.parametrize("admissible", [False, True])
+def test_numerical_error_from_trial_cost(pool_problem, monkeypatch,
+                                         admissible):
+    plant, weights, cfg, full_step = pool_problem
+    costs, checks_after_raise = [], []
+
+    def cost(cl, theta, quad=None, grid=None):
+        costs.append(theta)
+        if len(costs) == 2:       # the first trial; call 1 is the start
+            raise NumericalError("quadrature stall")
+        return qef_growth_rate(cl, theta, quad, grid)
+
+    def check(cl, theta):
+        report = check_admissible(cl, theta)
+        if len(costs) != 2:
+            return report
+        checks_after_raise.append(theta)
+        return report if admissible else _failing(report)
+
+    monkeypatch.setattr(synth, "qef_growth_rate", cost)
+    monkeypatch.setattr(synth, "check_admissible", check)
+    if admissible:
+        with pytest.raises(NumericalError, match="quadrature stall"):
+            synthesize(plant, weights, cfg)
+    else:
+        report = synthesize(plant, weights, cfg)
+        assert report.iterates[0][3] == cfg.backtrack_factor * full_step
+    assert len(checks_after_raise) == 1
+
+
+def test_admissible_start_checks_once_plus_accepted_steps(monkeypatch):
+    weights = canonical_weights_square()
+    plant, _, cl = random_stable_instance(np.random.default_rng(21),
+                                          weights=weights)
+    cfg = SynthesisConfig(theta=theta_for_spec1(cl, 0.4), max_iters=3,
+                          quad=QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9))
+    checks = []
+
+    def check(cl, theta):
+        checks.append(theta)
+        return check_admissible(cl, theta)
+
+    monkeypatch.setattr(synth, "check_admissible", check)
+    report = synthesize(plant, weights, cfg)
+    accepted = sum(1 for *_, step in report.iterates if np.isfinite(step))
+    assert report.admissibility[0].admissible and accepted == 3
+    assert len(checks) == 1 + accepted
