@@ -26,12 +26,13 @@ frozen grid, is one sweep.
 """
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from qefsyn.errors import InadmissibleError, NumericalError
+from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.model import is_hurwitz
 
 logger = logging.getLogger(__name__)
@@ -45,7 +46,9 @@ __all__ = [
     "tanhc",
     "delta_matrix",
     "check_admissible",
+    "check_theta",
     "qef_growth_rate",
+    "growth_rate_and_grid",
     "growth_rate_grid",
     "FrequencyGrid",
     "default_lambda_max",
@@ -91,10 +94,29 @@ class QuadratureConfig:
     max_subdivisions: int = 400
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.lambda_max is not None and not self.lambda_max > 0:
-            raise ValueError("lambda_max must be positive")
+        if not (_finite_positive(self.abs_tol)
+                and _finite_positive(self.rel_tol)):
+            raise ValueError("tolerances must be finite and positive")
+        if (self.lambda_max is not None
+                and not _finite_positive(self.lambda_max)):
+            raise ValueError("lambda_max must be finite and positive")
+        if (isinstance(self.max_subdivisions, bool)
+                or not isinstance(self.max_subdivisions, numbers.Integral)
+                or self.max_subdivisions < 0):
+            raise ValueError("max_subdivisions must be an integer >= 0")
+
+
+def _finite_positive(x):
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and bool(np.isfinite(x)) and x > 0)
+
+
+def check_theta(theta):
+    """A ValidationError unless theta is a finite real number >= 0."""
+    if (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
+            or not (np.isfinite(theta) and theta >= 0)):
+        raise ValidationError(
+            f"theta must be finite and nonnegative, got {theta!r}")
 
 
 def _panels(f, edges):
@@ -439,6 +461,7 @@ def check_admissible(cl, theta, grid=None):
     ratio of Psi over the grid; i Psi is Hermitian, so that ratio is
     min|d0| / max|d0| of its eigenvalues.
     """
+    check_theta(theta)
     hurwitz = is_hurwitz(cl.calA)
     if not hurwitz:
         return AdmissibilityReport(spec1_sup=np.inf, psi_min_rel_sigma=0.0,
@@ -499,6 +522,12 @@ def theta_for_spec1(cl, target, theta_hi=None, tol=1e-4):
     return lo
 
 
+def _check_loop(cl, theta):
+    check_theta(theta)
+    if not is_hurwitz(cl.calA):
+        raise InadmissibleError("closed loop is not Hurwitz")
+
+
 def _growth_rate(cl, theta, quad, grid):
     """Growth rate and its grid; resonances seed only adaptive grids."""
     if quad is None:
@@ -522,20 +551,27 @@ def qef_growth_rate(cl, theta, quad=None, grid=None):
 
     Integrates -(1/(2 pi)) ln det Delta over [0, infinity) (the integrand
     is even in lambda after taking the real part, which is exact here).
-    A FrequencyGrid from `growth_rate_grid` pins the subdivision, which
-    is what finite-difference studies over nearby controllers need.
+    A FrequencyGrid from `growth_rate_and_grid` or `growth_rate_grid`
+    pins the subdivision, which is what comparisons and finite-difference
+    studies over nearby controllers need.
     """
-    if not is_hurwitz(cl.calA):
-        raise InadmissibleError("closed loop is not Hurwitz")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    _check_loop(cl, theta)
     if theta == 0.0:
         return 0.0
     return _growth_rate(cl, theta, quad, grid)[0]
 
 
+def growth_rate_and_grid(cl, theta, quad=None):
+    """The adaptive growth rate and the FrequencyGrid it was summed on.
+
+    The value is the sum of the grid's panel integrals, so the frozen
+    `qef_growth_rate(cl2, theta, quad, grid)` of a nearby loop is a sum
+    over the same nodes and compares with it like for like.
+    """
+    _check_loop(cl, theta)
+    return _growth_rate(cl, theta, quad, None)
+
+
 def growth_rate_grid(cl, theta, quad=None):
     """The adaptive subdivision used for the growth rate of this system."""
-    if not is_hurwitz(cl.calA):
-        raise InadmissibleError("closed loop is not Hurwitz")
-    return _growth_rate(cl, theta, quad, None)[1]
+    return growth_rate_and_grid(cl, theta, quad)[1]

@@ -32,6 +32,7 @@ import numpy as np
 from qefsyn.errors import InadmissibleError
 from qefsyn.freq import (
     QuadratureConfig,
+    check_theta,
     default_lambda_max,
     integrate_half_line,
     resonance_breakpoints,
@@ -118,6 +119,7 @@ def _chi_integrand(cl, theta, lams):
 
 def chi_matrix(cl, theta, quad=None):
     """Gradient matrix chi by frequency quadrature (theta = 0 gives chi0)."""
+    check_theta(theta)
     if quad is None:
         quad = QuadratureConfig()
     if not is_hurwitz(cl.calA):

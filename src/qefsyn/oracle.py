@@ -24,9 +24,9 @@ the log-determinant, and since ln cosh + ln tanhc = ln sinhc,
     ln Xi_T = -(1/2) (sum ln sinhc(x) + 2 sum ln diag R).
 
 Each horizon costs one eigensolve (in `build_operators`) and one Cholesky
-(in `finite_horizon_qef`).  Apart from the scalar sinhc/tanhc helpers it
-shares, this path never touches the frequency-domain machinery and serves as
-its validation oracle.
+(in `finite_horizon_qef`).  Apart from the scalar sinhc/tanhc helpers and
+the theta check it shares, this path never touches the frequency-domain
+machinery and serves as its validation oracle.
 """
 
 import numbers
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, ValidationError
-from qefsyn.freq import sinhc, tanhc
+from qefsyn.freq import check_theta, sinhc, tanhc
 from qefsyn.model import is_hurwitz
 from qefsyn.gramians import solve_lyapunov
 
@@ -119,13 +119,6 @@ def _kernel_tables(cl, times):
     return mho, pk
 
 
-def _check_theta(theta):
-    if (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
-            or not (np.isfinite(theta) and theta >= 0)):
-        raise ValidationError(
-            f"theta must be finite and nonnegative, got {theta!r}")
-
-
 def _toeplitz_operator(table, sign, sw):
     """Dense operator with block (i, j) = sw_i sw_j K(t_i - t_j).
 
@@ -142,7 +135,7 @@ def _toeplitz_operator(table, sign, sw):
 
 def build_operators(cl, theta, T, N):
     """Nystrom discretization of the commutator and covariance operators."""
-    _check_theta(theta)
+    check_theta(theta)
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 2:
         raise ValidationError(
             f"grid size must be an integer >= 2, got {N!r}")
@@ -175,7 +168,7 @@ def finite_horizon_qef(grid, theta=None):
     if theta is None:
         theta = grid.theta
     else:
-        _check_theta(theta)
+        check_theta(theta)
     if theta == 0.0:
         return 0.0
     x = theta * grid.d

@@ -7,16 +7,24 @@ gradient descent on the exponential-cost growth rate over the controller
 triple (a, b, c), with a backtracking line search that keeps every iterate
 stabilizing and spectrally admissible.
 
-Each backtracking trial runs, in order: closed-loop assembly (a
-ValidationError rejects the trial), the cost by `qef_growth_rate` (an
-InadmissibleError rejects it), the Armijo test, and only then
-`check_admissible`, which accepts the trial if it passes.  The cost raises
-InadmissibleError cheaply for a non-Hurwitz loop or for theta mu >= 1 at a
-quadrature node, so most inadmissible trials never reach the check.  A
-NumericalError from the cost is re-raised only if the trial passes the
-check; otherwise the trial is rejected.
+Every backtracking trial of a step is costed on the FrequencyGrid of the
+current iterate: the adaptive integral that gives an iterate's cost also
+gives its grid, and the adaptive value is the sum over exactly that grid's
+panels, so the Armijo test compares two sums over one set of nodes.  Each
+trial runs, in order: closed-loop assembly (a ValidationError rejects the
+trial); its cost on the frozen grid by `qef_growth_rate` (an
+InadmissibleError, raised cheaply for a non-Hurwitz loop or for
+theta mu >= 1 at a node, rejects it); the Armijo test on the frozen values;
+`check_admissible`; and one adaptive integral of the trial, which gives its
+reported cost and the grid of the next line search.  The trial is accepted
+only if that adaptive cost is strictly below the current one, so the
+reported costs strictly decrease.  A NumericalError from the frozen cost is
+re-raised only if the trial passes the check, and otherwise rejects it; a
+NumericalError from the adaptive integral is re-raised, since the trial has
+passed the check.  An InadmissibleError there rejects the trial.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +32,13 @@ import numpy as np
 import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
-from qefsyn.freq import QuadratureConfig, check_admissible, qef_growth_rate
+from qefsyn.freq import (
+    QuadratureConfig,
+    _finite_positive,
+    check_admissible,
+    growth_rate_and_grid,
+    qef_growth_rate,
+)
 from qefsyn.grad import frechet_derivatives, optimality_residual
 from qefsyn.model import ControllerParams, assemble_closed_loop, is_hurwitz
 
@@ -46,8 +60,14 @@ class SynthesisConfig:
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        if self.theta <= 0 or self.max_iters <= 0 or self.grad_tol <= 0:
-            raise ValueError("theta, max_iters, grad_tol must be positive")
+        if not all(_finite_positive(v) for v in (
+                self.theta, self.grad_tol, self.initial_step, self.min_step)):
+            raise ValueError("theta, grad_tol, initial_step, min_step must "
+                             "be finite and positive")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer >= 1")
         if not (0 < self.backtrack_factor < 1 and 0 < self.armijo_c < 1):
             raise ValueError("backtrack_factor, armijo_c must lie in (0, 1)")
 
@@ -107,22 +127,34 @@ def _admissible(plant, weights, ctrl, theta):
     return cl, None if cl is None else check_admissible(cl, theta)
 
 
-def _trial_cost(cl, theta, quad):
-    """Growth rate of a trial loop; inf where the cost rejects the trial.
+def _trial_cost(cl, theta, quad, grid):
+    """Growth rate of a trial loop on `grid`; inf where the cost rejects it.
 
-    A non-Hurwitz loop, or theta mu >= 1 at a quadrature node, is an
+    A non-Hurwitz loop, or theta mu >= 1 at a node of the grid, is an
     InadmissibleError and rejects the trial.  A NumericalError is raised
     only for a trial that passes the admissibility check; a trial that
-    fails it is rejected, as it would have been before its cost was tried.
+    fails it is rejected.
     """
     try:
-        return qef_growth_rate(cl, theta, quad)
+        return qef_growth_rate(cl, theta, quad, grid=grid)
     except InadmissibleError:
         return np.inf
     except NumericalError:
         if not check_admissible(cl, theta).admissible:
             return np.inf
         raise
+
+
+def _certified_cost(cl, theta, quad):
+    """Adaptive cost and grid of a trial that passed the check.
+
+    theta mu >= 1 at an adaptive node rejects the trial (cost inf); a
+    NumericalError is re-raised.
+    """
+    try:
+        return growth_rate_and_grid(cl, theta, quad)
+    except InadmissibleError:
+        return np.inf, None
 
 
 def _descent_stage(plant, weights, ctrl, start, theta, cfg, iterates,
@@ -137,7 +169,7 @@ def _descent_stage(plant, weights, ctrl, start, theta, cfg, iterates,
         raise InadmissibleError(
             f"initial controller inadmissible at theta={theta:g}"
         )
-    ups = qef_growth_rate(cl, theta, cfg.quad)
+    ups, grid = growth_rate_and_grid(cl, theta, cfg.quad)
     it = iter_offset
     for _ in range(cfg.max_iters):
         report = frechet_derivatives(cl, theta, cfg.quad)
@@ -155,12 +187,15 @@ def _descent_stage(plant, weights, ctrl, start, theta, cfg, iterates,
                 c=ctrl.c - step * report.dUps_dc,
             )
             cl_t = _closed_loop(plant, weights, trial)
-            if cl_t is not None:
-                ups_t = _trial_cost(cl_t, theta, cfg.quad)
-                if ups_t <= ups - cfg.armijo_c * step * resid**2:
-                    adm_t = check_admissible(cl_t, theta)
-                    if adm_t.admissible:
-                        ctrl, cl, adm, ups = trial, cl_t, adm_t, ups_t
+            if (cl_t is not None
+                    and _trial_cost(cl_t, theta, cfg.quad, grid)
+                    <= ups - cfg.armijo_c * step * resid**2):
+                adm_t = check_admissible(cl_t, theta)
+                if adm_t.admissible:
+                    ups_t, grid_t = _certified_cost(cl_t, theta, cfg.quad)
+                    if ups_t < ups:
+                        ctrl, cl, adm = trial, cl_t, adm_t
+                        ups, grid = ups_t, grid_t
                         iterates[-1] = (it, iterates[-1][1], resid, step)
                         accepted = True
                         break

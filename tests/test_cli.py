@@ -173,6 +173,8 @@ def test_grad_check_command(tmp_path, capsys):
     ["--lambda-max", "-5"],    # used to print a growth rate of wrong sign
     ["--quad-tol", "-1"],      # used to spin and exit as a numerical error
     ["--theta", "-0.1"],       # used to end in an uncaught ValueError
+    ["--quad-tol", "inf"],     # used to print a growth rate 2.4e-4 off
+    ["--lambda-max", "inf"],   # used to exit as a numerical error
 ])
 def test_bad_override_is_a_validation_error(tmp_path, capsys, flags):
     path = _write(tmp_path, _canonical_doc(with_controller=True))

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qefsyn.errors import InadmissibleError, NumericalError
+from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import (
     QuadratureConfig,
     _adaptive,
     check_admissible,
     default_lambda_max,
     delta_matrix,
+    growth_rate_and_grid,
     growth_rate_grid,
     integrate_half_line,
     qef_growth_rate,
@@ -22,7 +23,9 @@ from qefsyn.freq import (
     tanhc,
     theta_for_spec1,
 )
+from qefsyn.grad import chi_matrix, frechet_derivatives
 from qefsyn.gramians import lqg_cost
+from qefsyn.instances import random_stable_instance
 from qefsyn.model import ControllerParams, assemble_closed_loop
 from qefsyn.synth import lqg_controller
 
@@ -298,7 +301,28 @@ def test_adaptive_stall_logs_a_warning(caplog):
 
 
 def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(lambda_max=0.0)
+    for bad in (dict(abs_tol=-1.0), dict(lambda_max=0.0),
+                dict(abs_tol=np.inf), dict(rel_tol=np.inf),
+                dict(abs_tol=np.nan), dict(lambda_max=np.inf),
+                dict(lambda_max=np.nan), dict(max_subdivisions=2.5),
+                dict(max_subdivisions=-1), dict(max_subdivisions=True)):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**bad)
+
+
+@pytest.fixture(scope="module")
+def cl_seed13():
+    return random_stable_instance(np.random.default_rng(13))[2]
+
+
+@pytest.mark.parametrize("entry", [
+    qef_growth_rate, growth_rate_and_grid, growth_rate_grid,
+    check_admissible, chi_matrix, frechet_derivatives,
+])
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -1.0, -0.05, "0.1", True])
+def test_frequency_entry_points_reject_bad_theta(cl_seed13, entry, theta):
+    # nan and inf used to return nan after stall warnings, a negative
+    # theta passed check_admissible and gave a gradient, and nan ended in
+    # numpy's LinAlgError
+    with pytest.raises(ValidationError, match="theta must be finite"):
+        entry(cl_seed13, theta)

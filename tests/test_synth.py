@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from qefsyn import synth
-from qefsyn.errors import NumericalError, ValidationError
+from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import (
     AdmissibilityReport,
     QuadratureConfig,
     check_admissible,
+    growth_rate_and_grid,
     qef_growth_rate,
     theta_for_spec1,
 )
@@ -42,10 +43,16 @@ def test_lqg_controller_random_instances():
 
 
 def test_synthesis_config_validation():
-    with pytest.raises(ValueError):
-        SynthesisConfig(theta=-0.1)
-    with pytest.raises(ValueError):
-        SynthesisConfig(theta=0.1, backtrack_factor=1.5)
+    for bad in (dict(theta=-0.1), dict(theta=0.1, backtrack_factor=1.5),
+                dict(theta=np.nan), dict(theta=np.inf),
+                dict(theta=0.1, initial_step=0.0),
+                dict(theta=0.1, initial_step=-1.0),
+                dict(theta=0.1, min_step=0.0), dict(theta=0.1, min_step=-1.0),
+                dict(theta=0.1, grad_tol=np.inf),
+                dict(theta=0.1, max_iters=2.5), dict(theta=0.1, max_iters=0),
+                dict(theta=0.1, max_iters=True)):
+        with pytest.raises(ValueError):
+            SynthesisConfig(**bad)
 
 
 def test_synthesize_canonical_reaches_stationarity(canonical_plant,
@@ -144,13 +151,13 @@ def test_numerical_error_from_trial_cost(pool_problem, monkeypatch,
 
     def cost(cl, theta, quad=None, grid=None):
         costs.append(theta)
-        if len(costs) == 2:       # the first trial; call 1 is the start
+        if len(costs) == 1:       # the first trial; the start is adaptive
             raise NumericalError("quadrature stall")
         return qef_growth_rate(cl, theta, quad, grid)
 
     def check(cl, theta):
         report = check_admissible(cl, theta)
-        if len(costs) != 2:
+        if len(costs) != 1:
             return report
         checks_after_raise.append(theta)
         return report if admissible else _failing(report)
@@ -166,12 +173,18 @@ def test_numerical_error_from_trial_cost(pool_problem, monkeypatch,
     assert len(checks_after_raise) == 1
 
 
-def test_admissible_start_checks_once_plus_accepted_steps(monkeypatch):
+def _pool_descent(seed):
+    """Plant `seed` of the benchmark's synthesis pool, 3-iteration settings."""
     weights = canonical_weights_square()
-    plant, _, cl = random_stable_instance(np.random.default_rng(21),
+    plant, _, cl = random_stable_instance(np.random.default_rng(seed),
                                           weights=weights)
     cfg = SynthesisConfig(theta=theta_for_spec1(cl, 0.4), max_iters=3,
                           quad=QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9))
+    return plant, weights, cfg
+
+
+def test_admissible_start_checks_once_plus_accepted_steps(monkeypatch):
+    plant, weights, cfg = _pool_descent(21)
     checks = []
 
     def check(cl, theta):
@@ -183,3 +196,64 @@ def test_admissible_start_checks_once_plus_accepted_steps(monkeypatch):
     accepted = sum(1 for *_, step in report.iterates if np.isfinite(step))
     assert report.admissibility[0].admissible and accepted == 3
     assert len(checks) == 1 + accepted
+
+
+def test_trials_are_costed_on_the_current_iterate_grid(monkeypatch):
+    plant, weights, cfg = _pool_descent(21)
+    log = []
+
+    def adaptive(cl, theta, quad=None):
+        ups, grid = growth_rate_and_grid(cl, theta, quad)
+        log.append(("adaptive", grid))
+        return ups, grid
+
+    def cost(cl, theta, quad=None, grid=None):
+        log.append(("trial", grid))
+        return qef_growth_rate(cl, theta, quad, grid)
+
+    monkeypatch.setattr(synth, "growth_rate_and_grid", adaptive)
+    monkeypatch.setattr(synth, "qef_growth_rate", cost)
+    report = synthesize(plant, weights, cfg)
+    accepted = sum(1 for *_, step in report.iterates if np.isfinite(step))
+    # one adaptive integral at the stage start and one per accepted step,
+    # so every adaptive grid is the grid of an iterate
+    assert accepted == 3
+    assert sum(kind == "adaptive" for kind, _ in log) == 1 + accepted
+    assert log[0][0] == "adaptive"
+    current, trials = None, 0
+    for kind, grid in log:
+        if kind == "adaptive":
+            current = grid
+        else:
+            assert grid is not None and grid is current
+            trials += 1
+    assert trials > accepted      # the descent backtracked
+
+
+@pytest.mark.parametrize("outcome", ["not lower", "inadmissible",
+                                     "numerical"])
+def test_adaptive_cost_of_an_accepted_trial(pool_problem, monkeypatch,
+                                            outcome):
+    plant, weights, cfg, full_step = pool_problem
+    costs = []
+
+    def adaptive(cl, theta, quad=None):
+        ups, grid = growth_rate_and_grid(cl, theta, quad)
+        costs.append(ups)
+        if len(costs) == 2:       # the first trial; call 1 is the start
+            if outcome == "not lower":
+                return costs[0], grid
+            if outcome == "inadmissible":
+                raise InadmissibleError("theta mu >= 1 at a node")
+            raise NumericalError("quadrature stall")
+        return ups, grid
+
+    monkeypatch.setattr(synth, "growth_rate_and_grid", adaptive)
+    if outcome == "numerical":
+        with pytest.raises(NumericalError, match="quadrature stall"):
+            synthesize(plant, weights, cfg)
+        return
+    report = synthesize(plant, weights, cfg)
+    assert report.iterates[0][3] == cfg.backtrack_factor * full_step
+    assert len(costs) == 3
+    assert report.cost == costs[2] < costs[0]
