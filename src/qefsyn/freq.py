@@ -48,7 +48,7 @@ __all__ = [
     "check_admissible",
     "check_theta",
     "qef_growth_rate",
-    "growth_rate_and_grid",
+    "GrowthRate",
     "growth_rate_grid",
     "FrequencyGrid",
     "default_lambda_max",
@@ -546,32 +546,39 @@ def _growth_rate(cl, theta, quad, grid):
     return -float(total[0]) / (2.0 * np.pi), grid
 
 
+class GrowthRate(float):
+    """A growth rate: a float that also carries the grid it was summed on.
+
+    `grid` is the FrequencyGrid whose panels the value is the sum over
+    (None where nothing was integrated, at theta = 0).  Evaluating another
+    loop on that grid gives a sum over the same nodes, so the two values
+    compare like for like.
+    """
+
+    def __new__(cls, value, grid=None):
+        rate = super().__new__(cls, value)
+        rate.grid = grid
+        return rate
+
+
 def qef_growth_rate(cl, theta, quad=None, grid=None):
     """Growth rate of the quadratic-exponential cost by frequency quadrature.
 
     Integrates -(1/(2 pi)) ln det Delta over [0, infinity) (the integrand
     is even in lambda after taking the real part, which is exact here).
-    A FrequencyGrid from `growth_rate_and_grid` or `growth_rate_grid`
-    pins the subdivision, which is what comparisons and finite-difference
-    studies over nearby controllers need.
+    Returns a GrowthRate: without `grid` the subdivision is adaptive and
+    the value's `grid` is the one it produced; a FrequencyGrid passed in
+    (from an earlier value or from `growth_rate_grid`) pins the
+    subdivision, which is what comparisons and finite-difference studies
+    over nearby controllers need.
     """
     _check_loop(cl, theta)
     if theta == 0.0:
-        return 0.0
-    return _growth_rate(cl, theta, quad, grid)[0]
-
-
-def growth_rate_and_grid(cl, theta, quad=None):
-    """The adaptive growth rate and the FrequencyGrid it was summed on.
-
-    The value is the sum of the grid's panel integrals, so the frozen
-    `qef_growth_rate(cl2, theta, quad, grid)` of a nearby loop is a sum
-    over the same nodes and compares with it like for like.
-    """
-    _check_loop(cl, theta)
-    return _growth_rate(cl, theta, quad, None)
+        return GrowthRate(0.0)
+    return GrowthRate(*_growth_rate(cl, theta, quad, grid))
 
 
 def growth_rate_grid(cl, theta, quad=None):
     """The adaptive subdivision used for the growth rate of this system."""
-    return growth_rate_and_grid(cl, theta, quad)[1]
+    _check_loop(cl, theta)
+    return _growth_rate(cl, theta, quad, None)[1]

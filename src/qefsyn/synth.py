@@ -8,20 +8,22 @@ triple (a, b, c), with a backtracking line search that keeps every iterate
 stabilizing and spectrally admissible.
 
 Every backtracking trial of a step is costed on the FrequencyGrid of the
-current iterate: the adaptive integral that gives an iterate's cost also
-gives its grid, and the adaptive value is the sum over exactly that grid's
-panels, so the Armijo test compares two sums over one set of nodes.  Each
-trial runs, in order: closed-loop assembly (a ValidationError rejects the
-trial); its cost on the frozen grid by `qef_growth_rate` (an
+current iterate: the adaptive `qef_growth_rate` that gives an iterate's
+cost also gives its grid, and the adaptive value is the sum over exactly
+that grid's panels, so the Armijo test compares two sums over one set of
+nodes.  Each trial runs, in order: closed-loop assembly (a ValidationError
+rejects the trial); its cost on the frozen grid by `qef_growth_rate` (an
 InadmissibleError, raised cheaply for a non-Hurwitz loop or for
 theta mu >= 1 at a node, rejects it); the Armijo test on the frozen values;
 `check_admissible`; and one adaptive integral of the trial, which gives its
 reported cost and the grid of the next line search.  The trial is accepted
-only if that adaptive cost is strictly below the current one, so the
-reported costs strictly decrease.  A NumericalError from the frozen cost is
-re-raised only if the trial passes the check, and otherwise rejects it; a
-NumericalError from the adaptive integral is re-raised, since the trial has
-passed the check.  An InadmissibleError there rejects the trial.
+only if that adaptive cost passes the same Armijo test and is strictly
+below the current one, so the reported costs decrease sufficiently, and
+strictly even where the Armijo decrement rounds away.  A NumericalError
+from the frozen cost is re-raised only if the trial passes the check, and
+otherwise rejects it; a NumericalError from the adaptive integral is
+re-raised, since the trial has passed the check.  An InadmissibleError
+there rejects the trial.
 """
 
 import numbers
@@ -36,7 +38,6 @@ from qefsyn.freq import (
     QuadratureConfig,
     _finite_positive,
     check_admissible,
-    growth_rate_and_grid,
     qef_growth_rate,
 )
 from qefsyn.grad import frechet_derivatives, optimality_residual
@@ -145,6 +146,12 @@ def _trial_cost(cl, theta, quad, grid):
         raise
 
 
+def _cost_and_grid(cl, theta, quad):
+    """Adaptive cost of a loop and the FrequencyGrid it was summed on."""
+    rate = qef_growth_rate(cl, theta, quad)
+    return float(rate), rate.grid
+
+
 def _certified_cost(cl, theta, quad):
     """Adaptive cost and grid of a trial that passed the check.
 
@@ -152,7 +159,7 @@ def _certified_cost(cl, theta, quad):
     NumericalError is re-raised.
     """
     try:
-        return growth_rate_and_grid(cl, theta, quad)
+        return _cost_and_grid(cl, theta, quad)
     except InadmissibleError:
         return np.inf, None
 
@@ -169,7 +176,7 @@ def _descent_stage(plant, weights, ctrl, start, theta, cfg, iterates,
         raise InadmissibleError(
             f"initial controller inadmissible at theta={theta:g}"
         )
-    ups, grid = growth_rate_and_grid(cl, theta, cfg.quad)
+    ups, grid = _cost_and_grid(cl, theta, cfg.quad)
     it = iter_offset
     for _ in range(cfg.max_iters):
         report = frechet_derivatives(cl, theta, cfg.quad)
@@ -187,13 +194,13 @@ def _descent_stage(plant, weights, ctrl, start, theta, cfg, iterates,
                 c=ctrl.c - step * report.dUps_dc,
             )
             cl_t = _closed_loop(plant, weights, trial)
+            bound = ups - cfg.armijo_c * step * resid**2
             if (cl_t is not None
-                    and _trial_cost(cl_t, theta, cfg.quad, grid)
-                    <= ups - cfg.armijo_c * step * resid**2):
+                    and _trial_cost(cl_t, theta, cfg.quad, grid) <= bound):
                 adm_t = check_admissible(cl_t, theta)
                 if adm_t.admissible:
                     ups_t, grid_t = _certified_cost(cl_t, theta, cfg.quad)
-                    if ups_t < ups:
+                    if ups_t <= bound and ups_t < ups:
                         ctrl, cl, adm = trial, cl_t, adm_t
                         ups, grid = ups_t, grid_t
                         iterates[-1] = (it, iterates[-1][1], resid, step)

@@ -1,6 +1,7 @@
 """Quadrature machinery, per-frequency quantities, growth rate, admissibility."""
 
 import logging
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,6 @@ from qefsyn.freq import (
     check_admissible,
     default_lambda_max,
     delta_matrix,
-    growth_rate_and_grid,
     growth_rate_grid,
     integrate_half_line,
     qef_growth_rate,
@@ -239,6 +239,22 @@ def test_growth_rate_grid_reuse(cl_square, quad_fast):
     assert abs(v1 - v2) <= 1e-7 * (1 + abs(v1))
 
 
+def test_growth_rate_carries_its_grid(cl_square, quad_fast):
+    theta = 0.05
+    grid = growth_rate_grid(cl_square, theta, quad_fast)
+    rate = qef_growth_rate(cl_square, theta, quad_fast)
+    # the adaptive value's grid is the subdivision it was summed on
+    assert isinstance(rate, float)
+    assert np.array_equal(rate.grid.body_edges, grid.body_edges)
+    assert np.array_equal(rate.grid.tail_edges, grid.tail_edges)
+    frozen = qef_growth_rate(cl_square, theta, quad_fast, grid=rate.grid)
+    assert frozen.grid is rate.grid
+    assert abs(frozen - rate) <= 1e-12 * abs(rate)
+    assert pickle.loads(pickle.dumps(rate)) == rate
+    zero = qef_growth_rate(cl_square, 0.0)
+    assert zero == 0.0 and zero.grid is None
+
+
 def test_check_admissible_canonical(cl_square):
     rep = check_admissible(cl_square, 0.05)
     assert rep.hurwitz and rep.spec1_ok and rep.psi_ok and rep.admissible
@@ -316,7 +332,7 @@ def cl_seed13():
 
 
 @pytest.mark.parametrize("entry", [
-    qef_growth_rate, growth_rate_and_grid, growth_rate_grid,
+    qef_growth_rate, growth_rate_grid,
     check_admissible, chi_matrix, frechet_derivatives,
 ])
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -1.0, -0.05, "0.1", True])

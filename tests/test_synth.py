@@ -1,5 +1,7 @@
 """LQG initializer and the descent loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import (
     AdmissibilityReport,
     QuadratureConfig,
+    GrowthRate,
     check_admissible,
-    growth_rate_and_grid,
     qef_growth_rate,
     theta_for_spec1,
 )
@@ -151,13 +153,13 @@ def test_numerical_error_from_trial_cost(pool_problem, monkeypatch,
 
     def cost(cl, theta, quad=None, grid=None):
         costs.append(theta)
-        if len(costs) == 1:       # the first trial; the start is adaptive
+        if len(costs) == 2:       # the first trial; call 1 is the start
             raise NumericalError("quadrature stall")
         return qef_growth_rate(cl, theta, quad, grid)
 
     def check(cl, theta):
         report = check_admissible(cl, theta)
-        if len(costs) != 1:
+        if len(costs) != 2:
             return report
         checks_after_raise.append(theta)
         return report if admissible else _failing(report)
@@ -202,16 +204,12 @@ def test_trials_are_costed_on_the_current_iterate_grid(monkeypatch):
     plant, weights, cfg = _pool_descent(21)
     log = []
 
-    def adaptive(cl, theta, quad=None):
-        ups, grid = growth_rate_and_grid(cl, theta, quad)
-        log.append(("adaptive", grid))
-        return ups, grid
-
     def cost(cl, theta, quad=None, grid=None):
-        log.append(("trial", grid))
-        return qef_growth_rate(cl, theta, quad, grid)
+        rate = qef_growth_rate(cl, theta, quad, grid)
+        log.append(("adaptive", rate.grid) if grid is None
+                   else ("trial", grid))
+        return rate
 
-    monkeypatch.setattr(synth, "growth_rate_and_grid", adaptive)
     monkeypatch.setattr(synth, "qef_growth_rate", cost)
     report = synthesize(plant, weights, cfg)
     accepted = sum(1 for *_, step in report.iterates if np.isfinite(step))
@@ -230,25 +228,34 @@ def test_trials_are_costed_on_the_current_iterate_grid(monkeypatch):
     assert trials > accepted      # the descent backtracked
 
 
-@pytest.mark.parametrize("outcome", ["not lower", "inadmissible",
-                                     "numerical"])
+@pytest.mark.parametrize("outcome", ["not lower", "above the Armijo bound",
+                                     "inadmissible", "numerical"])
 def test_adaptive_cost_of_an_accepted_trial(pool_problem, monkeypatch,
                                             outcome):
     plant, weights, cfg, full_step = pool_problem
+    if outcome == "not lower":
+        # an Armijo decrement below one ulp of the cost, so that only the
+        # strict test rejects a trial that does not lower it
+        cfg = dataclasses.replace(cfg, armijo_c=1e-300)
     costs = []
 
-    def adaptive(cl, theta, quad=None):
-        ups, grid = growth_rate_and_grid(cl, theta, quad)
-        costs.append(ups)
+    def cost(cl, theta, quad=None, grid=None):
+        rate = qef_growth_rate(cl, theta, quad, grid)
+        if grid is not None:
+            return rate
+        costs.append(float(rate))
         if len(costs) == 2:       # the first trial; call 1 is the start
             if outcome == "not lower":
-                return costs[0], grid
+                return GrowthRate(costs[0], rate.grid)
+            if outcome == "above the Armijo bound":
+                # lower than the start, but by less than any Armijo decrement
+                return GrowthRate(np.nextafter(costs[0], -np.inf), rate.grid)
             if outcome == "inadmissible":
                 raise InadmissibleError("theta mu >= 1 at a node")
             raise NumericalError("quadrature stall")
-        return ups, grid
+        return rate
 
-    monkeypatch.setattr(synth, "growth_rate_and_grid", adaptive)
+    monkeypatch.setattr(synth, "qef_growth_rate", cost)
     if outcome == "numerical":
         with pytest.raises(NumericalError, match="quadrature stall"):
             synthesize(plant, weights, cfg)
