@@ -34,7 +34,7 @@ import numpy as np
 from qefsyn import gramians, oracle
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import QuadratureConfig, check_admissible, qef_growth_rate
-from qefsyn.grad import frechet_derivatives, optimality_residual
+from qefsyn.grad import gradient_check
 from qefsyn.model import (
     ControllerParams,
     PlantSpec,
@@ -243,33 +243,14 @@ def cmd_evaluate(inst, args):
 
 
 def cmd_grad_check(inst, args):
-    plant, ctrl, cl = _closed_loop(inst, require_controller=False)
-    theta = inst.theta
-    report = frechet_derivatives(cl, theta, inst.quad)
-
-    def ups_of(ctrl_):
-        cl_ = assemble_closed_loop(plant, (inst.S, inst.K), ctrl_)
-        return qef_growth_rate(cl_, theta, inst.quad)
-
+    _, _, cl = _closed_loop(inst, require_controller=False)
+    check = gradient_check(cl, inst.theta, inst.quad)
     print("block,row,col,analytic,fd,rel_err")
-    max_rel = 0.0
-    scale = max(optimality_residual(report), 1e-30)
-    for name, mat in (("a", report.dUps_da), ("b", report.dUps_db),
-                      ("c", report.dUps_dc)):
-        base = getattr(ctrl, name)
-        for i in range(base.shape[0]):
-            for j in range(base.shape[1]):
-                h = 1e-5 * (1.0 + abs(base[i, j]))
-                up = {f: getattr(ctrl, f).copy() for f in ("a", "b", "c")}
-                up[name][i, j] += h
-                dn = {f: getattr(ctrl, f).copy() for f in ("a", "b", "c")}
-                dn[name][i, j] -= h
-                fd = (ups_of(ControllerParams(**up))
-                      - ups_of(ControllerParams(**dn))) / (2 * h)
-                rel = abs(mat[i, j] - fd) / scale
-                max_rel = max(max_rel, rel)
-                print(f"{name},{i},{j},{_fmt(mat[i, j])},{_fmt(fd)},{_fmt(rel)}")
-    print(f"max_rel_err,{_fmt(max_rel)}")
+    for name, i, j, analytic, fd, rel in check.rows:
+        print(f"{name},{i},{j},{_fmt(analytic)},{_fmt(fd)},{_fmt(rel)}")
+    print(f"max_rel_err,{_fmt(check.max_rel_err)}")
+    print(f"max_abs_err,{_fmt(check.max_abs_err)}")
+    print(f"invariance_residual,{_fmt(check.invariance_residual)}")
     return EXIT_OK
 
 

@@ -366,17 +366,6 @@ class SpectralSweep:
         return (np.sum(np.log(np.cosh(theta * self.d0)), axis=1)
                 + np.sum(np.log(factors), axis=1))
 
-    def delta(self, theta):
-        """Delta = cos(theta Psi) - theta Phi sinc(theta Psi) per node.
-
-        Failed nodes are not checked; callers raise for them in order.
-        """
-        x = theta * self.d0
-        Uh = _conj_t(self.U)
-        cosm = (self.U * np.cosh(x)[:, None, :]) @ Uh
-        sincm = (self.U * sinhc(x)[:, None, :]) @ Uh
-        return cosm - theta * self.Phi @ sincm
-
 
 def spectral_sweep(cl, lams):
     """The SpectralSweep of a closed loop at the frequencies `lams`.
@@ -420,7 +409,7 @@ def delta_matrix(Phi, Psi, theta):
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Certified spectral-condition and Psi-invertibility summary."""
+    """Sampled spectral-condition and Psi-invertibility summary."""
 
     spec1_sup: float
     psi_min_rel_sigma: float
@@ -453,12 +442,13 @@ def _admissibility_grid(cl, n_base=241):
 
 
 def check_admissible(cl, theta, grid=None):
-    """Grid-certified admissibility report for a stabilizing controller.
+    """Sampled admissibility report for a stabilizing controller.
 
-    The supremum of the spectral condition is first located on a base grid
-    and then certified on a 3x refined grid around the maximizer.  The
+    `spec1_sup` is the largest sample of the spectral condition on a base
+    grid (by default at most 361 frequencies) and on 90 points between the
+    base neighbours of its maximum; a narrower peak can be missed.  The
     Psi-invertibility check reports the worst relative singular-value
-    ratio of Psi over the grid; i Psi is Hermitian, so that ratio is
+    ratio of Psi over the base grid; i Psi is Hermitian, so that ratio is
     min|d0| / max|d0| of its eigenvalues.
     """
     check_theta(theta)
@@ -528,8 +518,10 @@ def _check_loop(cl, theta):
         raise InadmissibleError("closed loop is not Hurwitz")
 
 
-def _growth_rate(cl, theta, quad, grid):
-    """Growth rate and its grid; resonances seed only adaptive grids."""
+def _loop_integral(cl, theta, f, quad=None, grid=None):
+    """`integrate_half_line` of a closed-loop integrand f, after checking
+    theta and the Hurwitz property; resonances seed only adaptive grids."""
+    _check_loop(cl, theta)
     if quad is None:
         quad = QuadratureConfig()
     if grid is None:
@@ -537,12 +529,16 @@ def _growth_rate(cl, theta, quad, grid):
         breakpoints = resonance_breakpoints(cl.calA, lam_max)
     else:
         lam_max, breakpoints = grid.lam_max, ()
+    return integrate_half_line(f, lam_max, quad, grid=grid,
+                               breakpoints=breakpoints)
 
+
+def _growth_rate(cl, theta, quad, grid):
+    """Growth rate and the grid it was summed on."""
     def f(lams):
         return spectral_sweep(cl, lams).log_det_delta(theta)[:, None]
 
-    total, _, grid = integrate_half_line(f, lam_max, quad, grid=grid,
-                                         breakpoints=breakpoints)
+    total, _, grid = _loop_integral(cl, theta, f, quad, grid)
     return -float(total[0]) / (2.0 * np.pi), grid
 
 
@@ -572,13 +568,13 @@ def qef_growth_rate(cl, theta, quad=None, grid=None):
     subdivision, which is what comparisons and finite-difference studies
     over nearby controllers need.
     """
-    _check_loop(cl, theta)
+    check_theta(theta)
     if theta == 0.0:
+        _check_loop(cl, theta)
         return GrowthRate(0.0)
     return GrowthRate(*_growth_rate(cl, theta, quad, grid))
 
 
 def growth_rate_grid(cl, theta, quad=None):
     """The adaptive subdivision used for the growth rate of this system."""
-    _check_loop(cl, theta)
     return _growth_rate(cl, theta, quad, None)[1]

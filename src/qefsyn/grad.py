@@ -26,27 +26,28 @@ blocks of K1^T chi^T K2^T.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from qefsyn.errors import InadmissibleError
+from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import (
-    QuadratureConfig,
-    check_theta,
-    default_lambda_max,
-    integrate_half_line,
-    resonance_breakpoints,
+    _loop_integral,
+    growth_rate_grid,
+    qef_growth_rate,
     sinhc,
     spectral_sweep,
 )
-from qefsyn.model import is_hurwitz
+from qefsyn.model import ControllerParams, assemble_closed_loop
 
 __all__ = [
     "GradReport",
+    "GradientCheck",
     "chi_matrix",
     "build_k_factors",
     "sandwich_blocks",
     "frechet_derivatives",
+    "gradient_check",
     "optimality_residual",
 ]
 
@@ -119,21 +120,13 @@ def _chi_integrand(cl, theta, lams):
 
 def chi_matrix(cl, theta, quad=None):
     """Gradient matrix chi by frequency quadrature (theta = 0 gives chi0)."""
-    check_theta(theta)
-    if quad is None:
-        quad = QuadratureConfig()
-    if not is_hurwitz(cl.calA):
-        raise InadmissibleError("closed loop is not Hurwitz")
-    lam_max = quad.lambda_max or default_lambda_max(cl.calA)
-
     # conjugate evenness in lambda: the full-line integral is twice the
     # real part of the half-line one, so integrate Re per frequency (the
     # imaginary part decays only like 1/lambda and must not be integrated)
     def f(lams):
         return _chi_integrand(cl, theta, lams).real.reshape(len(lams), -1)
 
-    total, err, _ = integrate_half_line(
-        f, lam_max, quad, breakpoints=resonance_breakpoints(cl.calA, lam_max))
+    total, err, _ = _loop_integral(cl, theta, f, quad)
     # the integrand's bottom-right m x nu block is zero: chi is projected
     two_n = cl.calA.shape[0]
     return total.reshape(two_n + cl.m, two_n + cl.nu) / (2.0 * np.pi), err
@@ -186,3 +179,93 @@ def optimality_residual(report):
     return float(np.sqrt(np.sum(report.dUps_da**2)
                          + np.sum(report.dUps_db**2)
                          + np.sum(report.dUps_dc**2)))
+
+
+#: 8th-order central-difference stencil: sum of c_k (f(kh) - f(-kh)) / h
+_STENCIL = ((1, 4.0 / 5.0), (2, -1.0 / 5.0), (3, 4.0 / 105.0),
+            (4, -1.0 / 280.0))
+#: finite-difference steps; the adjacent pair whose estimates agree best
+#: brackets the sweet spot between truncation and evaluation noise
+_H_LADDER = (8e-3, 2e-3, 5e-4, 1.25e-4, 3e-5)
+
+
+@dataclass(frozen=True)
+class GradientCheck:
+    """Analytic derivatives of the growth rate against finite differences.
+
+    `rows` holds (block, i, j, analytic, fd, rel_err) for every entry of
+    a, b and c in turn, row-major.  Errors are |analytic - fd| over the
+    largest |entry| among the analytic and the finite-difference values,
+    so `max_rel_err` <= 2; at a stationary controller the differences are
+    noise, it reads about 1, and `max_abs_err` is the figure to read.
+    `invariance_residual` is the largest entry of
+    G_a a^T - a^T G_a + G_b b^T - c^T G_c over (largest derivative entry
+    times largest controller entry): the similarity (T a T^-1, T b,
+    c T^-1) leaves the cost unchanged, so it is zero up to round-off,
+    with no finite differences.
+    """
+
+    rows: tuple
+    max_abs_err: float
+    max_rel_err: float
+    invariance_residual: float
+
+
+def _fd_derivative(f):
+    """f'(0) from the step ladder: the mean of the adjacent pair of
+    estimates that agree best, skipping steps that leave the admissible
+    set."""
+    estimates = []
+    for h in _H_LADDER:
+        try:
+            estimates.append(sum(ck * (f(k * h) - f(-k * h))
+                                 for k, ck in _STENCIL) / h)
+        except InadmissibleError:
+            estimates.append(None)
+    pairs = [(abs(e1 - e2), 0.5 * (e1 + e2))
+             for e1, e2 in zip(estimates, estimates[1:])
+             if e1 is not None and e2 is not None]
+    if not pairs:
+        raise InadmissibleError("finite-difference steps leave the "
+                                "admissible set")
+    return min(pairs)[1]
+
+
+def gradient_check(cl, theta, quad=None):
+    """Check frechet_derivatives of a closed loop against finite differences.
+
+    Every entry of (a, b, c) is differenced with the 8th-order stencil at
+    each step of the ladder.  All growth rates are summed on one frozen
+    grid, the adaptive subdivision of `cl` at `quad`, so the quadrature
+    error is smooth in the controller and cancels in the differences.
+    theta must be > 0: at theta = 0 the gradient vanishes identically.
+    """
+    grid = growth_rate_grid(cl, theta, quad)    # checks theta and the loop
+    if theta == 0.0:
+        raise ValidationError("the gradient check needs theta > 0")
+    report = frechet_derivatives(cl, theta, quad)
+
+    def ups_at(block, i, j, step):
+        kw = {f: getattr(cl.ctrl, f).copy() for f in ("a", "b", "c")}
+        kw[block][i, j] += step
+        cl_ = assemble_closed_loop(cl.plant, (cl.S, cl.K),
+                                   ControllerParams(**kw))
+        return qef_growth_rate(cl_, theta, quad, grid=grid)
+
+    G = {"a": report.dUps_da, "b": report.dUps_db, "c": report.dUps_dc}
+    entries = [(blk, i, j, float(G[blk][i, j]),
+                _fd_derivative(partial(ups_at, blk, i, j)))
+               for blk in G for i, j in np.ndindex(G[blk].shape)]
+    tiny = np.finfo(float).tiny
+    scale = max(tiny, *(max(abs(an), abs(fd)) for *_, an, fd in entries))
+    rows = tuple((blk, i, j, an, fd, abs(an - fd) / scale)
+                 for blk, i, j, an, fd in entries)
+    max_abs = max(abs(an - fd) for *_, an, fd in entries)
+
+    a, b, c = cl.ctrl.a, cl.ctrl.b, cl.ctrl.c
+    resid = G["a"] @ a.T - a.T @ G["a"] + G["b"] @ b.T - c.T @ G["c"]
+    size = max(np.max(np.abs(M)) for M in G.values()) * max(
+        np.max(np.abs(M)) for M in (a, b, c))
+    return GradientCheck(
+        rows=rows, max_abs_err=max_abs, max_rel_err=max_abs / scale,
+        invariance_residual=float(np.max(np.abs(resid)) / max(size, tiny)))

@@ -161,12 +161,43 @@ def test_synthesize_writes_trace_and_controller(tmp_path, capsys):
     assert inst.controller.c.ravel().tolist() == emitted["c"]
 
 
-def test_grad_check_command(tmp_path, capsys):
-    path = _write(tmp_path, _canonical_doc(with_controller=True))
+@pytest.mark.parametrize("perturb, max_rel", [
+    # the LQG controller is stationary: the finite differences are noise
+    # (max_rel_err used to read 4e9), so only the bound of 2 holds
+    pytest.param(0.0, 2.0, id="stationary"),
+    # used to read 4e-4 from a 2-point difference on adaptive grids
+    pytest.param(0.05, 1e-5, id="perturbed"),
+])
+def test_grad_check_command(tmp_path, capsys, perturb, max_rel):
+    doc = _canonical_doc(with_controller=True)
+    rng = np.random.default_rng(0)
+    for key, vals in doc["controller"].items():
+        doc["controller"][key] = [v + perturb * rng.standard_normal()
+                                  for v in vals]
+    path = _write(tmp_path, doc)
     assert cli.main(["grad-check", path]) == cli.EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "block,row,col,analytic,fd,rel_err"
-    assert out[-1].startswith("max_rel_err,")
+    # one row per entry of a (2x2), b (2x1) and c (1x2)
+    assert [line.split(",")[0] for line in out[1:-3]] == list("aaaabbcc")
+    figures = dict(line.split(",") for line in out[-3:])
+    assert list(figures) == ["max_rel_err", "max_abs_err",
+                             "invariance_residual"]
+    assert float(figures["max_rel_err"]) <= max_rel
+    assert float(figures["max_abs_err"]) <= 1e-8
+    assert float(figures["invariance_residual"]) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["grad-check", "synthesize"])
+def test_zero_theta_is_a_validation_error(tmp_path, capsys, command):
+    # grad-check at theta = 0 used to print an all-zero table and exit 0
+    path = _write(tmp_path, _canonical_doc(with_controller=True))
+    code = cli.main([command, path, "--theta", "0",
+                     "--output", str(tmp_path / "out.csv"),
+                     "--controller-out", str(tmp_path / "ctrl.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert "theta > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [

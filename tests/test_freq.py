@@ -106,7 +106,6 @@ def test_delta_matrix_theta_zero(cl_square):
     sweep = spectral_sweep(cl_square, [0.4])
     assert np.allclose(delta_matrix(sweep.Phi[0], sweep.Psi[0], 0.0),
                        np.eye(2))
-    assert np.allclose(sweep.delta(0.0)[0], np.eye(2))
 
 
 def test_log_det_delta_real_and_matches_direct(cl_square):
@@ -117,8 +116,6 @@ def test_log_det_delta_real_and_matches_direct(cl_square):
                                             theta))
     assert val.shape == (1,) and val.dtype == float
     assert np.isclose(val[0], direct[1], atol=1e-10)
-    assert np.allclose(sweep.delta(theta)[0],
-                       delta_matrix(sweep.Phi[0], sweep.Psi[0], theta))
 
 
 def test_log_det_delta_inadmissible_at_large_theta():

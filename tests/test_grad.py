@@ -1,9 +1,12 @@
 """Gradient matrix: closed-form weights against the block-triangular
 reference, dual-route limit, finite differences, similarity invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qefsyn import grad
 from qefsyn.errors import InadmissibleError
 from qefsyn.freq import (
     QuadratureConfig,
@@ -163,13 +166,16 @@ def test_k_factor_shapes(canonical_plant, weights_square):
     assert K2.shape == (n + r, 2 * n + m)
 
 
+#: moves the canonical LQG controller off its stationary point
+_PERT = ControllerParams(a=0.05 * np.array([[1.0, -0.5], [0.25, 0.75]]),
+                         b=0.05 * np.array([[-0.5], [1.0]]),
+                         c=0.05 * np.array([[0.5, -0.25]]))
+
+
 def test_frechet_derivatives_finite_difference(canonical_plant,
                                                weights_square, cl_square):
     """One deterministic instance of the central gradient check."""
-    pert = ControllerParams(a=0.05 * np.array([[1.0, -0.5], [0.25, 0.75]]),
-                            b=0.05 * np.array([[-0.5], [1.0]]),
-                            c=0.05 * np.array([[0.5, -0.25]]))
-    ctrl = cl_square.ctrl + pert
+    ctrl = cl_square.ctrl + _PERT
     cl = assemble_closed_loop(canonical_plant, weights_square, ctrl)
     theta = theta_for_spec1(cl, 0.25)
     quad = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
@@ -196,6 +202,29 @@ def test_frechet_derivatives_finite_difference(canonical_plant,
                 fd = (ups_of(shifted(h)) - ups_of(shifted(-h))) / (2 * h)
                 worst = max(worst, abs(fd - mat[i, j]) / scale)
     assert worst <= 1e-5
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.01])
+def test_gradient_check_sees_a_scaled_gradient(monkeypatch, canonical_plant,
+                                               weights_square, cl_square,
+                                               scale):
+    cl = assemble_closed_loop(canonical_plant, weights_square,
+                              cl_square.ctrl + _PERT)
+    exact = grad.frechet_derivatives
+
+    def scaled(*args, **kwargs):
+        r = exact(*args, **kwargs)
+        return dataclasses.replace(r, dUps_da=scale * r.dUps_da,
+                                   dUps_db=scale * r.dUps_db,
+                                   dUps_dc=scale * r.dUps_dc)
+
+    monkeypatch.setattr(grad, "frechet_derivatives", scaled)
+    check = grad.gradient_check(cl, 0.05)
+    assert len(check.rows) == 8
+    assert (check.max_rel_err > 1e-5) == (scale != 1.0)
+    # a uniform scale keeps the similarity invariance: only the finite
+    # differences can see it
+    assert check.invariance_residual <= 1e-12
 
 
 def test_optimality_residual_zero_at_lqg_limit(cl_square):
