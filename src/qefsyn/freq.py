@@ -441,11 +441,11 @@ def _admissibility_grid(cl, n_base=241):
     return np.unique(np.concatenate([head, tail]))
 
 
-def check_admissible(cl, theta, grid=None):
+def check_admissible(cl, theta):
     """Sampled admissibility report for a stabilizing controller.
 
     `spec1_sup` is the largest sample of the spectral condition on a base
-    grid (by default at most 361 frequencies) and on 90 points between the
+    grid (at most 361 frequencies) and on 90 points between the
     base neighbours of its maximum; a narrower peak can be missed.  The
     Psi-invertibility check reports the worst relative singular-value
     ratio of Psi over the base grid; i Psi is Hermitian, so that ratio is
@@ -456,8 +456,7 @@ def check_admissible(cl, theta, grid=None):
     if not hurwitz:
         return AdmissibilityReport(spec1_sup=np.inf, psi_min_rel_sigma=0.0,
                                    hurwitz=False)
-    if grid is None:
-        grid = _admissibility_grid(cl)
+    grid = _admissibility_grid(cl)
     sweep = spectral_sweep(cl, grid)
     vals = sweep.spec1(theta)
     k = int(np.argmax(vals))
@@ -473,12 +472,18 @@ def check_admissible(cl, theta, grid=None):
                                hurwitz=True)
 
 
-def theta_for_spec1(cl, target, theta_hi=None, tol=1e-4):
+#: relative width of the bracket at which theta_for_spec1 stops
+_THETA_TOL = 1e-4
+
+
+def theta_for_spec1(cl, target):
     """theta at which the spectral-condition supremum reaches the target.
 
     The supremum saturates towards 1 from below when the transfer matrix
     is square and invertible, so targets well inside (0, 1) are the
-    meaningful way to pin a risk level to this plant.  The grid is swept
+    meaningful way to pin a risk level to this plant.  theta doubles from
+    1 until the target is bracketed, then bisects to a relative bracket
+    width of `_THETA_TOL`, returning the lower end.  The grid is swept
     once; every bisection step reuses its theta-free parts.  A target that
     80 doublings of theta do not reach is a ValueError naming the
     supremum reached.
@@ -490,7 +495,7 @@ def theta_for_spec1(cl, target, theta_hi=None, tol=1e-4):
     def sup_at(theta):
         return float(np.max(sweep.spec1(theta)))
 
-    lo, hi = 0.0, theta_hi if theta_hi is not None else 1.0
+    lo, hi = 0.0, 1.0
     for _ in range(80):
         sup = sup_at(hi)
         if sup >= target:
@@ -507,7 +512,7 @@ def theta_for_spec1(cl, target, theta_hi=None, tol=1e-4):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(hi, 1e-30):
+        if hi - lo <= _THETA_TOL * max(hi, 1e-30):
             break
     return lo
 

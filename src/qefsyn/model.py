@@ -223,11 +223,6 @@ class ControllerParams:
         return ControllerParams(self.a + other.a, self.b + other.b,
                                 self.c + other.c)
 
-    @staticmethod
-    def zeros(n, r, d):
-        return ControllerParams(np.zeros((n, n)), np.zeros((n, r)),
-                                np.zeros((d, n)))
-
 
 @dataclass(frozen=True)
 class ClosedLoop:

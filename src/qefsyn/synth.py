@@ -7,28 +7,19 @@ gradient descent on the exponential-cost growth rate over the controller
 triple (a, b, c), with a backtracking line search that keeps every iterate
 stabilizing and spectrally admissible.
 
-Every backtracking trial of a step is costed on the FrequencyGrid of the
-current iterate: the adaptive `qef_growth_rate` that gives an iterate's
-cost also gives its grid, and the adaptive value is the sum over exactly
-that grid's panels, so the Armijo test compares two sums over one set of
-nodes.  Each trial runs, in order: closed-loop assembly (a ValidationError
-rejects the trial); its cost on the frozen grid by `qef_growth_rate` (an
-InadmissibleError, raised cheaply for a non-Hurwitz loop or for
-theta mu >= 1 at a node, rejects it); the Armijo test on the frozen values;
-`check_admissible`; and one adaptive integral of the trial, which gives its
-reported cost and the grid of the next line search.  The trial is accepted
-only if that adaptive cost passes the same Armijo test and is strictly
-below the current one, so the reported costs decrease sufficiently, and
-strictly even where the Armijo decrement rounds away.  A NumericalError
-from the frozen cost is re-raised only if the trial passes the check, and
-otherwise rejects it; a NumericalError from the adaptive integral is
-re-raised, since the trial has passed the check.  An InadmissibleError
-there rejects the trial.
+A line-search trial (`_trial`) runs, in order: closed-loop assembly (a
+ValidationError rejects it); its cost on the FrequencyGrid that the current
+iterate's cost, a GrowthRate, was summed on, so that the Armijo test
+compares two sums over one set of nodes (an InadmissibleError rejects it; a
+NumericalError rejects it if it fails `check_admissible` and is re-raised
+otherwise); the Armijo test; `check_admissible`; one adaptive integral,
+which gives its reported cost and the next grid (an InadmissibleError
+rejects it).  It is accepted only if that cost passes the same Armijo test
+and is strictly below the current one.
 """
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +36,12 @@ from qefsyn.model import ControllerParams, assemble_closed_loop, is_hurwitz
 
 __all__ = ["SynthesisConfig", "SynthesisReport", "lqg_controller", "synthesize"]
 
+#: divisors of theta for the continuation stages, run when the LQG
+#: controller is inadmissible at theta
+_CONTINUATION = (8, 4, 2, 1)
+#: the line search gives up below this step
+_MIN_STEP = 1e-14
+
 
 @dataclass
 class SynthesisConfig:
@@ -56,15 +53,13 @@ class SynthesisConfig:
     initial_step: float = 1.0
     backtrack_factor: float = 0.5
     armijo_c: float = 1e-4
-    min_step: float = 1e-14
-    theta_continuation: Optional[list] = None
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
         if not all(_finite_positive(v) for v in (
-                self.theta, self.grad_tol, self.initial_step, self.min_step)):
-            raise ValueError("theta, grad_tol, initial_step, min_step must "
-                             "be finite and positive")
+                self.theta, self.grad_tol, self.initial_step)):
+            raise ValueError("theta, grad_tol, initial_step must be finite "
+                             "and positive")
         if (isinstance(self.max_iters, bool)
                 or not isinstance(self.max_iters, numbers.Integral)
                 or self.max_iters < 1):
@@ -128,124 +123,93 @@ def _admissible(plant, weights, ctrl, theta):
     return cl, None if cl is None else check_admissible(cl, theta)
 
 
-def _trial_cost(cl, theta, quad, grid):
-    """Growth rate of a trial loop on `grid`; inf where the cost rejects it.
-
-    A non-Hurwitz loop, or theta mu >= 1 at a node of the grid, is an
-    InadmissibleError and rejects the trial.  A NumericalError is raised
-    only for a trial that passes the admissibility check; a trial that
-    fails it is rejected.
-    """
+def _trial(plant, weights, ctrl, theta, quad, ups, bound):
+    """Accepted (ctrl, cl, adm, cost) of a trial, or None (module doc)."""
+    cl = _closed_loop(plant, weights, ctrl)
+    if cl is None:
+        return None
     try:
-        return qef_growth_rate(cl, theta, quad, grid=grid)
+        frozen = qef_growth_rate(cl, theta, quad, grid=ups.grid)
     except InadmissibleError:
-        return np.inf
+        return None
     except NumericalError:
         if not check_admissible(cl, theta).admissible:
-            return np.inf
+            return None
         raise
-
-
-def _cost_and_grid(cl, theta, quad):
-    """Adaptive cost of a loop and the FrequencyGrid it was summed on."""
-    rate = qef_growth_rate(cl, theta, quad)
-    return float(rate), rate.grid
-
-
-def _certified_cost(cl, theta, quad):
-    """Adaptive cost and grid of a trial that passed the check.
-
-    theta mu >= 1 at an adaptive node rejects the trial (cost inf); a
-    NumericalError is re-raised.
-    """
+    if not frozen <= bound:
+        return None
+    adm = check_admissible(cl, theta)
+    if not adm.admissible:
+        return None
     try:
-        return _cost_and_grid(cl, theta, quad)
+        cost = qef_growth_rate(cl, theta, quad)
     except InadmissibleError:
-        return np.inf, None
+        return None
+    return (ctrl, cl, adm, cost) if cost <= bound and cost < ups else None
 
 
-def _descent_stage(plant, weights, ctrl, start, theta, cfg, iterates,
-                   adm_hist, iter_offset):
-    """One descent run at fixed theta; returns (ctrl, cost, resid, reason).
+def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
+             start=None):
+    """One stage at fixed theta; returns (ctrl, cost, resid, reason).
 
-    `start` is the (closed loop, admissibility report) pair of `ctrl` at
-    this theta, so the start is not certified twice.
+    Appends a row and an admissibility report per iterate.  `stage` is
+    (k, number of stages); `start` is (cl, adm) of `ctrl` if known.
     """
-    cl, adm = start
-    if cl is None or not adm.admissible:
-        raise InadmissibleError(
-            f"initial controller inadmissible at theta={theta:g}"
-        )
-    ups, grid = _cost_and_grid(cl, theta, cfg.quad)
-    it = iter_offset
-    for _ in range(cfg.max_iters):
+    cl, adm = start or _admissible(plant, weights, ctrl, theta)
+    if adm is None or not adm.admissible:
+        k, n = stage
+        origin = ("the LQG controller" if k == 1
+                  else f"the minimizer of stage {k - 1}")
+        raise InadmissibleError(f"stage {k} of {n}: its start, {origin}, "
+                                f"is inadmissible at theta={theta:g}")
+    ups = qef_growth_rate(cl, theta, cfg.quad)
+    for i in range(cfg.max_iters + 1):
         report = frechet_derivatives(cl, theta, cfg.quad)
         resid = optimality_residual(report)
-        iterates.append((it, ups, resid, np.nan))
+        row = (len(iterates), float(ups), resid)
         adm_hist.append(adm)
-        if resid <= cfg.grad_tol * (1.0 + abs(ups)):
-            return ctrl, ups, resid, "stationary", it
+        if i == cfg.max_iters or resid <= cfg.grad_tol * (1.0 + abs(ups)):
+            reason = "max-iterations" if i == cfg.max_iters else "stationary"
+            break
         step = cfg.initial_step / (1.0 + resid)
-        accepted = False
-        while step >= cfg.min_step:
+        while step >= _MIN_STEP:
             trial = ControllerParams(
                 a=ctrl.a - step * report.dUps_da,
                 b=ctrl.b - step * report.dUps_db,
                 c=ctrl.c - step * report.dUps_dc,
             )
-            cl_t = _closed_loop(plant, weights, trial)
-            bound = ups - cfg.armijo_c * step * resid**2
-            if (cl_t is not None
-                    and _trial_cost(cl_t, theta, cfg.quad, grid) <= bound):
-                adm_t = check_admissible(cl_t, theta)
-                if adm_t.admissible:
-                    ups_t, grid_t = _certified_cost(cl_t, theta, cfg.quad)
-                    if ups_t <= bound and ups_t < ups:
-                        ctrl, cl, adm = trial, cl_t, adm_t
-                        ups, grid = ups_t, grid_t
-                        iterates[-1] = (it, iterates[-1][1], resid, step)
-                        accepted = True
-                        break
+            accepted = _trial(plant, weights, trial, theta, cfg.quad, ups,
+                              ups - cfg.armijo_c * step * resid**2)
+            if accepted:
+                break
             step *= cfg.backtrack_factor
-        if not accepted:
-            return ctrl, ups, resid, "line-search failure", it
-        it += 1
-    report = frechet_derivatives(cl, theta, cfg.quad)
-    resid = optimality_residual(report)
-    iterates.append((it, ups, resid, np.nan))
-    adm_hist.append(adm)
-    return ctrl, ups, resid, "max-iterations", it
+        else:
+            reason = "line-search failure"
+            break
+        iterates.append((*row, step))
+        ctrl, cl, adm, ups = accepted
+    iterates.append((*row, np.nan))
+    return ctrl, float(ups), resid, reason
 
 
 def synthesize(plant, weights, cfg):
     """Gradient descent on the cost growth rate, LQG-initialized.
 
-    If the LQG controller is inadmissible at the target theta, a geometric
-    theta ladder (theta/8, theta/4, theta/2, theta) warm-starts each stage
-    with the previous stage's minimizer.
+    If the LQG controller is inadmissible at the target theta, the stages
+    theta/8, theta/4, theta/2, theta each start from the previous stage's
+    minimizer.
     """
     ctrl = lqg_controller(plant, weights)
     start = _admissible(plant, weights, ctrl, cfg.theta)
     if start[1] is not None and start[1].admissible:
         stages = [cfg.theta]
     else:
-        ladder = cfg.theta_continuation or [cfg.theta / 8, cfg.theta / 4,
-                                            cfg.theta / 2, cfg.theta]
-        stages = list(ladder)
-        start = _admissible(plant, weights, ctrl, stages[0])
-        if start[1] is None or not start[1].admissible:
-            raise InadmissibleError(
-                "LQG initializer inadmissible at every continuation stage"
-            )
+        stages, start = [cfg.theta / k for k in _CONTINUATION], None
     iterates, adm_hist = [], []
-    offset = 0
-    for k, theta in enumerate(stages):
-        if k:
-            start = _admissible(plant, weights, ctrl, theta)
-        ctrl, ups, resid, reason, offset = _descent_stage(
-            plant, weights, ctrl, start, theta, cfg, iterates, adm_hist,
-            offset)
-        offset += 1
+    for k, theta in enumerate(stages, 1):
+        ctrl, ups, resid, reason = _descent(
+            plant, weights, ctrl, theta, cfg, (k, len(stages)), iterates,
+            adm_hist, start)
     return SynthesisReport(iterates=iterates, controller=ctrl, cost=ups,
                            residual=resid, admissibility=adm_hist,
                            termination=reason)

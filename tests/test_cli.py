@@ -1,5 +1,6 @@
 """CLI: instance parsing, command dispatch, exit codes, CSV emission."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qefsyn import cli
+from qefsyn import cli, synth
 from qefsyn.errors import ValidationError
+from qefsyn.freq import check_admissible
 from qefsyn.instances import canonical_plant_spec, canonical_weights_square
 from qefsyn.model import derive_plant
 from qefsyn.synth import lqg_controller
@@ -186,6 +188,22 @@ def test_grad_check_command(tmp_path, capsys, perturb, max_rel):
     assert float(figures["max_rel_err"]) <= max_rel
     assert float(figures["max_abs_err"]) <= 1e-8
     assert float(figures["invariance_residual"]) <= 1e-12
+
+
+def test_synthesize_inadmissible_start_exit_code(tmp_path, capsys,
+                                                 monkeypatch):
+    def check(cl, theta):
+        return dataclasses.replace(check_admissible(cl, theta),
+                                   spec1_sup=1.0)
+
+    monkeypatch.setattr(synth, "check_admissible", check)
+    path = _write(tmp_path, _canonical_doc(theta=0.05))
+    code = cli.main(["synthesize", path,
+                     "--output", str(tmp_path / "out.csv"),
+                     "--controller-out", str(tmp_path / "ctrl.json")])
+    assert code == cli.EXIT_INADMISSIBLE
+    assert "stage 1 of 4" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["grad-check", "synthesize"])

@@ -49,7 +49,6 @@ def test_synthesis_config_validation():
                 dict(theta=np.nan), dict(theta=np.inf),
                 dict(theta=0.1, initial_step=0.0),
                 dict(theta=0.1, initial_step=-1.0),
-                dict(theta=0.1, min_step=0.0), dict(theta=0.1, min_step=-1.0),
                 dict(theta=0.1, grad_tol=np.inf),
                 dict(theta=0.1, max_iters=2.5), dict(theta=0.1, max_iters=0),
                 dict(theta=0.1, max_iters=True)):
@@ -264,3 +263,65 @@ def test_adaptive_cost_of_an_accepted_trial(pool_problem, monkeypatch,
     assert report.iterates[0][3] == cfg.backtrack_factor * full_step
     assert len(costs) == 3
     assert report.cost == costs[2] < costs[0]
+
+
+def _continuation_problem(seed, spec1):
+    """A plant whose LQG controller is inadmissible at theta (spec1 0.96+)."""
+    plant, _, cl = random_stable_instance(np.random.default_rng(seed))
+    cfg = SynthesisConfig(theta=theta_for_spec1(cl, spec1), max_iters=5,
+                          quad=QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9))
+    assert not check_admissible(cl, cfg.theta).admissible
+    return plant, canonical_weights_square(), cfg
+
+
+def test_continuation_ladder(monkeypatch):
+    plant, weights, cfg = _continuation_problem(0, 0.96)
+    theta, checks = cfg.theta, []
+
+    def check(cl, th):
+        checks.append(th)
+        return check_admissible(cl, th)
+
+    monkeypatch.setattr(synth, "check_admissible", check)
+    report = synthesize(plant, weights, cfg)
+    # the LQG start at theta, then every check of stage k at its own theta
+    runs = [th for k, th in enumerate(checks) if k == 0 or th != checks[k - 1]]
+    assert runs == [theta, theta / 8, theta / 4, theta / 2, theta]
+    # max_iters applies per stage: 4 stages of max_iters + 1 rows
+    assert [it for it, *_ in report.iterates] == list(range(24))
+    costs = [u for _, u, _, _ in report.iterates]
+    stages = [costs[k:k + 6] for k in range(0, 24, 6)]
+    for stage in stages:
+        assert all(c2 < c1 for c1, c2 in zip(stage, stage[1:]))
+    # each stage is costed at its own, larger theta
+    assert all(s2[0] > s1[-1] for s1, s2 in zip(stages, stages[1:]))
+    assert report.termination == "max-iterations"
+    cl = assemble_closed_loop(plant, weights, report.controller)
+    assert check_admissible(cl, theta).admissible
+
+
+def test_inadmissible_later_stage_start_names_the_stage():
+    # the minimizer of stage 3 (theta/2) is inadmissible at theta; this
+    # used to be reported as the "initial controller"
+    plant, weights, cfg = _continuation_problem(2, 0.99)
+    with pytest.raises(InadmissibleError,
+                       match="stage 4 of 4: its start, the minimizer of "
+                             "stage 3, is inadmissible"):
+        synthesize(plant, weights, cfg)
+
+
+def test_inadmissible_lqg_start_names_the_first_stage(monkeypatch):
+    plant, weights, cfg = _pool_descent(21)
+    checks = []
+
+    def check(cl, theta):
+        checks.append(theta)
+        return _failing(check_admissible(cl, theta))
+
+    monkeypatch.setattr(synth, "check_admissible", check)
+    # this used to claim every continuation stage had been tried
+    with pytest.raises(InadmissibleError,
+                       match="stage 1 of 4: its start, the LQG controller, "
+                             "is inadmissible"):
+        synthesize(plant, weights, cfg)
+    assert checks == [cfg.theta, cfg.theta / 8]
