@@ -14,9 +14,12 @@ arrays:
       "synthesis": {"max_iters": ..., "grad_tol": ...}
     }
 
-The document and each block are objects; the document and its quadrature,
-oracle and synthesis blocks hold no keys but the ones shown (synthesis also
-takes "initial_step", "backtrack_factor" and "armijo_c").
+The document and each block are objects.  The document and its oracle
+block hold no keys but the ones shown; the quadrature and synthesis blocks
+take the fields of QuadratureConfig and SynthesisConfig (but theta and
+quad).  Each setting is checked by the type that uses it (QuadratureConfig,
+SynthesisConfig, check_theta, build_operators): a rejected value, a
+non-object block or an unknown key is a validation error that names it.
 
 Exit codes: 0 ok, 2 validation, 3 inadmissible, 4 numerical, 5 io.
 """
@@ -33,7 +36,12 @@ import numpy as np
 
 from qefsyn import gramians, oracle
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
-from qefsyn.freq import QuadratureConfig, check_admissible, qef_growth_rate
+from qefsyn.freq import (
+    QuadratureConfig,
+    check_admissible,
+    check_number,
+    qef_growth_rate,
+)
 from qefsyn.grad import gradient_check
 from qefsyn.model import (
     ControllerParams,
@@ -88,29 +96,22 @@ class ProblemInstance:
     synthesis: dict
 
     def __post_init__(self):
-        self.theta = _number("theta", self.theta, lambda t: t >= 0,
-                             "finite and nonnegative")
+        # the config the synthesize command builds checks theta and the block
+        SynthesisConfig(theta=self.theta, quad=self.quad, **_object(
+            self.synthesis, "synthesis", _SYNTHESIS_KEYS))
+        self.theta = float(self.theta)
         if self.oracle_T is not None:
             self.oracle_T = _number("oracle T", self.oracle_T,
                                     lambda t: t > 0, "finite and positive")
         self.oracle_N = _number("oracle N", self.oracle_N, lambda n: n >= 2,
                                 "an integer >= 2", numbers.Integral)
-        _object(self.synthesis, "synthesis", _SYNTHESIS)
-        self.synthesis = {
-            key: _number(f"synthesis {key}", self.synthesis[key], valid,
-                         what, kind)
-            for key, (kind, valid, what) in _SYNTHESIS.items()
-            if key in self.synthesis}
 
 
-#: the JSON "synthesis" settings passed on to SynthesisConfig
-_SYNTHESIS = {
-    "max_iters": (numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
-    "grad_tol": (numbers.Real, lambda v: v > 0, "finite and positive"),
-    "initial_step": (numbers.Real, lambda v: v > 0, "finite and positive"),
-    "backtrack_factor": (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)"),
-    "armijo_c": (numbers.Real, lambda v: 0 < v < 1, "in (0, 1)"),
-}
+#: keys of the JSON "quadrature" and "synthesis" blocks: the fields of the
+#: configs they build, less the ones the instance sets itself
+_QUADRATURE_KEYS = tuple(f.name for f in dataclasses.fields(QuadratureConfig))
+_SYNTHESIS_KEYS = tuple(f.name for f in dataclasses.fields(SynthesisConfig)
+                        if f.name not in ("theta", "quad"))
 
 
 def _object(value, name, keys=None):
@@ -126,20 +127,10 @@ def _object(value, name, keys=None):
 
 
 def _number(name, value, valid, what, kind=numbers.Real):
-    """`value` as a float (an int for an Integral `kind`) if it is a finite
-    number of that kind and `valid`; otherwise a ValidationError."""
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not (np.isfinite(value) and valid(value))):
-        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    """`value` as a float (an int for an Integral `kind`) once
+    `check_number` accepts it."""
+    check_number(name, value, valid, what, kind)
     return int(value) if kind is numbers.Integral else float(value)
-
-
-def _quadrature(base, **fields):
-    """`base` with `fields` replaced; a rejected value is a ValidationError."""
-    try:
-        return dataclasses.replace(base, **fields)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid quadrature setting: {exc}") from exc
 
 
 def load_instance(path):
@@ -189,9 +180,8 @@ def load_instance(path):
             b=_matrix(cdoc, "b", n, r),
             c=_matrix(cdoc, "c", d, n),
         )
-    quad = _quadrature(QuadratureConfig(),
-                       **_object(doc.get("quadrature", {}), "quadrature",
-                                 ("abs_tol", "rel_tol", "lambda_max")))
+    quad = QuadratureConfig(**_object(doc.get("quadrature", {}),
+                                      "quadrature", _QUADRATURE_KEYS))
     odoc = _object(doc.get("oracle", {}), "oracle", ("T", "N"))
     return ProblemInstance(
         spec=spec, S=S, K=K, theta=doc.get("theta", 0.0), controller=ctrl,
@@ -208,14 +198,13 @@ def controller_to_json(ctrl):
     }
 
 
-def _closed_loop(inst, require_controller=True):
+def _closed_loop(inst):
+    """The closed loop of the instance's controller, else of its LQG one."""
     plant = derive_plant(inst.spec)
     ctrl = inst.controller
     if ctrl is None:
-        if require_controller:
-            raise ValidationError("instance has no controller block")
         ctrl = lqg_controller(plant, (inst.S, inst.K))
-    return plant, ctrl, assemble_closed_loop(plant, (inst.S, inst.K), ctrl)
+    return assemble_closed_loop(plant, (inst.S, inst.K), ctrl)
 
 
 def cmd_validate(inst, args):
@@ -227,7 +216,7 @@ def cmd_validate(inst, args):
 
 
 def cmd_evaluate(inst, args):
-    _, _, cl = _closed_loop(inst, require_controller=False)
+    cl = _closed_loop(inst)
     adm = check_admissible(cl, inst.theta)
     ups0 = gramians.lqg_cost(cl)
     print(f"spec1_sup,{_fmt(adm.spec1_sup)}")
@@ -243,7 +232,7 @@ def cmd_evaluate(inst, args):
 
 
 def cmd_grad_check(inst, args):
-    _, _, cl = _closed_loop(inst, require_controller=False)
+    cl = _closed_loop(inst)
     check = gradient_check(cl, inst.theta, inst.quad)
     print("block,row,col,analytic,fd,rel_err")
     for name, i, j, analytic, fd, rel in check.rows:
@@ -255,7 +244,7 @@ def cmd_grad_check(inst, args):
 
 
 def cmd_oracle_compare(inst, args):
-    _, _, cl = _closed_loop(inst, require_controller=False)
+    cl = _closed_loop(inst)
     theta = inst.theta
     ups = qef_growth_rate(cl, theta, inst.quad)
     T_final = inst.oracle_T
@@ -275,8 +264,6 @@ def cmd_oracle_compare(inst, args):
 
 def cmd_synthesize(inst, args):
     plant = derive_plant(inst.spec)
-    if inst.theta == 0.0:
-        raise ValidationError("synthesize needs theta > 0")
     cfg = SynthesisConfig(theta=inst.theta, quad=inst.quad, **inst.synthesis)
     report = synthesize(plant, (inst.S, inst.K), cfg)
     trace = args.output or "trace.csv"
@@ -334,7 +321,7 @@ def _with_overrides(inst, args):
         quad.update(abs_tol=args.quad_tol, rel_tol=args.quad_tol)
     if args.lambda_max is not None:
         quad["lambda_max"] = args.lambda_max
-    changes = {"quad": _quadrature(inst.quad, **quad)}
+    changes = {"quad": dataclasses.replace(inst.quad, **quad)}
     for name in ("theta", "oracle_N", "oracle_T"):
         if getattr(args, name) is not None:
             changes[name] = getattr(args, name)

@@ -27,8 +27,9 @@ frozen grid, is one sweep.
 
 import logging
 import numbers
-from dataclasses import dataclass, field
-from typing import Optional
+import sys
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "tanhc",
     "delta_matrix",
     "check_admissible",
+    "check_number",
     "check_theta",
     "qef_growth_rate",
     "GrowthRate",
@@ -91,32 +93,27 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     lambda_max: Optional[float] = None
-    max_subdivisions: int = 400
 
     def __post_init__(self):
-        if not (_finite_positive(self.abs_tol)
-                and _finite_positive(self.rel_tol)):
-            raise ValueError("tolerances must be finite and positive")
-        if (self.lambda_max is not None
-                and not _finite_positive(self.lambda_max)):
-            raise ValueError("lambda_max must be finite and positive")
-        if (isinstance(self.max_subdivisions, bool)
-                or not isinstance(self.max_subdivisions, numbers.Integral)
-                or self.max_subdivisions < 0):
-            raise ValueError("max_subdivisions must be an integer >= 0")
+        check_number("abs_tol", self.abs_tol)
+        check_number("rel_tol", self.rel_tol)
+        if self.lambda_max is not None:
+            check_number("lambda_max", self.lambda_max)
 
 
-def _finite_positive(x):
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and bool(np.isfinite(x)) and x > 0)
+def check_number(name, value, valid=lambda v: v > 0,
+                 what="finite and positive", kind=numbers.Real):
+    """A ValidationError naming `name` unless `value` is a finite number of
+    `kind`, not a bool, for which `valid` holds.  An int too large for a
+    float is not finite."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (abs(value) <= sys.float_info.max and valid(value))):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
 def check_theta(theta):
     """A ValidationError unless theta is a finite real number >= 0."""
-    if (isinstance(theta, bool) or not isinstance(theta, numbers.Real)
-            or not (np.isfinite(theta) and theta >= 0)):
-        raise ValidationError(
-            f"theta must be finite and nonnegative, got {theta!r}")
+    check_number("theta", theta, lambda t: t >= 0, "finite and nonnegative")
 
 
 def _panels(f, edges):
@@ -136,7 +133,12 @@ def _panels(f, edges):
     return ik, np.max(np.abs(ik - ig), axis=1)
 
 
-def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, breakpoints=()):
+#: subdivision budget of one adaptive integral
+_MAX_SUBDIVISIONS = 400
+
+
+def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions=_MAX_SUBDIVISIONS,
+              breakpoints=()):
     """Adaptive GK15 for a vector-valued integrand; deterministic order.
 
     `breakpoints` seed the initial subdivision (resonance peaks narrower
@@ -150,7 +152,8 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, breakpoints=()):
     estimates scale with panel width and their sum stays flat.  A result
     within a modest factor of the request is then returned (the estimate
     is part of the return value) with a logged warning; anything worse
-    raises NumericalError.
+    raises NumericalError, which says whether the subdivision budget ran
+    out or the request lies below the noise floor.
     """
     _STALL_LIMIT = 60
     _STALL_SLACK = 100.0
@@ -189,6 +192,11 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions, breakpoints=()):
     if not converged:
         total, tot_err, tol = totals()
         if tot_err > _STALL_SLACK * tol:
+            if stall >= _STALL_LIMIT:
+                raise NumericalError(
+                    f"frequency quadrature stalled at error {tot_err:.2e} "
+                    f"after {n_sub} subdivisions: the tolerance {tol:.2e} "
+                    "requested lies below the integrand's noise floor")
             raise NumericalError(
                 "frequency quadrature did not converge within "
                 f"{n_sub} subdivisions (error {tot_err:.2e})"
@@ -254,15 +262,14 @@ def integrate_half_line(f, lam_max, quad, breakpoints=(), grid=None):
 
     body, err1, body_edges = _adaptive(
         f, 0.0, lam_max, 0.5 * quad.abs_tol, 0.5 * quad.rel_tol,
-        quad.max_subdivisions, breakpoints=breakpoints)
+        breakpoints=breakpoints)
 
     # the tail is a small correction: its tolerance is set by the overall
     # integral magnitude, not by the tail's own size
     tail_abs = max(0.5 * quad.abs_tol,
                    0.5 * quad.rel_tol * float(np.max(np.abs(body))))
     tail_val, err2, tail_edges = _adaptive(
-        tail, 0.0, 1.0 / lam_max, tail_abs, 0.5 * quad.rel_tol,
-        quad.max_subdivisions)
+        tail, 0.0, 1.0 / lam_max, tail_abs, 0.5 * quad.rel_tol)
     grid = FrequencyGrid(lam_max=lam_max, body_edges=body_edges,
                          tail_edges=tail_edges)
     return body + tail_val, err1 + err2, grid
@@ -414,22 +421,25 @@ class AdmissibilityReport:
     spec1_sup: float
     psi_min_rel_sigma: float
     hurwitz: bool
-    spec1_ok: bool = field(init=False)
-    psi_ok: bool = field(init=False)
-    admissible: bool = field(init=False)
 
     #: safety margin on the spectral supremum
-    margin: float = 0.05
-    #: relative singular-value floor for det Psi != 0
-    sigma_threshold: float = 1e-8
+    margin: ClassVar[float] = 0.05
+    #: relative singular-value floor for det Psi != 0, which the gradient
+    #: weights apply too: Psi counts as invertible where min|d0| / max|d0|
+    #: exceeds it
+    sigma_threshold: ClassVar[float] = 1e-8
 
-    def __post_init__(self):
-        object.__setattr__(self, "spec1_ok",
-                           self.spec1_sup < 1.0 - self.margin)
-        object.__setattr__(self, "psi_ok",
-                           self.psi_min_rel_sigma > self.sigma_threshold)
-        object.__setattr__(self, "admissible",
-                           self.hurwitz and self.spec1_ok and self.psi_ok)
+    @property
+    def spec1_ok(self):
+        return self.spec1_sup < 1.0 - self.margin
+
+    @property
+    def psi_ok(self):
+        return self.psi_min_rel_sigma > self.sigma_threshold
+
+    @property
+    def admissible(self):
+        return self.hurwitz and self.spec1_ok and self.psi_ok
 
 
 def _admissibility_grid(cl, n_base=241):

@@ -32,6 +32,7 @@ import numpy as np
 
 from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import (
+    AdmissibilityReport,
     _loop_integral,
     growth_rate_grid,
     qef_growth_rate,
@@ -52,17 +53,17 @@ __all__ = [
 ]
 
 #: condition-number ceilings for Psi^{-1} and Delta^{-1} products
-_PSI_COND_MAX = 1e8
+_PSI_COND_MAX = 1.0 / AdmissibilityReport.sigma_threshold
 _DELTA_COND_MAX = 1e12
 
 
 def _weights(sweep, theta):
     """phi and psi at every node of a sweep, theta > 0, stacked by node.
 
-    A failed resolvent, cond(Psi) > 1e8 or cond(Delta) > 1e12 raises for
-    the first failing node in node order.  i Psi is Hermitian, so cond(Psi)
-    is max|d0| / min|d0|; Delta and Delta~ = U* Delta U share their
-    singular values.
+    A failed resolvent, cond(Psi) > 1e8 (one over check_admissible's floor)
+    or cond(Delta) > 1e12 raises for the first failing node in node order.
+    i Psi is Hermitian, so cond(Psi) is max|d0| / min|d0|; Delta and
+    Delta~ = U* Delta U share their singular values.
     """
     d0, U, W = sweep.d0, sweep.U, sweep.W
     x = theta * d0
@@ -157,9 +158,8 @@ def sandwich_blocks(plant, K_weight, chi):
 
 @dataclass(frozen=True)
 class GradReport:
-    """chi and the three derivatives of the cost in (a, b, c)."""
+    """The three derivatives of the cost in (a, b, c)."""
 
-    chi: np.ndarray
     dUps_da: np.ndarray
     dUps_db: np.ndarray
     dUps_dc: np.ndarray
@@ -170,7 +170,7 @@ def frechet_derivatives(cl, theta, quad=None):
     """Analytic derivatives of the cost growth rate in (a, b, c)."""
     chi, err = chi_matrix(cl, theta, quad)
     da, db, dc = sandwich_blocks(cl.plant, cl.K, chi)
-    return GradReport(chi=chi, dUps_da=theta * da, dUps_db=theta * db,
+    return GradReport(dUps_da=theta * da, dUps_db=theta * db,
                       dUps_dc=theta * dc, quad_error=err)
 
 

@@ -56,8 +56,8 @@ def gramian_set(cl):
 
 def lqg_cost(cl):
     """Mean-square cost (1/2) Tr(calC Sigma calC^T) in the invariant state."""
-    g = gramian_set(cl)
-    return 0.5 * float(np.trace(cl.calC @ g.Sigma @ cl.calC.T))
+    Sigma = solve_lyapunov(cl.calA, cl.calB @ cl.calB.T)
+    return 0.5 * float(np.trace(cl.calC @ Sigma @ cl.calC.T))
 
 
 def chi0(cl):

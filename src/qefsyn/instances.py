@@ -8,7 +8,6 @@ from qefsyn.model import (
     ControllerParams,
     PlantSpec,
     assemble_closed_loop,
-    build_J,
     derive_plant,
     is_hurwitz,
 )
@@ -72,15 +71,18 @@ def random_plant_spec(rng, n=2, m=2, d=1, r=1):
     return PlantSpec(Theta=Theta, R=R, M=M, N=N, D=D)
 
 
-def random_stable_instance(rng, n=2, m=2, d=1, r=1, weights=None,
-                           max_tries=50):
-    """A random plant with its LQG controller (hence a Hurwitz closed loop)."""
+#: draws before a random instance generator gives up
+_MAX_TRIES = 50
+
+
+def random_stable_instance(rng, weights=None):
+    """A random n=2, m=2, d=1, r=1 plant with its LQG controller (hence a
+    Hurwitz closed loop); `weights` default to the square canonical ones."""
     if weights is None:
-        weights = canonical_weights_square() if n == 2 else None
-    for _ in range(max_tries):
+        weights = canonical_weights_square()
+    for _ in range(_MAX_TRIES):
         try:
-            spec = random_plant_spec(rng, n=n, m=m, d=d, r=r)
-            plant = derive_plant(spec)
+            plant = derive_plant(random_plant_spec(rng))
             ctrl = lqg_controller(plant, weights)
         except (NumericalError, ValidationError):
             continue
@@ -90,8 +92,7 @@ def random_stable_instance(rng, n=2, m=2, d=1, r=1, weights=None,
     raise NumericalError("failed to draw a stabilizable random instance")
 
 
-def random_admissible_instance(rng, theta_fraction=0.25, perturb=0.05,
-                               max_tries=50):
+def random_admissible_instance(rng, theta_fraction=0.25, perturb=0.05):
     """Random n=2, m=2, r=1, d=1 instance admissible at a safe risk level.
 
     The controller is the LQG solution plus a small random perturbation
@@ -101,7 +102,7 @@ def random_admissible_instance(rng, theta_fraction=0.25, perturb=0.05,
     near-singular on the frequency grid are redrawn.
     """
     weights = canonical_weights_square()
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         try:
             plant, ctrl, _ = random_stable_instance(rng, weights=weights)
         except NumericalError:

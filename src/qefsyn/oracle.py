@@ -25,7 +25,7 @@ the log-determinant, and since ln cosh + ln tanhc = ln sinhc,
 
 Each horizon costs one eigensolve (in `build_operators`) and one Cholesky
 (in `finite_horizon_qef`).  Apart from the scalar sinhc/tanhc helpers and
-the theta check it shares, this path never touches the frequency-domain
+the input checks it shares, this path never touches the frequency-domain
 machinery and serves as its validation oracle.
 """
 
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from qefsyn.errors import InadmissibleError, ValidationError
-from qefsyn.freq import check_theta, sinhc, tanhc
+from qefsyn.errors import InadmissibleError
+from qefsyn.freq import check_number, check_theta, sinhc, tanhc
 from qefsyn.model import is_hurwitz
 from qefsyn.gramians import solve_lyapunov
 
@@ -136,11 +136,9 @@ def _toeplitz_operator(table, sign, sw):
 def build_operators(cl, theta, T, N):
     """Nystrom discretization of the commutator and covariance operators."""
     check_theta(theta)
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 2:
-        raise ValidationError(
-            f"grid size must be an integer >= 2, got {N!r}")
-    if not (np.isfinite(T) and T > 0):
-        raise ValidationError(f"horizon must be finite and positive, got {T}")
+    check_number("grid size", N, lambda n: n >= 2, "an integer >= 2",
+                 numbers.Integral)
+    check_number("horizon", T)
     if not is_hurwitz(cl.calA):
         raise InadmissibleError("closed loop is not Hurwitz")
     times = np.linspace(0.0, T, N)

@@ -27,8 +27,9 @@ import scipy.linalg
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import (
     QuadratureConfig,
-    _finite_positive,
     check_admissible,
+    check_number,
+    check_theta,
     qef_growth_rate,
 )
 from qefsyn.grad import frechet_derivatives, optimality_residual
@@ -56,16 +57,14 @@ class SynthesisConfig:
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        if not all(_finite_positive(v) for v in (
-                self.theta, self.grad_tol, self.initial_step)):
-            raise ValueError("theta, grad_tol, initial_step must be finite "
-                             "and positive")
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
-            raise ValueError("max_iters must be an integer >= 1")
-        if not (0 < self.backtrack_factor < 1 and 0 < self.armijo_c < 1):
-            raise ValueError("backtrack_factor, armijo_c must lie in (0, 1)")
+        check_theta(self.theta)
+        check_number("max_iters", self.max_iters, lambda v: v >= 1,
+                     "an integer >= 1", numbers.Integral)
+        check_number("grad_tol", self.grad_tol)
+        check_number("initial_step", self.initial_step)
+        for name in ("backtrack_factor", "armijo_c"):
+            check_number(name, getattr(self, name), lambda v: 0 < v < 1,
+                         "in (0, 1)")
 
 
 @dataclass
@@ -197,8 +196,10 @@ def synthesize(plant, weights, cfg):
 
     If the LQG controller is inadmissible at the target theta, the stages
     theta/8, theta/4, theta/2, theta each start from the previous stage's
-    minimizer.
+    minimizer.  cfg.theta must be > 0.
     """
+    if cfg.theta == 0.0:
+        raise ValidationError("synthesize needs theta > 0")
     ctrl = lqg_controller(plant, weights)
     start = _admissible(plant, weights, ctrl, cfg.theta)
     if start[1] is not None and start[1].admissible:

@@ -285,6 +285,7 @@ def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path,
     pytest.param({"max_iters": "x"}, 0.05, id="iters-string"),  # ValueError
     pytest.param({"max_iters": 2.7}, 0.05, id="iters-fraction"),  # truncated
     pytest.param({"max_iters": 0}, 0.05, id="iters-zero"),
+    pytest.param({"max_iters": 10**400}, 0.05, id="iters-huge"),  # TypeError
     pytest.param({"grad_tol": -1}, 0.05, id="tol-negative"),  # ValueError
     pytest.param({"initial_step": 0.0}, 0.05, id="step-zero"),
     pytest.param({"backtrack_factor": 1.0}, 0.05, id="backtrack-one"),

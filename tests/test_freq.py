@@ -312,14 +312,34 @@ def test_adaptive_stall_logs_a_warning(caplog):
     assert err <= 1e-9
     assert not caplog.records
 
+    # far below the floor the stall is an error that says so; it used to
+    # read "did not converge within 60 subdivisions", 60 being the stall
+    # count and not the budget
+    with pytest.raises(NumericalError, match=(
+            r"stalled at error \d\.\d\de-11 after 60 subdivisions: the "
+            r"tolerance 1\.00e-13 requested lies below the integrand's "
+            r"noise floor")):
+        _adaptive(f, 0.0, 1.0, 1e-13, 1e-15, 400)
+
+
+def test_adaptive_budget_exhaustion_names_the_budget():
+    # a narrow peak that 3 subdivisions cannot resolve
+    def f(x):
+        return (1.0 / (1.0 + 1e4 * (x - 0.3) ** 2))[:, None]
+
+    with pytest.raises(NumericalError,
+                       match=r"did not converge within 3 subdivisions"):
+        _adaptive(f, 0.0, 1.0, 1e-12, 1e-12, 3)
+
 
 def test_quadrature_config_validation():
     for bad in (dict(abs_tol=-1.0), dict(lambda_max=0.0),
                 dict(abs_tol=np.inf), dict(rel_tol=np.inf),
                 dict(abs_tol=np.nan), dict(lambda_max=np.inf),
-                dict(lambda_max=np.nan), dict(max_subdivisions=2.5),
-                dict(max_subdivisions=-1), dict(max_subdivisions=True)):
-        with pytest.raises(ValueError):
+                dict(lambda_max=np.nan), dict(rel_tol="tight"),
+                dict(lambda_max=True), dict(abs_tol=10**400)):
+        [name] = bad
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
             QuadratureConfig(**bad)
 
 

@@ -117,8 +117,10 @@ def test_build_operators_rejects_unstable(canonical_plant, weights_square):
 
 
 def test_build_operators_rejects_bad_horizon(cl_square):
-    for T in (-5.0, 0.0, np.nan, np.inf):
-        with pytest.raises(ValidationError):
+    # True used to run as a horizon of 1; "5" and None ended in numpy's
+    # TypeError
+    for T in (-5.0, 0.0, np.nan, np.inf, True, "5", None):
+        with pytest.raises(ValidationError, match="horizon must be"):
             build_operators(cl_square, 0.05, T=T, N=20)
 
 

@@ -51,9 +51,18 @@ def test_synthesis_config_validation():
                 dict(theta=0.1, initial_step=-1.0),
                 dict(theta=0.1, grad_tol=np.inf),
                 dict(theta=0.1, max_iters=2.5), dict(theta=0.1, max_iters=0),
-                dict(theta=0.1, max_iters=True)):
-        with pytest.raises(ValueError):
+                dict(theta=0.1, max_iters=True),
+                dict(theta=0.1, armijo_c="small"),
+                dict(theta=0.1, grad_tol=None)):
+        name = next((k for k in bad if k != "theta"), "theta")
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
             SynthesisConfig(**bad)
+
+
+def test_synthesize_rejects_zero_theta(canonical_plant, weights_square):
+    cfg = SynthesisConfig(theta=0.0)
+    with pytest.raises(ValidationError, match=r"theta > 0"):
+        synthesize(canonical_plant, weights_square, cfg)
 
 
 def test_synthesize_canonical_reaches_stationarity(canonical_plant,
