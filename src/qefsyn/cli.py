@@ -18,8 +18,9 @@ The document and each block are objects.  The document and its oracle
 block hold no keys but the ones shown; the quadrature and synthesis blocks
 take the fields of QuadratureConfig and SynthesisConfig (but theta and
 quad).  Each setting is checked by the type that uses it (QuadratureConfig,
-SynthesisConfig, check_theta, build_operators): a rejected value, a
-non-object block or an unknown key is a validation error that names it.
+SynthesisConfig, check_theta, and the oracle's check_horizon and
+check_grid_size): a rejected value, a non-object block or an unknown key
+is a validation error that names it.
 
 Exit codes: 0 ok, 2 validation, 3 inadmissible, 4 numerical, 5 io.
 """
@@ -100,11 +101,12 @@ class ProblemInstance:
         SynthesisConfig(theta=self.theta, quad=self.quad, **_object(
             self.synthesis, "synthesis", _SYNTHESIS_KEYS))
         self.theta = float(self.theta)
+        # oracle-compare divides T before build_operators sees it, so the
+        # oracle's checks run here; without T the horizon is the loop's
+        # default_horizon
         if self.oracle_T is not None:
-            self.oracle_T = _number("oracle T", self.oracle_T,
-                                    lambda t: t > 0, "finite and positive")
-        self.oracle_N = _number("oracle N", self.oracle_N, lambda n: n >= 2,
-                                "an integer >= 2", numbers.Integral)
+            oracle.check_horizon(self.oracle_T)
+        oracle.check_grid_size(self.oracle_N)
 
 
 #: keys of the JSON "quadrature" and "synthesis" blocks: the fields of the

@@ -137,6 +137,13 @@ def _panels(f, edges):
 _MAX_SUBDIVISIONS = 400
 
 
+def _tolerance(total, abs_tol, rel_tol):
+    """The error estimate an integral `total` may carry:
+    max(abs_tol, rel_tol * |total|), |total| its largest component.
+    The adaptive integral stops on it."""
+    return max(abs_tol, rel_tol * float(np.max(np.abs(total))))
+
+
 def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions=_MAX_SUBDIVISIONS,
               breakpoints=()):
     """Adaptive GK15 for a vector-valued integrand; deterministic order.
@@ -163,8 +170,8 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions=_MAX_SUBDIVISIONS,
 
     def totals():
         total = np.sum(np.stack([iv[2] for iv in intervals]), axis=0)
-        tol = max(abs_tol, rel_tol * float(np.max(np.abs(total))))
-        return total, sum(iv[3] for iv in intervals), tol
+        return (total, sum(iv[3] for iv in intervals),
+                _tolerance(total, abs_tol, rel_tol))
 
     n_sub = 0
     best_err = np.inf
@@ -549,27 +556,41 @@ def _loop_integral(cl, theta, f, quad=None, grid=None):
 
 
 def _growth_rate(cl, theta, quad, grid):
-    """Growth rate and the grid it was summed on."""
+    """Growth rate, the grid it was summed on and its error estimate."""
     def f(lams):
         return spectral_sweep(cl, lams).log_det_delta(theta)[:, None]
 
-    total, _, grid = _loop_integral(cl, theta, f, quad, grid)
-    return -float(total[0]) / (2.0 * np.pi), grid
+    total, err, grid = _loop_integral(cl, theta, f, quad, grid)
+    return -float(total[0]) / (2.0 * np.pi), grid, err / (2.0 * np.pi)
 
 
 class GrowthRate(float):
-    """A growth rate: a float that also carries the grid it was summed on.
+    """A growth rate: a float that also carries its grid and error estimate.
 
     `grid` is the FrequencyGrid whose panels the value is the sum over
     (None where nothing was integrated, at theta = 0).  Evaluating another
     loop on that grid gives a sum over the same nodes, so the two values
-    compare like for like.
+    compare like for like.  `error` is the summed Gauss-Kronrod estimate
+    of the value's error on that grid.  On a grid adapted to this loop it
+    met the quadrature tolerance (or stalled within 100x of it); on a grid
+    frozen from another loop it grows as the two loops drift apart, and
+    `meets` tells whether the value is still as accurate as an adaptive
+    one.
     """
 
-    def __new__(cls, value, grid=None):
+    def __new__(cls, value, grid=None, error=0.0):
         rate = super().__new__(cls, value)
         rate.grid = grid
+        rate.error = error
         return rate
+
+    def meets(self, quad):
+        """Whether `error` meets the tolerance of `quad`, by the test that
+        stops the adaptive integral, applied to the frequency integral
+        (-2 pi times the rate)."""
+        scale = 2.0 * np.pi
+        return scale * self.error <= _tolerance(scale * self, quad.abs_tol,
+                                                quad.rel_tol)
 
 
 def qef_growth_rate(cl, theta, quad=None, grid=None):

@@ -119,15 +119,20 @@ def _chi_integrand(cl, theta, lams):
     return out
 
 
-def chi_matrix(cl, theta, quad=None):
-    """Gradient matrix chi by frequency quadrature (theta = 0 gives chi0)."""
+def chi_matrix(cl, theta, quad=None, grid=None):
+    """Gradient matrix chi by frequency quadrature (theta = 0 gives chi0).
+
+    Without `grid` the subdivision is adaptive; a FrequencyGrid passed in
+    (a GrowthRate's) sums chi on its panels, which makes the gradient the
+    exact derivative of the growth rate summed on that grid.
+    """
     # conjugate evenness in lambda: the full-line integral is twice the
     # real part of the half-line one, so integrate Re per frequency (the
     # imaginary part decays only like 1/lambda and must not be integrated)
     def f(lams):
         return _chi_integrand(cl, theta, lams).real.reshape(len(lams), -1)
 
-    total, err, _ = _loop_integral(cl, theta, f, quad)
+    total, err, _ = _loop_integral(cl, theta, f, quad, grid)
     # the integrand's bottom-right m x nu block is zero: chi is projected
     two_n = cl.calA.shape[0]
     return total.reshape(two_n + cl.m, two_n + cl.nu) / (2.0 * np.pi), err
@@ -166,9 +171,10 @@ class GradReport:
     quad_error: float
 
 
-def frechet_derivatives(cl, theta, quad=None):
-    """Analytic derivatives of the cost growth rate in (a, b, c)."""
-    chi, err = chi_matrix(cl, theta, quad)
+def frechet_derivatives(cl, theta, quad=None, grid=None):
+    """Analytic derivatives of the cost growth rate in (a, b, c); `grid`
+    as in chi_matrix."""
+    chi, err = chi_matrix(cl, theta, quad, grid)
     da, db, dc = sandwich_blocks(cl.plant, cl.K, chi)
     return GradReport(dUps_da=theta * da, dUps_db=theta * db,
                       dUps_dc=theta * dc, quad_error=err)

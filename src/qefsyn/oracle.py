@@ -45,6 +45,8 @@ __all__ = [
     "OracleGrid",
     "ccr_kernel",
     "build_operators",
+    "check_grid_size",
+    "check_horizon",
     "finite_horizon_qef",
     "growth_rate_estimate",
     "default_horizon",
@@ -133,12 +135,22 @@ def _toeplitz_operator(table, sign, sw):
     return blocks.transpose(0, 2, 1, 3).reshape(N * nu, N * nu)
 
 
+def check_horizon(T):
+    """A ValidationError unless the horizon T is finite and positive."""
+    check_number("horizon", T)
+
+
+def check_grid_size(N):
+    """A ValidationError unless the grid size N is an integer >= 2."""
+    check_number("grid size", N, lambda n: n >= 2, "an integer >= 2",
+                 numbers.Integral)
+
+
 def build_operators(cl, theta, T, N):
     """Nystrom discretization of the commutator and covariance operators."""
     check_theta(theta)
-    check_number("grid size", N, lambda n: n >= 2, "an integer >= 2",
-                 numbers.Integral)
-    check_number("horizon", T)
+    check_grid_size(N)
+    check_horizon(T)
     if not is_hurwitz(cl.calA):
         raise InadmissibleError("closed loop is not Hurwitz")
     times = np.linspace(0.0, T, N)

@@ -7,15 +7,21 @@ gradient descent on the exponential-cost growth rate over the controller
 triple (a, b, c), with a backtracking line search that keeps every iterate
 stabilizing and spectrally admissible.
 
-A line-search trial (`_trial`) runs, in order: closed-loop assembly (a
-ValidationError rejects it); its cost on the FrequencyGrid that the current
-iterate's cost, a GrowthRate, was summed on, so that the Armijo test
-compares two sums over one set of nodes (an InadmissibleError rejects it; a
-NumericalError rejects it if it fails `check_admissible` and is re-raised
-otherwise); the Armijo test; `check_admissible`; one adaptive integral,
-which gives its reported cost and the next grid (an InadmissibleError
-rejects it).  It is accepted only if that cost passes the same Armijo test
-and is strictly below the current one.
+Each iterate has one FrequencyGrid: the grid its cost, a GrowthRate, was
+summed on.  Its gradient is summed on that grid too, so it is the exact
+derivative of the sums that the line search compares.  A line-search trial
+(`_trial`) runs, in order: closed-loop assembly (a ValidationError rejects
+it); its cost on the current iterate's grid (an InadmissibleError rejects
+it; a NumericalError rejects it if it fails `check_admissible` and is
+re-raised otherwise); the Armijo test; `check_admissible`.  If the frozen
+sum's error estimate then meets the quadrature tolerance, by the test that
+stops the adaptive integral, that sum is the trial's cost and the grid is
+kept.  Otherwise one adaptive integral gives its cost and a new grid (an
+InadmissibleError rejects it), and the trial is accepted only if that cost
+also passes the Armijo test.  Either way the cost must be strictly below
+the current one.  A grid is thus re-adapted only when the controller has
+drifted far enough from the loop it was adapted to that its own estimate
+fails.
 """
 
 import numbers
@@ -140,10 +146,12 @@ def _trial(plant, weights, ctrl, theta, quad, ups, bound):
     adm = check_admissible(cl, theta)
     if not adm.admissible:
         return None
-    try:
-        cost = qef_growth_rate(cl, theta, quad)
-    except InadmissibleError:
-        return None
+    cost = frozen
+    if not cost.meets(quad):
+        try:
+            cost = qef_growth_rate(cl, theta, quad)
+        except InadmissibleError:
+            return None
     return (ctrl, cl, adm, cost) if cost <= bound and cost < ups else None
 
 
@@ -163,7 +171,7 @@ def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
                                 f"is inadmissible at theta={theta:g}")
     ups = qef_growth_rate(cl, theta, cfg.quad)
     for i in range(cfg.max_iters + 1):
-        report = frechet_derivatives(cl, theta, cfg.quad)
+        report = frechet_derivatives(cl, theta, cfg.quad, grid=ups.grid)
         resid = optimality_residual(report)
         row = (len(iterates), float(ups), resid)
         adm_hist.append(adm)

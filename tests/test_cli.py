@@ -248,18 +248,24 @@ def test_bad_instance_setting_is_a_validation_error(tmp_path, capsys, field,
     assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
 
 
+#: the oracle's name for each setting of the "oracle" block
+_ORACLE_SETTING = {"T": "horizon", "N": "grid size"}
+
+
 @pytest.mark.parametrize("flags", [
     ["--oracle-T", "-5"],      # used to end in an uncaught LinAlgError
     ["--oracle-T", "nan"],     # likewise
     ["--oracle-T", "0"],       # used to run silently at the default horizon
     ["--oracle-N", "1"],
 ])
-def test_bad_oracle_override_is_a_validation_error(tmp_path, flags):
+def test_bad_oracle_override_is_a_validation_error(tmp_path, capsys, flags):
     path = _write(tmp_path, _canonical_doc(with_controller=True))
     out = tmp_path / "oracle.csv"
     code = cli.main(["oracle-compare", path, "--oracle-N", "40", *flags,
                      "--output", str(out)])
     assert code == cli.EXIT_VALIDATION
+    setting = _ORACLE_SETTING[flags[0][-1]]
+    assert f"{setting} must be" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -270,7 +276,7 @@ def test_bad_oracle_override_is_a_validation_error(tmp_path, flags):
     {"N": 40.5},
     {"T": 40.0, "n": 400},     # unknown keys used to be dropped silently
 ])
-def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path,
+def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path, capsys,
                                                            oracle_doc):
     doc = _canonical_doc(with_controller=True)
     doc["oracle"] = oracle_doc
@@ -278,6 +284,12 @@ def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path,
     code = cli.main(["oracle-compare", _write(tmp_path, doc),
                      "--output", str(out)])
     assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    if "n" in oracle_doc:
+        assert "unknown oracle setting 'n'" in err
+    else:
+        (key,) = oracle_doc
+        assert f"{_ORACLE_SETTING[key]} must be" in err
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from qefsyn.freq import (
     qef_growth_rate,
     theta_for_spec1,
 )
+from qefsyn.grad import frechet_derivatives
 from qefsyn.instances import canonical_weights_square, random_stable_instance
 from qefsyn.model import assemble_closed_loop, is_hurwitz
 from qefsyn.synth import SynthesisConfig, lqg_controller, synthesize
@@ -215,25 +216,34 @@ def test_trials_are_costed_on_the_current_iterate_grid(monkeypatch):
     def cost(cl, theta, quad=None, grid=None):
         rate = qef_growth_rate(cl, theta, quad, grid)
         log.append(("adaptive", rate.grid) if grid is None
-                   else ("trial", grid))
+                   else ("trial", grid, rate.meets(quad)))
         return rate
 
+    def gradient(cl, theta, quad=None, grid=None):
+        log.append(("gradient", grid))
+        return frechet_derivatives(cl, theta, quad, grid)
+
     monkeypatch.setattr(synth, "qef_growth_rate", cost)
+    monkeypatch.setattr(synth, "frechet_derivatives", gradient)
     report = synthesize(plant, weights, cfg)
     accepted = sum(1 for *_, step in report.iterates if np.isfinite(step))
-    # one adaptive integral at the stage start and one per accepted step,
-    # so every adaptive grid is the grid of an iterate
     assert accepted == 3
-    assert sum(kind == "adaptive" for kind, _ in log) == 1 + accepted
     assert log[0][0] == "adaptive"
     current, trials = None, 0
-    for kind, grid in log:
+    for k, (kind, grid, *_) in enumerate(log):
         if kind == "adaptive":
+            # only a trial whose frozen sum misses the tolerance re-adapts
+            assert k == 0 or (log[k - 1][0] == "trial"
+                              and not log[k - 1][2])
             current = grid
         else:
+            # trials and the gradient are summed on the iterate's grid
             assert grid is not None and grid is current
-            trials += 1
+            trials += kind == "trial"
     assert trials > accepted      # the descent backtracked
+    assert sum(kind == "gradient" for kind, *_ in log) == 1 + accepted
+    # at least one accepted step kept its iterate's grid
+    assert sum(kind == "adaptive" for kind, *_ in log) < 1 + accepted
 
 
 @pytest.mark.parametrize("outcome", ["not lower", "above the Armijo bound",
@@ -250,7 +260,9 @@ def test_adaptive_cost_of_an_accepted_trial(pool_problem, monkeypatch,
     def cost(cl, theta, quad=None, grid=None):
         rate = qef_growth_rate(cl, theta, quad, grid)
         if grid is not None:
-            return rate
+            # every trial re-adapts: its frozen sum carries an error
+            # estimate above any tolerance, as on a grid it drifted from
+            return GrowthRate(rate, rate.grid, error=abs(rate))
         costs.append(float(rate))
         if len(costs) == 2:       # the first trial; call 1 is the start
             if outcome == "not lower":
@@ -272,6 +284,45 @@ def test_adaptive_cost_of_an_accepted_trial(pool_problem, monkeypatch,
     assert report.iterates[0][3] == cfg.backtrack_factor * full_step
     assert len(costs) == 3
     assert report.cost == costs[2] < costs[0]
+
+
+def test_trial_within_tolerance_keeps_the_grid(pool_problem, monkeypatch):
+    plant, weights, cfg, full_step = pool_problem
+    adaptive, frozen, gradient_grids = [], [], []
+
+    def cost(cl, theta, quad=None, grid=None):
+        rate = qef_growth_rate(cl, theta, quad, grid)
+        if grid is None:
+            adaptive.append(rate)
+            return rate
+        frozen.append(GrowthRate(rate, rate.grid, error=0.0))
+        return frozen[-1]
+
+    def gradient(cl, theta, quad=None, grid=None):
+        gradient_grids.append(grid)
+        return frechet_derivatives(cl, theta, quad, grid)
+
+    monkeypatch.setattr(synth, "qef_growth_rate", cost)
+    monkeypatch.setattr(synth, "frechet_derivatives", gradient)
+    report = synthesize(plant, weights, cfg)
+    # the first trial passes Armijo and the check, and its frozen sum is
+    # its cost: no adaptive integral runs after the start's
+    assert report.iterates[0][3] == full_step
+    assert len(adaptive) == 1 and len(frozen) == 1
+    assert report.cost == frozen[0] < adaptive[0]
+    assert len(gradient_grids) == 2
+    assert all(grid is adaptive[0].grid for grid in gradient_grids)
+
+
+@pytest.mark.parametrize("seed", [16, 45, 180])
+def test_reported_cost_is_an_accurate_cost(seed):
+    # costs kept from a frozen grid are still within the quadrature
+    # tolerance of the final controller's adaptive cost
+    plant, weights, cfg = _pool_descent(seed)
+    report = synthesize(plant, weights, cfg)
+    cl = assemble_closed_loop(plant, weights, report.controller)
+    fresh = qef_growth_rate(cl, cfg.theta, cfg.quad)
+    assert abs(report.cost - fresh) <= cfg.quad.rel_tol * abs(fresh)
 
 
 def _continuation_problem(seed, spec1):
