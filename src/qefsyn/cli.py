@@ -9,7 +9,7 @@ arrays:
       "weights": {"S": [...], "K": [...]},
       "theta": 0.1,
       "controller": {"a": [...], "b": [...], "c": [...]},        // optional
-      "quadrature": {"abs_tol": ..., "rel_tol": ..., "lambda_max": ...},
+      "quadrature": {"abs_tol": ..., "rel_tol": ...},
       "oracle": {"T": ..., "N": ...},
       "synthesis": {"max_iters": ..., "grad_tol": ...}
     }
@@ -220,13 +220,15 @@ def cmd_validate(inst, args):
 def cmd_evaluate(inst, args):
     cl = _closed_loop(inst)
     adm = check_admissible(cl, inst.theta)
+    if not adm.hurwitz:
+        raise InadmissibleError("closed loop is not Hurwitz")
     ups0 = gramians.lqg_cost(cl)
     print(f"spec1_sup,{_fmt(adm.spec1_sup)}")
     print(f"psi_min_rel_sigma,{_fmt(adm.psi_min_rel_sigma)}")
     print(f"hurwitz,{int(adm.hurwitz)}")
     print(f"admissible,{int(adm.admissible)}")
     print(f"ups0,{_fmt(ups0)}")
-    if not adm.hurwitz or not adm.spec1_ok:
+    if not adm.spec1_ok:
         raise InadmissibleError("cost growth rate undefined for this instance")
     ups = qef_growth_rate(cl, inst.theta, inst.quad)
     print(f"ups,{_fmt(ups)}")
@@ -298,7 +300,6 @@ def build_parser():
                     help="override the instance risk parameter")
     ap.add_argument("--quad-tol", type=float, default=None,
                     help="override both quadrature tolerances")
-    ap.add_argument("--lambda-max", type=float, default=None)
     ap.add_argument("--oracle-N", type=int, default=None)
     ap.add_argument("--oracle-T", type=float, default=None)
     ap.add_argument("--output", default=None, help="CSV output path")
@@ -318,12 +319,10 @@ _COMMANDS = {
 
 def _with_overrides(inst, args):
     """The instance with the command-line overrides, validated again."""
-    quad = {}
+    changes = {}
     if args.quad_tol is not None:
-        quad.update(abs_tol=args.quad_tol, rel_tol=args.quad_tol)
-    if args.lambda_max is not None:
-        quad["lambda_max"] = args.lambda_max
-    changes = {"quad": dataclasses.replace(inst.quad, **quad)}
+        changes["quad"] = dataclasses.replace(
+            inst.quad, abs_tol=args.quad_tol, rel_tol=args.quad_tol)
     for name in ("theta", "oracle_N", "oracle_T"):
         if getattr(args, name) is not None:
             changes[name] = getattr(args, name)

@@ -20,16 +20,16 @@ the admissibility condition theta*mu < 1 is monitored at every quadrature
 node, and a bisection over theta costs one stacked eigvalsh per step.
 
 The integrand is conjugate-even in lambda, so integration runs over
-[0, lambda_max] plus a 1/lambda-substituted tail, each with an adaptive
-Gauss-Kronrod 7-15 rule; each panel, or all body and all tail nodes of a
-frozen grid, is one sweep.
+[0, default_lambda_max] plus a 1/lambda-substituted tail, each with an
+adaptive Gauss-Kronrod 7-15 rule; each panel, or all body and all tail
+nodes of a frozen grid, is one sweep.
 """
 
 import logging
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,17 +88,14 @@ _WG_FULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 @dataclass
 class QuadratureConfig:
-    """Tolerances and truncation for the frequency integrals."""
+    """Tolerances of the frequency integrals."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    lambda_max: Optional[float] = None
 
     def __post_init__(self):
         check_number("abs_tol", self.abs_tol)
         check_number("rel_tol", self.rel_tol)
-        if self.lambda_max is not None:
-            check_number("lambda_max", self.lambda_max)
 
 
 def check_number(name, value, valid=lambda v: v > 0,
@@ -501,12 +498,13 @@ def theta_for_spec1(cl, target):
     meaningful way to pin a risk level to this plant.  theta doubles from
     1 until the target is bracketed, then bisects to a relative bracket
     width of `_THETA_TOL`, returning the lower end.  The grid is swept
-    once; every bisection step reuses its theta-free parts.  A target that
-    80 doublings of theta do not reach is a ValueError naming the
-    supremum reached.
+    once; every bisection step reuses its theta-free parts.  A target
+    outside (0, 1) is a ValidationError, a loop that is not Hurwitz an
+    InadmissibleError, and a target that 80 doublings of theta do not
+    reach a ValueError naming the supremum reached.
     """
-    if not 0.0 < target < 1.0:
-        raise ValueError("target must lie in (0, 1)")
+    check_number("target", target, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    _check_loop(cl)
     sweep = spectral_sweep(cl, _admissibility_grid(cl))
 
     def sup_at(theta):
@@ -534,7 +532,7 @@ def theta_for_spec1(cl, target):
     return lo
 
 
-def _check_loop(cl, theta):
+def _check_loop(cl, theta=0.0):
     check_theta(theta)
     if not is_hurwitz(cl.calA):
         raise InadmissibleError("closed loop is not Hurwitz")
@@ -547,7 +545,7 @@ def _loop_integral(cl, theta, f, quad=None, grid=None):
     if quad is None:
         quad = QuadratureConfig()
     if grid is None:
-        lam_max = quad.lambda_max or default_lambda_max(cl.calA)
+        lam_max = default_lambda_max(cl.calA)
         breakpoints = resonance_breakpoints(cl.calA, lam_max)
     else:
         lam_max, breakpoints = grid.lam_max, ()

@@ -168,16 +168,15 @@ class GradReport:
     dUps_da: np.ndarray
     dUps_db: np.ndarray
     dUps_dc: np.ndarray
-    quad_error: float
 
 
 def frechet_derivatives(cl, theta, quad=None, grid=None):
     """Analytic derivatives of the cost growth rate in (a, b, c); `grid`
     as in chi_matrix."""
-    chi, err = chi_matrix(cl, theta, quad, grid)
+    chi, _ = chi_matrix(cl, theta, quad, grid)
     da, db, dc = sandwich_blocks(cl.plant, cl.K, chi)
     return GradReport(dUps_da=theta * da, dUps_db=theta * db,
-                      dUps_dc=theta * dc, quad_error=err)
+                      dUps_dc=theta * dc)
 
 
 def optimality_residual(report):

@@ -198,10 +198,14 @@ def finite_horizon_qef(grid, theta=None):
                    + 2.0 * float(np.sum(np.log(np.diag(R)))))
 
 
-def default_horizon(calA, multiple=40.0):
-    """Horizon as a multiple of the slowest closed-loop time constant."""
+#: the default horizon in slowest closed-loop time constants
+_HORIZON_DECAYS = 40.0
+
+
+def default_horizon(calA):
+    """Horizon of 40 slowest closed-loop time constants (`_HORIZON_DECAYS`)."""
     decay = float(np.abs(np.max(np.linalg.eigvals(calA).real)))
-    return multiple / decay
+    return _HORIZON_DECAYS / decay
 
 
 def growth_rate_estimate(cl, theta, T_list, N):

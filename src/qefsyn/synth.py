@@ -5,7 +5,10 @@ The classical LQG controller for the equivalent classical system
 solves the limiting small-risk problem exactly and initializes a plain
 gradient descent on the exponential-cost growth rate over the controller
 triple (a, b, c), with a backtracking line search that keeps every iterate
-stabilizing and spectrally admissible.
+stabilizing and spectrally admissible.  Its step rule is fixed: the step
+along -g starts at _INITIAL_STEP / (1 + |g|) and is multiplied by
+_BACKTRACK until a trial passes the Armijo bound
+ups - _ARMIJO_C * step * |g|^2; the search gives up below _MIN_STEP.
 
 Each iterate has one FrequencyGrid: the grid its cost, a GrowthRate, was
 summed on.  Its gradient is summed on that grid too, so it is the exact
@@ -46,20 +49,20 @@ __all__ = ["SynthesisConfig", "SynthesisReport", "lqg_controller", "synthesize"]
 #: divisors of theta for the continuation stages, run when the LQG
 #: controller is inadmissible at theta
 _CONTINUATION = (8, 4, 2, 1)
-#: the line search gives up below this step
+#: the line search's step rule (module doc)
+_INITIAL_STEP = 1.0
+_BACKTRACK = 0.5
+_ARMIJO_C = 1e-4
 _MIN_STEP = 1e-14
 
 
 @dataclass
 class SynthesisConfig:
-    """Knobs of the descent loop."""
+    """Settings of the descent; its step rule is fixed (module doc)."""
 
     theta: float
     max_iters: int = 500
     grad_tol: float = 1e-6
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
@@ -67,10 +70,6 @@ class SynthesisConfig:
         check_number("max_iters", self.max_iters, lambda v: v >= 1,
                      "an integer >= 1", numbers.Integral)
         check_number("grad_tol", self.grad_tol)
-        check_number("initial_step", self.initial_step)
-        for name in ("backtrack_factor", "armijo_c"):
-            check_number(name, getattr(self, name), lambda v: 0 < v < 1,
-                         "in (0, 1)")
 
 
 @dataclass
@@ -178,7 +177,7 @@ def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
         if i == cfg.max_iters or resid <= cfg.grad_tol * (1.0 + abs(ups)):
             reason = "max-iterations" if i == cfg.max_iters else "stationary"
             break
-        step = cfg.initial_step / (1.0 + resid)
+        step = _INITIAL_STEP / (1.0 + resid)
         while step >= _MIN_STEP:
             trial = ControllerParams(
                 a=ctrl.a - step * report.dUps_da,
@@ -186,10 +185,10 @@ def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
                 c=ctrl.c - step * report.dUps_dc,
             )
             accepted = _trial(plant, weights, trial, theta, cfg.quad, ups,
-                              ups - cfg.armijo_c * step * resid**2)
+                              ups - _ARMIJO_C * step * resid**2)
             if accepted:
                 break
-            step *= cfg.backtrack_factor
+            step *= _BACKTRACK
         else:
             reason = "line-search failure"
             break

@@ -219,11 +219,11 @@ def test_zero_theta_is_a_validation_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--lambda-max", "-5"],    # used to print a growth rate of wrong sign
+    ["--theta", "nan"],
     ["--quad-tol", "-1"],      # used to spin and exit as a numerical error
     ["--theta", "-0.1"],       # used to end in an uncaught ValueError
     ["--quad-tol", "inf"],     # used to print a growth rate 2.4e-4 off
-    ["--lambda-max", "inf"],   # used to exit as a numerical error
+    ["--quad-tol", "0"],
 ])
 def test_bad_override_is_a_validation_error(tmp_path, capsys, flags):
     path = _write(tmp_path, _canonical_doc(with_controller=True))
@@ -232,7 +232,8 @@ def test_bad_override_is_a_validation_error(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lambda_max", -5.0), ("abs_tol", 0.0), ("rel_tol", "tight"),
+    ("lambda_max", -5.0),      # a removed setting, now an unknown key
+    ("abs_tol", 0.0), ("rel_tol", "tight"),
     ("theta", -0.1),
     ("theta", "abc"),          # used to end in an uncaught ValueError
     ("abs_tl", 1e-3),          # used to run silently at the default tolerances
@@ -246,6 +247,7 @@ def test_bad_instance_setting_is_a_validation_error(tmp_path, capsys, field,
         doc["quadrature"][field] = value
     path = _write(tmp_path, doc)
     assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
 
 
 #: the oracle's name for each setting of the "oracle" block
@@ -299,6 +301,7 @@ def test_bad_oracle_instance_setting_is_a_validation_error(tmp_path, capsys,
     pytest.param({"max_iters": 0}, 0.05, id="iters-zero"),
     pytest.param({"max_iters": 10**400}, 0.05, id="iters-huge"),  # TypeError
     pytest.param({"grad_tol": -1}, 0.05, id="tol-negative"),  # ValueError
+    # the step rule's settings were removed and are now unknown keys
     pytest.param({"initial_step": 0.0}, 0.05, id="step-zero"),
     pytest.param({"backtrack_factor": 1.0}, 0.05, id="backtrack-one"),
     pytest.param({"armijo_c": "small"}, 0.05, id="armijo-string"),
@@ -375,6 +378,39 @@ def test_unknown_key_is_named(tmp_path):
     assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("block, key", [
+    ("synthesis", "initial_step"), ("synthesis", "backtrack_factor"),
+    ("synthesis", "armijo_c"), ("quadrature", "lambda_max"),
+])
+def test_removed_setting_is_an_unknown_key(tmp_path, capsys, block, key):
+    # the line search's step rule and the truncation frequency are fixed
+    doc = _canonical_doc()
+    doc.setdefault(block, {})[key] = 0.5
+    code = cli.main(["synthesize", _write(tmp_path, doc),
+                     "--output", str(tmp_path / "trace.csv"),
+                     "--controller-out", str(tmp_path / "controller.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert f"unknown {block} setting {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "grad-check",
+                                     "oracle-compare"])
+def test_unstable_loop_is_inadmissible(tmp_path, capsys, command):
+    # evaluate used to exit 4 from the LQG-cost Lyapunov solve
+    doc = _canonical_doc(with_controller=True)
+    a = np.reshape(doc["controller"]["a"], (2, 2))
+    doc["controller"]["a"] = _flat(-a + 5.0 * np.eye(2))
+    out = tmp_path / "oracle.csv"
+    code = cli.main([command, _write(tmp_path, doc), "--oracle-N", "40",
+                     "--output", str(out)])
+    assert code == cli.EXIT_INADMISSIBLE
+    captured = capsys.readouterr()
+    assert "closed loop is not Hurwitz" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_written_instances_load(tmp_path):
     # the instance files the bundled script writes must keep loading
     root = Path(__file__).resolve().parents[1]
@@ -389,4 +425,11 @@ def test_written_instances_load(tmp_path):
 def test_seed_flag_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["validate", "inst.json", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_lambda_max_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["evaluate", "inst.json",
+                                       "--lambda-max", "10"])
     assert exc.value.code == 2

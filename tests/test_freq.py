@@ -292,6 +292,24 @@ def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,
         theta_for_spec1(cl, 0.3)
 
 
+def test_theta_for_spec1_rejects_an_unstable_loop():
+    # this loop has closed-loop eigenvalues 1.55 and 10.04 +- 2.85i; a
+    # theta of 0.596 used to come back without an error
+    plant, ctrl, cl = random_stable_instance(np.random.default_rng(0))
+    ctrl = ControllerParams(a=-ctrl.a + 5.0 * np.eye(plant.n), b=ctrl.b,
+                            c=ctrl.c)
+    unstable = assemble_closed_loop(plant, (cl.S, cl.K), ctrl)
+    with pytest.raises(InadmissibleError, match="closed loop is not Hurwitz"):
+        theta_for_spec1(unstable, 0.4)
+
+
+@pytest.mark.parametrize("target", ["0.3", 0.0, 1.0, np.nan, None])
+def test_theta_for_spec1_rejects_a_bad_target(cl_square, target):
+    # a string target used to end in a bare TypeError
+    with pytest.raises(ValidationError, match="^target must be in"):
+        theta_for_spec1(cl_square, target)
+
+
 def test_adaptive_stall_logs_a_warning(caplog):
     # a smooth integrand under a 1e-9 evaluation-noise floor: at 1e-11 the
     # error estimate stops shrinking within the 100x stall slack
@@ -333,11 +351,10 @@ def test_adaptive_budget_exhaustion_names_the_budget():
 
 
 def test_quadrature_config_validation():
-    for bad in (dict(abs_tol=-1.0), dict(lambda_max=0.0),
-                dict(abs_tol=np.inf), dict(rel_tol=np.inf),
-                dict(abs_tol=np.nan), dict(lambda_max=np.inf),
-                dict(lambda_max=np.nan), dict(rel_tol="tight"),
-                dict(lambda_max=True), dict(abs_tol=10**400)):
+    for bad in (dict(abs_tol=-1.0), dict(abs_tol=np.inf),
+                dict(rel_tol=np.inf), dict(abs_tol=np.nan),
+                dict(rel_tol="tight"), dict(rel_tol=True),
+                dict(abs_tol=10**400)):
         [name] = bad
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             QuadratureConfig(**bad)

@@ -24,7 +24,6 @@ from qefsyn.grad import (
     build_k_factors,
     chi_matrix,
     frechet_derivatives,
-    optimality_residual,
     sandwich_blocks,
 )
 from qefsyn.gramians import chi0
@@ -219,10 +218,6 @@ def test_grid_gradient_matches_adaptive_gradient(tol):
         gap = max(np.max(np.abs(getattr(frozen, b) - getattr(adaptive, b)))
                   for b in blocks)
         assert gap <= 1e-9 * scale
-        # chi's own estimate on the cost's grid runs up to a few hundred
-        # times the adaptive one although the values agree: it is
-        # reported, and the gradient is not judged by it
-        assert np.isfinite(frozen.quad_error)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.01])
@@ -253,12 +248,6 @@ def test_optimality_residual_zero_at_lqg_limit(cl_square):
     blocks = sandwich_blocks(cl_square.plant, cl_square.K, chi0(cl_square))
     resid = np.sqrt(sum(np.sum(b**2) for b in blocks))
     assert resid <= 1e-8 * (1 + np.linalg.norm(chi0(cl_square)))
-
-
-def test_quad_error_reported(cl_square, quad_fast):
-    report = frechet_derivatives(cl_square, 0.05, quad_fast)
-    assert np.isfinite(report.quad_error)
-    assert optimality_residual(report) >= 0.0
 
 
 @pytest.mark.parametrize("seed", [13, 16, 41])

@@ -218,8 +218,7 @@ def test_admissibility_boundary_matches_eigenvalue_reference(
 
 def test_default_horizon_scaling(cl_square):
     decay = abs(np.max(np.linalg.eigvals(cl_square.calA).real))
-    assert np.isclose(default_horizon(cl_square.calA, multiple=40.0),
-                      40.0 / decay)
+    assert np.isclose(default_horizon(cl_square.calA), 40.0 / decay)
 
 
 def test_growth_rate_estimate_returns_rows(cl_square):

@@ -1,7 +1,5 @@
 """LQG initializer and the descent loop."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -46,14 +44,10 @@ def test_lqg_controller_random_instances():
 
 
 def test_synthesis_config_validation():
-    for bad in (dict(theta=-0.1), dict(theta=0.1, backtrack_factor=1.5),
-                dict(theta=np.nan), dict(theta=np.inf),
-                dict(theta=0.1, initial_step=0.0),
-                dict(theta=0.1, initial_step=-1.0),
+    for bad in (dict(theta=-0.1), dict(theta=np.nan), dict(theta=np.inf),
                 dict(theta=0.1, grad_tol=np.inf),
                 dict(theta=0.1, max_iters=2.5), dict(theta=0.1, max_iters=0),
                 dict(theta=0.1, max_iters=True),
-                dict(theta=0.1, armijo_c="small"),
                 dict(theta=0.1, grad_tol=None)):
         name = next((k for k in bad if k != "theta"), "theta")
         with pytest.raises(ValidationError, match=f"^{name} must be"):
@@ -125,7 +119,7 @@ def pool_problem():
     cfg = SynthesisConfig(theta=theta_for_spec1(cl, 0.4), max_iters=1,
                           quad=QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9))
     _, _, resid, full_step = synthesize(plant, weights, cfg).iterates[0]
-    assert full_step == cfg.initial_step / (1.0 + resid)
+    assert full_step == synth._INITIAL_STEP / (1.0 + resid)
     return plant, weights, cfg, full_step
 
 
@@ -149,7 +143,7 @@ def test_check_failing_after_armijo_halves_the_step(pool_problem,
 
     monkeypatch.setattr(synth, "check_admissible", check)
     report = synthesize(plant, weights, cfg)
-    assert report.iterates[0][3] == cfg.backtrack_factor * full_step
+    assert report.iterates[0][3] == synth._BACKTRACK * full_step
     assert len(checks) == 3
     assert all(a.admissible for a in report.admissibility)
 
@@ -180,7 +174,7 @@ def test_numerical_error_from_trial_cost(pool_problem, monkeypatch,
             synthesize(plant, weights, cfg)
     else:
         report = synthesize(plant, weights, cfg)
-        assert report.iterates[0][3] == cfg.backtrack_factor * full_step
+        assert report.iterates[0][3] == synth._BACKTRACK * full_step
     assert len(checks_after_raise) == 1
 
 
@@ -254,7 +248,7 @@ def test_adaptive_cost_of_an_accepted_trial(pool_problem, monkeypatch,
     if outcome == "not lower":
         # an Armijo decrement below one ulp of the cost, so that only the
         # strict test rejects a trial that does not lower it
-        cfg = dataclasses.replace(cfg, armijo_c=1e-300)
+        monkeypatch.setattr(synth, "_ARMIJO_C", 1e-300)
     costs = []
 
     def cost(cl, theta, quad=None, grid=None):
@@ -281,7 +275,7 @@ def test_adaptive_cost_of_an_accepted_trial(pool_problem, monkeypatch,
             synthesize(plant, weights, cfg)
         return
     report = synthesize(plant, weights, cfg)
-    assert report.iterates[0][3] == cfg.backtrack_factor * full_step
+    assert report.iterates[0][3] == synth._BACKTRACK * full_step
     assert len(costs) == 3
     assert report.cost == costs[2] < costs[0]
 
