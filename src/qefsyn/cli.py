@@ -225,7 +225,6 @@ def cmd_evaluate(inst, args):
     ups0 = gramians.lqg_cost(cl)
     print(f"spec1_sup,{_fmt(adm.spec1_sup)}")
     print(f"psi_min_rel_sigma,{_fmt(adm.psi_min_rel_sigma)}")
-    print(f"hurwitz,{int(adm.hurwitz)}")
     print(f"admissible,{int(adm.admissible)}")
     print(f"ups0,{_fmt(ups0)}")
     if not adm.spec1_ok:

@@ -7,9 +7,12 @@ quantum spectral pair Phi = F F* (Hermitian PSD) and Psi = F J F*
 (skew-Hermitian) of the closed-loop transfer function F = calC G calB.
 
 All per-frequency work is one batched sweep over an array of frequencies
-(`spectral_sweep`): a stacked solve for G = (i lambda I - calA)^{-1}, then
-F, Phi, Psi and a stacked eigh of i Psi = U diag(d0) U*.  None of it
-depends on theta: i theta Psi has eigenvalues theta d0 and the same U.
+(`spectral_sweep`).  calA = V diag(s) V^{-1} is factored once per loop, so
+F(i lambda) = (calC V) diag(1 / (i lambda - s)) (V^{-1} calB) at every node
+is one matrix product; a residual bound certifies each node, and the nodes
+it cannot certify are solved directly.  Phi, Psi and a stacked eigh of
+i Psi = U diag(d0) U* follow.  None of it depends on theta: i theta Psi
+has eigenvalues theta d0 and the same U.
 
 ln det Delta is real on the admissible set: with T = tanc(theta Psi) > 0,
     det Delta = det(cos(theta Psi)) * det(I - theta Phi T),
@@ -21,15 +24,16 @@ node, and a bisection over theta costs one stacked eigvalsh per step.
 
 The integrand is conjugate-even in lambda, so integration runs over
 [0, default_lambda_max] plus a 1/lambda-substituted tail, each with an
-adaptive Gauss-Kronrod 7-15 rule; each panel, or all body and all tail
-nodes of a frozen grid, is one sweep.
+adaptive Gauss-Kronrod 7-15 rule; each adaptive panel, or all the body
+and tail nodes of a frozen grid together, is one sweep.
 """
 
 import logging
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -113,21 +117,30 @@ def check_theta(theta):
     check_number("theta", theta, lambda t: t >= 0, "finite and nonnegative")
 
 
-def _panels(f, edges):
-    """Kronrod integrals and error estimates of f on consecutive panels.
-
-    One call of f evaluates every node of every panel, in panel order.
-    Returns the Kronrod estimates, shape (panels, k), and the per-panel
-    error estimates |Kronrod - Gauss|, maximised over the k components.
-    """
+def _panel_nodes(edges):
+    """The GK15 nodes of consecutive panels, in panel order, and the
+    panels' half-widths."""
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    vals = f((mid[:, None] + half[:, None] * _NODES).ravel())
-    vals = vals.reshape(len(mid), len(_NODES), -1)        # (panels, 15, k)
+    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
+
+
+def _panel_sums(vals, half):
+    """Kronrod integrals, shape (panels, k), and per-panel error estimates
+    |Kronrod - Gauss|, maximised over the k components, of the values of
+    an integrand at the nodes of `_panel_nodes`."""
+    vals = vals.reshape(len(half), len(_NODES), -1)        # (panels, 15, k)
     ik = half[:, None] * (_WK @ vals)
     ig = half[:, None] * (_WG_FULL @ vals)
     return ik, np.max(np.abs(ik - ig), axis=1)
+
+
+def _panels(f, edges):
+    """Kronrod integrals and error estimates of f on consecutive panels;
+    one call of f evaluates every node of every panel."""
+    nodes, half = _panel_nodes(edges)
+    return _panel_sums(f(nodes), half)
 
 
 #: subdivision budget of one adaptive integral
@@ -252,17 +265,21 @@ def integrate_half_line(f, lam_max, quad, breakpoints=(), grid=None):
     u = 1/lambda, which is exact for integrands decaying like 1/lambda^2.
     f takes an array of frequencies and returns an array (npts, k).
     Passing a FrequencyGrid skips adaptivity and evaluates the composite
-    rule on the stored panels, with one call of f for all body nodes and
-    one for all tail nodes; the returned grid can be reused.
+    rule on the stored panels, with one call of f for the body nodes and
+    the mapped tail nodes together; the returned grid can be reused.
     """
-    def tail(u):
-        return f(1.0 / u) / (u**2)[:, None]
-
     if grid is not None:
-        body, err1 = _panels(f, grid.body_edges)
-        tail_val, err2 = _panels(tail, grid.tail_edges)
+        body_nodes, body_half = _panel_nodes(grid.body_edges)
+        tail_nodes, tail_half = _panel_nodes(grid.tail_edges)
+        vals = f(np.concatenate([body_nodes, 1.0 / tail_nodes]))
+        body, err1 = _panel_sums(vals[:len(body_nodes)], body_half)
+        tail_val, err2 = _panel_sums(
+            vals[len(body_nodes):] / (tail_nodes**2)[:, None], tail_half)
         return (body.sum(axis=0) + tail_val.sum(axis=0),
                 float(err1.sum() + err2.sum()), grid)
+
+    def tail(u):
+        return f(1.0 / u) / (u**2)[:, None]
 
     body, err1, body_edges = _adaptive(
         f, 0.0, lam_max, 0.5 * quad.abs_tol, 0.5 * quad.rel_tol,
@@ -318,13 +335,16 @@ def _conj_t(X):
 class SpectralSweep:
     """Theta-free per-frequency quantities, stacked one node per `lams` entry.
 
-    G, F = calC G calB, (Phi, Psi), i Psi = U diag(d0) U* and W = U* Phi U.
-    A node whose resolvent `residual` misses the tolerance is a
-    near-singular shift and holds zeros in place of its G.
+    F = calC G calB, (Phi, Psi), i Psi = U diag(d0) U* and W = U* Phi U.
+    `residual` bounds the largest entry of (i lambda I - calA) G - I: the
+    modal bound where it certifies the node, else the exact residual of a
+    direct solve.  A node whose residual misses the tolerance is a
+    near-singular shift and holds zeros in place of its F and G.  The
+    resolvent G = (i lambda I - calA)^{-1} is formed only when read, by
+    `resolvent`, which the gradient alone needs.
     """
 
     lams: np.ndarray
-    G: np.ndarray
     F: np.ndarray
     Phi: np.ndarray
     Psi: np.ndarray
@@ -332,6 +352,12 @@ class SpectralSweep:
     U: np.ndarray
     W: np.ndarray
     residual: np.ndarray
+    resolvent: Callable = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def G(self):
+        """The resolvents (i lambda I - calA)^{-1}, stacked by node."""
+        return self.resolvent()
 
     @property
     def failed(self):
@@ -378,14 +404,64 @@ class SpectralSweep:
                 + np.sum(np.log(factors), axis=1))
 
 
-def spectral_sweep(cl, lams):
-    """The SpectralSweep of a closed loop at the frequencies `lams`.
+@dataclass(frozen=True)
+class _Modes:
+    """calA = V diag(s) V^{-1} and the constants of the residual bound.
 
-    A resolvent residual |(i lambda I - calA) G - I| above 1e-8 marks a
-    near-singular shift, which the sweep's methods raise as NumericalError.
+    With r = 1 / (i lambda - s) and R = calA V - V diag(s), the algebra
+        (i lambda I - calA) V diag(r) V^{-1} - I
+            = (V V^{-1} - I) - R diag(r) V^{-1}
+    is exact, so the modal resolvent's residual has infinity norm at most
+    `inv_err + max|r| (eig_err + rounding |lambda|)`, where `inv_err` is
+    ||V V^{-1} - I|| and `eig_err` is ||R|| ||V^{-1}||, each with an
+    allowance for the rounding of these products and of G itself.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    calA = np.asarray(cl.calA)
+
+    s: np.ndarray
+    V: np.ndarray
+    Vinv: np.ndarray
+    inv_err: float
+    eig_err: float
+    rounding: float
+
+    def bound(self, lams, r):
+        """The residual bound at each frequency, given r per node."""
+        return self.inv_err + np.max(np.abs(r), axis=1) * (
+            self.eig_err + self.rounding * np.abs(lams))
+
+
+@lru_cache(maxsize=4)
+def _factor(n, data):
+    """The _Modes of the n x n matrix whose float64 bytes are `data`.
+
+    The cache, keyed by content, factors each loop's calA once across its
+    sweeps; the arrays it hands out are read-only.  Without a modal form
+    the bound is infinite, so every node is solved directly.
+    """
+    calA = np.frombuffer(data).reshape(n, n)
+    try:
+        s, V = np.linalg.eig(calA)
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        zero = np.zeros((n, n))
+        return _Modes(zero[0], zero, zero, np.inf, 0.0, 0.0)
+    for a in (s, V, Vinv):
+        a.flags.writeable = False
+    norm = partial(np.linalg.norm, ord=np.inf)
+    # an overflow here (a nearly defective calA) leaves the bound
+    # infinite or nan, which certifies no node
+    with np.errstate(over="ignore", invalid="ignore"):
+        rounding = 4.0 * n * np.finfo(float).eps * norm(V) * norm(Vinv)
+        return _Modes(
+            s, V, Vinv,
+            inv_err=norm(V @ Vinv - np.eye(n)) + rounding,
+            eig_err=(norm(calA @ V - V * s) * norm(Vinv)
+                     + rounding * (norm(calA) + np.max(np.abs(s)))),
+            rounding=rounding)
+
+
+def _solve(calA, lams):
+    """Resolvents by a stacked solve and their exact residuals."""
     eye = np.eye(calA.shape[0])
     shifted = 1j * lams[:, None, None] * eye - calA
     try:
@@ -393,18 +469,55 @@ def spectral_sweep(cl, lams):
     except np.linalg.LinAlgError:
         # an exactly singular shift: its pseudo-inverse fails the residual
         G = np.linalg.pinv(shifted)
-    residual = np.max(np.abs(shifted @ G - eye), axis=(1, 2))
-    # zeros keep the eigensolves finite; the methods raise for these nodes
-    G[~(residual <= _RESOLVENT_TOL)] = 0.0
-    F = cl.calC @ G @ cl.calB
+    return G, np.max(np.abs(shifted @ G - eye), axis=(1, 2))
+
+
+def _modal_product(r, X, Y):
+    """X diag(r[k]) Y for every row k of r, as one matrix product."""
+    outer = (X.T[:, :, None] * Y[:, None, :]).reshape(X.shape[1], -1)
+    return (r @ outer).reshape(len(r), X.shape[0], Y.shape[1])
+
+
+def spectral_sweep(cl, lams):
+    """The SpectralSweep of a closed loop at the frequencies `lams`.
+
+    F is formed in the modal basis of calA, (calC V) diag(r) (V^{-1} calB)
+    with r = 1 / (i lambda - s), as one product over all nodes.  A node
+    whose residual bound exceeds 1e-8 (a defective or ill-conditioned
+    calA, or a shift near an eigenvalue) is solved directly instead; an
+    exact residual above 1e-8 there marks a near-singular shift, which the
+    sweep's methods raise as NumericalError.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    calA = np.ascontiguousarray(cl.calA, dtype=float)
+    modes = _factor(calA.shape[0], calA.tobytes())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = 1.0 / (1j * lams[:, None] - modes.s)
+        residual = modes.bound(lams, r)
+    direct = np.flatnonzero(~(residual <= _RESOLVENT_TOL))
+    r[direct] = 0.0
+    F = _modal_product(r, cl.calC @ modes.V, modes.Vinv @ cl.calB)
+    G_direct = None
+    if len(direct):
+        G_direct, residual[direct] = _solve(calA, lams[direct])
+        # zeros keep the eigensolves finite; the methods raise for these
+        G_direct[~(residual[direct] <= _RESOLVENT_TOL)] = 0.0
+        F[direct] = cl.calC @ G_direct @ cl.calB
+
+    def resolvent():
+        G = _modal_product(r, modes.V, modes.Vinv)
+        if G_direct is not None:
+            G[direct] = G_direct
+        return G
+
     Phi, Psi = F @ _conj_t(F), F @ cl.J @ _conj_t(F)
     # enforce the exact symmetry classes against round-off
     Phi = 0.5 * (Phi + _conj_t(Phi))
     Psi = 0.5 * (Psi - _conj_t(Psi))
     d0, U = np.linalg.eigh(1j * Psi)
     W = _conj_t(U) @ Phi @ U
-    return SpectralSweep(lams=lams, G=G, F=F, Phi=Phi, Psi=Psi, d0=d0, U=U,
-                         W=W, residual=residual)
+    return SpectralSweep(lams=lams, F=F, Phi=Phi, Psi=Psi, d0=d0, U=U, W=W,
+                         residual=residual, resolvent=resolvent)
 
 
 def delta_matrix(Phi, Psi, theta):

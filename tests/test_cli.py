@@ -95,6 +95,9 @@ def test_evaluate_command(tmp_path, capsys):
     assert fields["admissible"] == "1"
     assert float(fields["ups"]) > 0
     assert float(fields["ups0"]) > 0
+    # a loop that is not Hurwitz exits 3 before any output, so a hurwitz
+    # row could only read 1
+    assert "hurwitz" not in fields
 
 
 def test_evaluate_zero_weight_instance(tmp_path, capsys):

@@ -9,9 +9,11 @@ import pytest
 import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
+import qefsyn.freq as freq
 from qefsyn.freq import (
     QuadratureConfig,
     _adaptive,
+    _panels,
     check_admissible,
     default_lambda_max,
     delta_matrix,
@@ -179,6 +181,119 @@ def test_sweep_raises_first_failing_node():
         spectral_sweep(loop, [ok, singular]).spec1(theta)
     with pytest.raises(NumericalError):
         spectral_sweep(loop, [singular]).log_det_delta(0.0)
+
+
+def _solve_reference(cl, lams):
+    """F, Phi and Psi node by node from np.linalg.solve."""
+    eye = np.eye(cl.calA.shape[0])
+    F = np.array([cl.calC @ np.linalg.solve(1j * lam * eye - cl.calA, eye)
+                  @ cl.calB for lam in lams])
+    Fh = F.conj().swapaxes(1, 2)
+    return F, F @ Fh, F @ cl.J @ Fh
+
+
+def _worst_rel(new, ref):
+    return float(np.max(np.linalg.norm(new - ref, axis=(1, 2))
+                        / np.linalg.norm(ref, axis=(1, 2))))
+
+
+def _sweep_nodes(cl):
+    """Frequencies from 0 to far in the tail, with the resonances and
+    points just beside them."""
+    omegas = np.abs(np.linalg.eigvals(cl.calA).imag)
+    return np.unique(np.concatenate([
+        np.linspace(0.0, 5.0, 41), np.geomspace(5.0, 1e6, 25),
+        omegas, omegas * (1 + 1e-6), omegas * (1 - 1e-3)]))
+
+
+@pytest.fixture(scope="module", params=["cl_square", 0, 1, 2])
+def sweep_loop(request):
+    if request.param == "cl_square":
+        return request.getfixturevalue("cl_square")
+    return random_stable_instance(np.random.default_rng(request.param))[2]
+
+
+@pytest.fixture()
+def solve_nodes(monkeypatch):
+    """The frequencies that went through the direct solve, in order."""
+    seen = []
+    solve = freq._solve
+
+    def spy(calA, lams):
+        seen.extend(lams)
+        return solve(calA, lams)
+
+    monkeypatch.setattr(freq, "_solve", spy)
+    return seen
+
+
+def test_modal_sweep_matches_solve_reference(sweep_loop, solve_nodes):
+    cl = sweep_loop
+    lams = _sweep_nodes(cl)
+    sweep = spectral_sweep(cl, lams)
+    assert solve_nodes == []            # the bound certifies every node
+    F, Phi, Psi = _solve_reference(cl, lams)
+    assert _worst_rel(sweep.F, F) <= 1e-12
+    assert _worst_rel(sweep.Phi, Phi) <= 1e-12
+    assert _worst_rel(sweep.Psi, Psi) <= 1e-12
+    theta = theta_for_spec1(cl, 0.4)
+    ref = np.array([np.linalg.slogdet(delta_matrix(P, S, theta))[1]
+                    for P, S in zip(Phi, Psi)])
+    assert np.max(np.abs(sweep.log_det_delta(theta) - ref)) \
+        <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_residual_bound_covers_the_modal_resolvent(sweep_loop):
+    # the residual of the G the sweep forms, in extended precision
+    cl = sweep_loop
+    lams = _sweep_nodes(cl)
+    sweep = spectral_sweep(cl, lams)
+    n = cl.calA.shape[0]
+    shifted = (1j * lams[:, None, None] * np.eye(n)
+               - cl.calA).astype(np.clongdouble)
+    exact = np.max(np.abs(shifted @ sweep.G.astype(np.clongdouble)
+                          - np.eye(n)), axis=(1, 2))
+    assert not sweep.failed.any()
+    assert np.all(sweep.residual >= exact)
+
+
+def test_defective_system_matrix_takes_the_solve_path(solve_nodes):
+    # a Jordan block has no modal form, so every node is solved directly
+    jordan = SimpleNamespace(calA=np.array([[-1.0, 1.0], [0.0, -1.0]]),
+                             calB=np.array([[1.0, 0.2], [0.0, 1.0]]),
+                             calC=np.eye(2), J=np.array([[0.0, 1.0],
+                                                         [-1.0, 0.0]]))
+    lams = np.linspace(0.0, 5.0, 11)
+    sweep = spectral_sweep(jordan, lams)
+    assert solve_nodes == list(lams)
+    F, Phi, Psi = _solve_reference(jordan, lams)
+    assert _worst_rel(sweep.F, F) <= 1e-12
+    assert _worst_rel(sweep.Phi, Phi) <= 1e-12
+    assert not sweep.failed.any()
+    eye = np.eye(2)
+    assert np.allclose((1j * lams[:, None, None] * eye - jordan.calA)
+                       @ sweep.G, eye, rtol=0, atol=1e-14)
+
+
+def test_frozen_grid_sum_is_one_sweep(cl_square, quad_fast):
+    theta = 0.05
+    grid = growth_rate_grid(cl_square, theta, quad_fast)
+    calls = []
+
+    def f(lams):
+        calls.append(len(lams))
+        return spectral_sweep(cl_square, lams).log_det_delta(theta)[:, None]
+
+    total, err, _ = integrate_half_line(f, grid.lam_max, quad_fast,
+                                        grid=grid)
+    n_nodes = 15 * (len(grid.body_edges) + len(grid.tail_edges) - 2)
+    assert calls == [n_nodes]
+    body, body_err = _panels(f, grid.body_edges)
+    tail, tail_err = _panels(lambda u: f(1.0 / u) / (u**2)[:, None],
+                             grid.tail_edges)
+    separate = body.sum(axis=0) + tail.sum(axis=0)
+    assert abs(total[0] - separate[0]) <= 1e-15 * abs(separate[0])
+    assert err == pytest.approx(body_err.sum() + tail_err.sum(), rel=1e-12)
 
 
 def test_sweep_spec1_cache_matches_direct_eigh(cl_square):

@@ -70,7 +70,7 @@ def _synthetic_sweep(d0, Phi_scale=0.3, seed=7):
     Psi = -1j * (U * d0[:, None, :]) @ Uh
     B = rng.standard_normal((k, nu, nu)) + 1j * rng.standard_normal((k, nu, nu))
     Phi = Phi_scale * B @ B.conj().swapaxes(1, 2) / nu
-    return SpectralSweep(lams=np.arange(k, dtype=float), G=None, F=None,
+    return SpectralSweep(lams=np.arange(k, dtype=float), F=None,
                          Phi=Phi, Psi=Psi, d0=d0, U=U, W=Uh @ Phi @ U,
                          residual=np.zeros(k))
 
@@ -104,7 +104,7 @@ def test_psi_fn_finite_difference():
     Phi = np.array([[[0.7]]], dtype=complex)
     Psi = np.array([[[0.4j]]], dtype=complex)
     theta = 0.3
-    sweep = SpectralSweep(lams=np.zeros(1), G=None, F=None, Phi=Phi, Psi=Psi,
+    sweep = SpectralSweep(lams=np.zeros(1), F=None, Phi=Phi, Psi=Psi,
                           d0=np.array([[-0.4]]), U=np.ones((1, 1, 1)),
                           W=Phi, residual=np.zeros(1))
     _, psi = _weights(sweep, theta)
