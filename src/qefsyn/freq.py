@@ -38,7 +38,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
-from qefsyn.model import is_hurwitz
+from qefsyn.model import HURWITZ_MARGIN
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +51,7 @@ __all__ = [
     "tanhc",
     "delta_matrix",
     "check_admissible",
+    "check_loop",
     "check_number",
     "check_theta",
     "qef_growth_rate",
@@ -234,7 +235,7 @@ def resonance_breakpoints(calA, lam_max):
     split there cannot step over a narrow peak unnoticed.
     """
     pts = []
-    for eig in np.linalg.eigvals(calA):
+    for eig in _modes(calA).s:
         omega = abs(eig.imag)
         width = max(abs(eig.real), 1e-6 * max(omega, 1.0))
         for p in (omega - width, omega, omega + width):
@@ -305,7 +306,7 @@ _RESOLVENT_TOL = 1e-8
 
 def default_lambda_max(calA):
     """Truncation frequency: 50x the spectral radius of the system matrix."""
-    rho = float(np.max(np.abs(np.linalg.eigvals(calA))))
+    rho = float(np.max(np.abs(_modes(calA).s)))
     return 50.0 * max(rho, 1.0)
 
 
@@ -434,18 +435,19 @@ class _Modes:
 def _factor(n, data):
     """The _Modes of the n x n matrix whose float64 bytes are `data`.
 
-    The cache, keyed by content, factors each loop's calA once across its
-    sweeps; the arrays it hands out are read-only.  Without a modal form
-    the bound is infinite, so every node is solved directly.
+    The cache, keyed by content, factors each loop's calA once for all
+    its sweeps and spectral facts; the arrays it hands out are read-only.
+    Where V is singular, s is kept and every node is solved directly.
     """
     calA = np.frombuffer(data).reshape(n, n)
+    s, V = np.linalg.eig(calA)
+    s.flags.writeable = False
     try:
-        s, V = np.linalg.eig(calA)
         Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         zero = np.zeros((n, n))
-        return _Modes(zero[0], zero, zero, np.inf, 0.0, 0.0)
-    for a in (s, V, Vinv):
+        return _Modes(s, zero, zero, np.inf, 0.0, 0.0)
+    for a in (V, Vinv):
         a.flags.writeable = False
     norm = partial(np.linalg.norm, ord=np.inf)
     # an overflow here (a nearly defective calA) leaves the bound
@@ -458,6 +460,12 @@ def _factor(n, data):
             eig_err=(norm(calA @ V - V * s) * norm(Vinv)
                      + rounding * (norm(calA) + np.max(np.abs(s)))),
             rounding=rounding)
+
+
+def _modes(calA):
+    """The cached _Modes of calA (`_factor`)."""
+    calA = np.ascontiguousarray(calA, dtype=float)
+    return _factor(calA.shape[0], calA.tobytes())
 
 
 def _solve(calA, lams):
@@ -489,8 +497,7 @@ def spectral_sweep(cl, lams):
     sweep's methods raise as NumericalError.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    calA = np.ascontiguousarray(cl.calA, dtype=float)
-    modes = _factor(calA.shape[0], calA.tobytes())
+    modes = _modes(cl.calA)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = 1.0 / (1j * lams[:, None] - modes.s)
         residual = modes.bound(lams, r)
@@ -499,7 +506,7 @@ def spectral_sweep(cl, lams):
     F = _modal_product(r, cl.calC @ modes.V, modes.Vinv @ cl.calB)
     G_direct = None
     if len(direct):
-        G_direct, residual[direct] = _solve(calA, lams[direct])
+        G_direct, residual[direct] = _solve(cl.calA, lams[direct])
         # zeros keep the eigensolves finite; the methods raise for these
         G_direct[~(residual[direct] <= _RESOLVENT_TOL)] = 0.0
         F[direct] = cl.calC @ G_direct @ cl.calB
@@ -533,11 +540,10 @@ def delta_matrix(Phi, Psi, theta):
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Sampled spectral-condition and Psi-invertibility summary."""
+    """Spectral-condition and Psi-invertibility samples of a Hurwitz loop."""
 
     spec1_sup: float
     psi_min_rel_sigma: float
-    hurwitz: bool
 
     #: safety margin on the spectral supremum
     margin: ClassVar[float] = 0.05
@@ -556,7 +562,7 @@ class AdmissibilityReport:
 
     @property
     def admissible(self):
-        return self.hurwitz and self.spec1_ok and self.psi_ok
+        return self.spec1_ok and self.psi_ok
 
 
 def _admissibility_grid(cl, n_base=241):
@@ -571,18 +577,14 @@ def _admissibility_grid(cl, n_base=241):
 def check_admissible(cl, theta):
     """Sampled admissibility report for a stabilizing controller.
 
-    `spec1_sup` is the largest sample of the spectral condition on a base
-    grid (at most 361 frequencies) and on 90 points between the
-    base neighbours of its maximum; a narrower peak can be missed.  The
-    Psi-invertibility check reports the worst relative singular-value
-    ratio of Psi over the base grid; i Psi is Hermitian, so that ratio is
-    min|d0| / max|d0| of its eigenvalues.
+    A loop that is not Hurwitz raises (`check_loop`).  `spec1_sup` is the
+    largest sample of the spectral condition on a base grid (at most 361
+    frequencies) and on 90 points between the base neighbours of its
+    maximum; a narrower peak can be missed.  The Psi-invertibility check
+    reports the worst relative singular-value ratio of Psi over the base
+    grid; i Psi is Hermitian, so that ratio is min|d0| / max|d0|.
     """
-    check_theta(theta)
-    hurwitz = is_hurwitz(cl.calA)
-    if not hurwitz:
-        return AdmissibilityReport(spec1_sup=np.inf, psi_min_rel_sigma=0.0,
-                                   hurwitz=False)
+    check_loop(cl, theta)
     grid = _admissibility_grid(cl)
     sweep = spectral_sweep(cl, grid)
     vals = sweep.spec1(theta)
@@ -595,8 +597,7 @@ def check_admissible(cl, theta):
     sigma = np.abs(sweep.d0)      # an all-zero Psi gives the ratio 0
     min_rel = float(np.min(np.min(sigma, axis=1) / np.maximum(
         np.max(sigma, axis=1), np.finfo(float).tiny)))
-    return AdmissibilityReport(spec1_sup=sup, psi_min_rel_sigma=min_rel,
-                               hurwitz=True)
+    return AdmissibilityReport(spec1_sup=sup, psi_min_rel_sigma=min_rel)
 
 
 #: relative width of the bracket at which theta_for_spec1 stops
@@ -617,7 +618,7 @@ def theta_for_spec1(cl, target):
     reach a ValueError naming the supremum reached.
     """
     check_number("target", target, lambda v: 0.0 < v < 1.0, "in (0, 1)")
-    _check_loop(cl)
+    check_loop(cl)
     sweep = spectral_sweep(cl, _admissibility_grid(cl))
 
     def sup_at(theta):
@@ -645,16 +646,18 @@ def theta_for_spec1(cl, target):
     return lo
 
 
-def _check_loop(cl, theta=0.0):
+def check_loop(cl, theta=0.0):
+    """`check_theta`, then an InadmissibleError unless every eigenvalue of
+    calA (from `_factor`) has real part below -HURWITZ_MARGIN; every
+    closed-loop entry point rejects an unstable loop through this."""
     check_theta(theta)
-    if not is_hurwitz(cl.calA):
+    if not np.max(_modes(cl.calA).s.real) < -HURWITZ_MARGIN:
         raise InadmissibleError("closed loop is not Hurwitz")
 
 
 def _loop_integral(cl, theta, f, quad=None, grid=None):
-    """`integrate_half_line` of a closed-loop integrand f, after checking
-    theta and the Hurwitz property; resonances seed only adaptive grids."""
-    _check_loop(cl, theta)
+    """`integrate_half_line` of a closed-loop integrand f, for a loop and
+    theta that passed `check_loop`; resonances seed only adaptive grids."""
     if quad is None:
         quad = QuadratureConfig()
     if grid is None:
@@ -664,15 +667,6 @@ def _loop_integral(cl, theta, f, quad=None, grid=None):
         lam_max, breakpoints = grid.lam_max, ()
     return integrate_half_line(f, lam_max, quad, grid=grid,
                                breakpoints=breakpoints)
-
-
-def _growth_rate(cl, theta, quad, grid):
-    """Growth rate, the grid it was summed on and its error estimate."""
-    def f(lams):
-        return spectral_sweep(cl, lams).log_det_delta(theta)[:, None]
-
-    total, err, grid = _loop_integral(cl, theta, f, quad, grid)
-    return -float(total[0]) / (2.0 * np.pi), grid, err / (2.0 * np.pi)
 
 
 class GrowthRate(float):
@@ -715,13 +709,18 @@ def qef_growth_rate(cl, theta, quad=None, grid=None):
     subdivision, which is what comparisons and finite-difference studies
     over nearby controllers need.
     """
-    check_theta(theta)
+    check_loop(cl, theta)
     if theta == 0.0:
-        _check_loop(cl, theta)
         return GrowthRate(0.0)
-    return GrowthRate(*_growth_rate(cl, theta, quad, grid))
+
+    def f(lams):
+        return spectral_sweep(cl, lams).log_det_delta(theta)[:, None]
+
+    total, err, grid = _loop_integral(cl, theta, f, quad, grid)
+    return GrowthRate(-float(total[0]) / (2.0 * np.pi), grid,
+                      err / (2.0 * np.pi))
 
 
 def growth_rate_grid(cl, theta, quad=None):
-    """The adaptive subdivision used for the growth rate of this system."""
-    return _growth_rate(cl, theta, quad, None)[1]
+    """The adaptive grid of this system's growth rate; None at theta = 0."""
+    return qef_growth_rate(cl, theta, quad).grid

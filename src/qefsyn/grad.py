@@ -34,6 +34,7 @@ from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import (
     AdmissibilityReport,
     _loop_integral,
+    check_loop,
     growth_rate_grid,
     qef_growth_rate,
     sinhc,
@@ -126,6 +127,7 @@ def chi_matrix(cl, theta, quad=None, grid=None):
     (a GrowthRate's) sums chi on its panels, which makes the gradient the
     exact derivative of the growth rate summed on that grid.
     """
+    check_loop(cl, theta)
     # conjugate evenness in lambda: the full-line integral is twice the
     # real part of the half-line one, so integrate Re per frequency (the
     # imaginary part decays only like 1/lambda and must not be integrated)

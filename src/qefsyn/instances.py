@@ -86,9 +86,7 @@ def random_stable_instance(rng, weights=None):
             ctrl = lqg_controller(plant, weights)
         except (NumericalError, ValidationError):
             continue
-        cl = assemble_closed_loop(plant, weights, ctrl)
-        if is_hurwitz(cl.calA):
-            return plant, ctrl, cl
+        return plant, ctrl, assemble_closed_loop(plant, weights, ctrl)
     raise NumericalError("failed to draw a stabilizable random instance")
 
 

@@ -25,8 +25,8 @@ the log-determinant, and since ln cosh + ln tanhc = ln sinhc,
 
 Each horizon costs one eigensolve (in `build_operators`) and one Cholesky
 (in `finite_horizon_qef`).  Apart from the scalar sinhc/tanhc helpers and
-the input checks it shares, this path never touches the frequency-domain
-machinery and serves as its validation oracle.
+the input checks it shares (`check_theta`, `check_loop`), this path never
+touches the frequency-domain machinery and serves as its validation oracle.
 """
 
 import numbers
@@ -35,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from qefsyn.errors import InadmissibleError
-from qefsyn.freq import check_number, check_theta, sinhc, tanhc
-from qefsyn.model import is_hurwitz
+from qefsyn.errors import InadmissibleError, NumericalError
+from qefsyn.freq import check_loop, check_number, check_theta, sinhc, tanhc
 from qefsyn.gramians import solve_lyapunov
 
 __all__ = [
@@ -147,12 +146,11 @@ def check_grid_size(N):
 
 
 def build_operators(cl, theta, T, N):
-    """Nystrom discretization of the commutator and covariance operators."""
-    check_theta(theta)
+    """Nystrom discretization of the commutator and covariance operators;
+    a step T / (N - 1) that leaves them non-finite is a NumericalError."""
+    check_loop(cl, theta)
     check_grid_size(N)
     check_horizon(T)
-    if not is_hurwitz(cl.calA):
-        raise InadmissibleError("closed loop is not Hurwitz")
     times = np.linspace(0.0, T, N)
     h = times[1] - times[0]
     w = np.full(N, h)
@@ -164,6 +162,9 @@ def build_operators(cl, theta, T, N):
     P = _toeplitz_operator(pk, 1.0, sw)
     L = 0.5 * (L - L.T)
     P = 0.5 * (P + P.T)
+    if not (np.isfinite(L).all() and np.isfinite(P).all()):
+        raise NumericalError(f"oracle operators are not finite at horizon "
+                             f"T={T:g} with N={N} grid points")
 
     # each nonzero d appears twice (+-d), and an odd N nu adds an exact zero
     d2, V = np.linalg.eigh(L.T @ L)

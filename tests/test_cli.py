@@ -414,6 +414,22 @@ def test_unstable_loop_is_inadmissible(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_oracle_horizon_too_long_is_numerical(tmp_path, capsys):
+    # the first horizon, T / 4, already has non-finite operators; this
+    # used to exit 1 with numpy's LinAlgError
+    out = tmp_path / "oracle.csv"
+    code = cli.main(["oracle-compare",
+                     _write(tmp_path, _canonical_doc(with_controller=True)),
+                     "--oracle-T", "1e40", "--oracle-N", "10",
+                     "--output", str(out)])
+    assert code == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert ("numerical error: oracle operators are not finite at horizon "
+            "T=2.5e+39 with N=10" in captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_written_instances_load(tmp_path):
     # the instance files the bundled script writes must keep loading
     root = Path(__file__).resolve().parents[1]

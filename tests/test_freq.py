@@ -25,10 +25,11 @@ from qefsyn.freq import (
     tanhc,
     theta_for_spec1,
 )
-from qefsyn.grad import chi_matrix, frechet_derivatives
+from qefsyn.grad import chi_matrix, frechet_derivatives, gradient_check
 from qefsyn.gramians import lqg_cost
 from qefsyn.instances import random_stable_instance
 from qefsyn.model import ControllerParams, assemble_closed_loop
+from qefsyn.oracle import build_operators
 from qefsyn.synth import lqg_controller
 
 
@@ -335,14 +336,6 @@ def test_growth_rate_exceeds_small_risk_linearization(cl_square, quad_fast):
         >= theta * lqg_cost(cl_square) * (1 - 1e-8)
 
 
-def test_growth_rate_requires_hurwitz(canonical_plant, weights_square):
-    ctrl = ControllerParams(a=np.eye(2), b=np.zeros((2, 1)),
-                            c=np.zeros((1, 2)))
-    cl = assemble_closed_loop(canonical_plant, weights_square, ctrl)
-    with pytest.raises(InadmissibleError):
-        qef_growth_rate(cl, 0.1)
-
-
 def test_growth_rate_grid_reuse(cl_square, quad_fast):
     theta = 0.05
     grid = growth_rate_grid(cl_square, theta, quad_fast)
@@ -369,16 +362,8 @@ def test_growth_rate_carries_its_grid(cl_square, quad_fast):
 
 def test_check_admissible_canonical(cl_square):
     rep = check_admissible(cl_square, 0.05)
-    assert rep.hurwitz and rep.spec1_ok and rep.psi_ok and rep.admissible
+    assert rep.spec1_ok and rep.psi_ok and rep.admissible
     assert 0 < rep.spec1_sup < 1
-
-
-def test_check_admissible_unstable(canonical_plant, weights_square):
-    ctrl = ControllerParams(a=np.eye(2), b=np.zeros((2, 1)),
-                            c=np.zeros((1, 2)))
-    cl = assemble_closed_loop(canonical_plant, weights_square, ctrl)
-    rep = check_admissible(cl, 0.05)
-    assert not rep.hurwitz and not rep.admissible
 
 
 def test_spec1_value_zero_theta(cl_square):
@@ -407,15 +392,62 @@ def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,
         theta_for_spec1(cl, 0.3)
 
 
-def test_theta_for_spec1_rejects_an_unstable_loop():
-    # this loop has closed-loop eigenvalues 1.55 and 10.04 +- 2.85i; a
-    # theta of 0.596 used to come back without an error
+def _unstable_canonical(canonical_plant, weights_square):
+    # the controller a = I, b = 0, c = 0 adds two undriven modes at +1
+    ctrl = ControllerParams(a=np.eye(2), b=np.zeros((2, 1)),
+                            c=np.zeros((1, 2)))
+    return assemble_closed_loop(canonical_plant, weights_square, ctrl)
+
+
+def _unstable_random(canonical_plant, weights_square):
+    # closed-loop eigenvalues 1.55 and 10.04 +- 2.85i; theta_for_spec1 used
+    # to return a theta of 0.596 for it without an error
     plant, ctrl, cl = random_stable_instance(np.random.default_rng(0))
     ctrl = ControllerParams(a=-ctrl.a + 5.0 * np.eye(plant.n), b=ctrl.b,
                             c=ctrl.c)
-    unstable = assemble_closed_loop(plant, (cl.S, cl.K), ctrl)
+    return assemble_closed_loop(plant, (cl.S, cl.K), ctrl)
+
+
+@pytest.mark.parametrize("loop", [_unstable_canonical, _unstable_random],
+                         ids=["canonical", "random"])
+@pytest.mark.parametrize("entry", [
+    qef_growth_rate, growth_rate_grid, chi_matrix, frechet_derivatives,
+    check_admissible,
+    theta_for_spec1,                  # its second argument is the target
+    gradient_check,
+    lambda cl, theta: build_operators(cl, theta, T=5.0, N=20),
+], ids=["qef_growth_rate", "growth_rate_grid", "chi_matrix",
+        "frechet_derivatives", "check_admissible", "theta_for_spec1",
+        "gradient_check", "build_operators"])
+def test_entry_points_reject_an_unstable_loop(canonical_plant,
+                                              weights_square, loop, entry):
+    # every closed-loop entry point rejects it through freq.check_loop;
+    # check_admissible used to return a report with spec1_sup = inf
+    cl = loop(canonical_plant, weights_square)
     with pytest.raises(InadmissibleError, match="closed loop is not Hurwitz"):
-        theta_for_spec1(unstable, 0.4)
+        entry(cl, 0.4)
+    # a bad theta (or target) is still a ValidationError, checked first
+    with pytest.raises(ValidationError, match="must be"):
+        entry(cl, -1.0)
+
+
+def test_one_factorization_per_loop(monkeypatch):
+    # a loop's calA is factored once, by freq._factor, and its Hurwitz
+    # test, lambda_max and resonance breakpoints read that factorization
+    _, _, cl = random_stable_instance(np.random.default_rng(7))
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    freq._factor.cache_clear()
+    quad = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
+    check_admissible(cl, 0.05)
+    theta = theta_for_spec1(cl, 0.3)
+    rate = qef_growth_rate(cl, theta, quad)
+    chi_matrix(cl, theta, quad, grid=rate.grid)
+    assert calls == {"eig": 1, "eigvals": 0}
 
 
 @pytest.mark.parametrize("target", ["0.3", 0.0, 1.0, np.nan, None])

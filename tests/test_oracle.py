@@ -1,10 +1,12 @@
 """Time-domain kernels and discretized operators of the finite-horizon cost."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qefsyn.errors import InadmissibleError, ValidationError
+from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import tanhc, theta_for_spec1
 from qefsyn.model import ControllerParams, assemble_closed_loop
 from qefsyn.oracle import (
@@ -114,6 +116,15 @@ def test_build_operators_rejects_unstable(canonical_plant, weights_square):
     cl = assemble_closed_loop(canonical_plant, weights_square, ctrl)
     with pytest.raises(InadmissibleError):
         build_operators(cl, 0.05, T=5.0, N=20)
+
+
+@pytest.mark.parametrize("T", [1e40, 1e290])
+def test_build_operators_rejects_non_finite_operators(cl_square, T):
+    # at such a step e^{h calA} is not finite, and eigh used to end in
+    # numpy's LinAlgError "Eigenvalues did not converge"
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"horizon T={T:g} with N=10 ")):
+        build_operators(cl_square, 0.05, T=T, N=10)
 
 
 def test_build_operators_rejects_bad_horizon(cl_square):

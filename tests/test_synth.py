@@ -126,8 +126,7 @@ def pool_problem():
 def _failing(report):
     """`report` with its spectral supremum pushed past the margin."""
     return AdmissibilityReport(spec1_sup=1.0,
-                               psi_min_rel_sigma=report.psi_min_rel_sigma,
-                               hurwitz=report.hurwitz)
+                               psi_min_rel_sigma=report.psi_min_rel_sigma)
 
 
 def test_check_failing_after_armijo_halves_the_step(pool_problem,
