@@ -251,8 +251,16 @@ def cmd_oracle_compare(inst, args):
     T_final = inst.oracle_T
     if T_final is None:
         T_final = oracle.default_horizon(cl.calA)
-    T_list = [T_final / 4, T_final / 2, T_final]
-    rows = oracle.growth_rate_estimate(cl, theta, T_list, inst.oracle_N)
+    T_list, N = [T_final / 4, T_final / 2, T_final], inst.oracle_N
+    try:
+        rows = oracle.growth_rate_estimate(cl, theta, T_list, N)
+    except InadmissibleError:
+        if not check_admissible(cl, theta).spec1_ok:
+            raise
+        raise NumericalError(
+            f"oracle grid too coarse: N={N} points over horizons up to "
+            f"T={T_final:g} (step up to {T_final / (N - 1):.3g}) break the "
+            "finite-horizon formula at an admissible theta") from None
     out = args.output or "oracle.csv"
     with open(out, "w") as fh:
         fh.write("T,lnXi_over_T,ups_freq,rel_gap\n")

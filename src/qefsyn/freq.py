@@ -22,10 +22,10 @@ s W s with s = sqrt(tanhc(theta d0)) and the theta-free W = U* Phi U.  So
 the admissibility condition theta*mu < 1 is monitored at every quadrature
 node, and a bisection over theta costs one stacked eigvalsh per step.
 
-The integrand is conjugate-even in lambda, so integration runs over
-[0, default_lambda_max] plus a 1/lambda-substituted tail, each with an
-adaptive Gauss-Kronrod 7-15 rule; each adaptive panel, or all the body
-and tail nodes of a frozen grid together, is one sweep.
+The integrand is conjugate-even in lambda, so the half-line is integrated,
+mapped onto t in [0, 2] with a 1/lambda tail (`integrate_half_line`), as
+one adaptive Gauss-Kronrod 7-15 integral with one tolerance; each panel set
+it evaluates (its start, a split, or a frozen grid) is one sweep.
 """
 
 import logging
@@ -118,30 +118,18 @@ def check_theta(theta):
     check_number("theta", theta, lambda t: t >= 0, "finite and nonnegative")
 
 
-def _panel_nodes(edges):
-    """The GK15 nodes of consecutive panels, in panel order, and the
-    panels' half-widths."""
+def _panels(f, edges):
+    """Kronrod integrals, shape (panels, k), and per-panel error estimates
+    |Kronrod - Gauss|, maximised over the k components, of f on
+    consecutive panels; one call of f evaluates every node of every panel."""
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
-
-
-def _panel_sums(vals, half):
-    """Kronrod integrals, shape (panels, k), and per-panel error estimates
-    |Kronrod - Gauss|, maximised over the k components, of the values of
-    an integrand at the nodes of `_panel_nodes`."""
+    vals = f((mid[:, None] + half[:, None] * _NODES).ravel())
     vals = vals.reshape(len(half), len(_NODES), -1)        # (panels, 15, k)
     ik = half[:, None] * (_WK @ vals)
     ig = half[:, None] * (_WG_FULL @ vals)
     return ik, np.max(np.abs(ik - ig), axis=1)
-
-
-def _panels(f, edges):
-    """Kronrod integrals and error estimates of f on consecutive panels;
-    one call of f evaluates every node of every panel."""
-    nodes, half = _panel_nodes(edges)
-    return _panel_sums(f(nodes), half)
 
 
 #: subdivision budget of one adaptive integral
@@ -248,6 +236,9 @@ def resonance_breakpoints(calA, lam_max):
 class FrequencyGrid:
     """A frozen composite-panel subdivision of the half-line integral.
 
+    `edges` are panel edges in the coordinate t of [0, 2] that
+    `integrate_half_line` integrates over: lambda = t lam_max up to t = 1,
+    which is always an edge, and lambda = lam_max / (2 - t) beyond.
     Evaluating nearby systems on one shared grid makes the quadrature
     error a smooth function of the system parameters, so it cancels in
     finite differences; the adaptive routine cannot offer that, because
@@ -255,46 +246,46 @@ class FrequencyGrid:
     """
 
     lam_max: float
-    body_edges: np.ndarray
-    tail_edges: np.ndarray
+    edges: np.ndarray
+
+    @property
+    def body_edges(self):
+        """The panel edges in lambda on [0, lam_max]."""
+        return self.lam_max * self.edges[self.edges <= 1.0]
+
+    @property
+    def tail_edges(self):
+        """The panel edges beyond lam_max in u = 1/lambda, ascending."""
+        return (2.0 - self.edges[self.edges >= 1.0])[::-1] / self.lam_max
 
 
 def integrate_half_line(f, lam_max, quad, breakpoints=(), grid=None):
     """Integral of a vector-valued f(lambda) over [0, infinity).
 
-    [0, lam_max] is integrated directly; the tail is mapped by
-    u = 1/lambda, which is exact for integrands decaying like 1/lambda^2.
-    f takes an array of frequencies and returns an array (npts, k).
-    Passing a FrequencyGrid skips adaptivity and evaluates the composite
-    rule on the stored panels, with one call of f for the body nodes and
-    the mapped tail nodes together; the returned grid can be reused.
+    f takes an array of frequencies and returns an array (npts, k).  The
+    half-line is mapped onto t in [0, 2]: lambda = t lam_max up to 1, then
+    lambda = lam_max / (2 - t), which is u = 1/lambda and exact for
+    integrands decaying like 1/lambda^2.  One adaptive GK15 integral in t,
+    its panels seeded at t = 1 and at `breakpoints` (frequencies), stops
+    when its error estimate meets max(abs_tol, rel_tol |total|).  Passing
+    a FrequencyGrid skips adaptivity and sums its panels, mapped by its own
+    lam_max, in one call of f; the returned grid can be reused.
     """
+    lam_max = lam_max if grid is None else grid.lam_max
+
+    def g(t):
+        tail = t > 1.0
+        s = np.where(tail, 2.0 - t, 1.0)
+        lam = lam_max * np.where(tail, 1.0 / s, t)
+        return f(lam) * (lam_max / s**2)[:, None]
+
     if grid is not None:
-        body_nodes, body_half = _panel_nodes(grid.body_edges)
-        tail_nodes, tail_half = _panel_nodes(grid.tail_edges)
-        vals = f(np.concatenate([body_nodes, 1.0 / tail_nodes]))
-        body, err1 = _panel_sums(vals[:len(body_nodes)], body_half)
-        tail_val, err2 = _panel_sums(
-            vals[len(body_nodes):] / (tail_nodes**2)[:, None], tail_half)
-        return (body.sum(axis=0) + tail_val.sum(axis=0),
-                float(err1.sum() + err2.sum()), grid)
-
-    def tail(u):
-        return f(1.0 / u) / (u**2)[:, None]
-
-    body, err1, body_edges = _adaptive(
-        f, 0.0, lam_max, 0.5 * quad.abs_tol, 0.5 * quad.rel_tol,
-        breakpoints=breakpoints)
-
-    # the tail is a small correction: its tolerance is set by the overall
-    # integral magnitude, not by the tail's own size
-    tail_abs = max(0.5 * quad.abs_tol,
-                   0.5 * quad.rel_tol * float(np.max(np.abs(body))))
-    tail_val, err2, tail_edges = _adaptive(
-        tail, 0.0, 1.0 / lam_max, tail_abs, 0.5 * quad.rel_tol)
-    grid = FrequencyGrid(lam_max=lam_max, body_edges=body_edges,
-                         tail_edges=tail_edges)
-    return body + tail_val, err1 + err2, grid
+        ik, err = _panels(g, grid.edges)
+        return ik.sum(axis=0), float(err.sum()), grid
+    total, err, edges = _adaptive(
+        g, 0.0, 2.0, quad.abs_tol, quad.rel_tol,
+        breakpoints=[b / lam_max for b in breakpoints] + [1.0])
+    return total, err, FrequencyGrid(lam_max=lam_max, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -655,18 +646,16 @@ def check_loop(cl, theta=0.0):
         raise InadmissibleError("closed loop is not Hurwitz")
 
 
-def _loop_integral(cl, theta, f, quad=None, grid=None):
+def _loop_integral(cl, f, quad=None, grid=None):
     """`integrate_half_line` of a closed-loop integrand f, for a loop and
     theta that passed `check_loop`; resonances seed only adaptive grids."""
+    if grid is not None:
+        return integrate_half_line(f, grid.lam_max, quad, grid=grid)
     if quad is None:
         quad = QuadratureConfig()
-    if grid is None:
-        lam_max = default_lambda_max(cl.calA)
-        breakpoints = resonance_breakpoints(cl.calA, lam_max)
-    else:
-        lam_max, breakpoints = grid.lam_max, ()
-    return integrate_half_line(f, lam_max, quad, grid=grid,
-                               breakpoints=breakpoints)
+    lam_max = default_lambda_max(cl.calA)
+    return integrate_half_line(f, lam_max, quad,
+                               resonance_breakpoints(cl.calA, lam_max))
 
 
 class GrowthRate(float):
@@ -690,9 +679,9 @@ class GrowthRate(float):
         return rate
 
     def meets(self, quad):
-        """Whether `error` meets the tolerance of `quad`, by the test that
-        stops the adaptive integral, applied to the frequency integral
-        (-2 pi times the rate)."""
+        """Whether `error` meets the tolerance of `quad`: the test
+        max(abs_tol, rel_tol |total|) that stops the adaptive integral,
+        applied to the frequency integral total (-2 pi times the rate)."""
         scale = 2.0 * np.pi
         return scale * self.error <= _tolerance(scale * self, quad.abs_tol,
                                                 quad.rel_tol)
@@ -716,7 +705,7 @@ def qef_growth_rate(cl, theta, quad=None, grid=None):
     def f(lams):
         return spectral_sweep(cl, lams).log_det_delta(theta)[:, None]
 
-    total, err, grid = _loop_integral(cl, theta, f, quad, grid)
+    total, err, grid = _loop_integral(cl, f, quad, grid)
     return GrowthRate(-float(total[0]) / (2.0 * np.pi), grid,
                       err / (2.0 * np.pi))
 

@@ -134,7 +134,7 @@ def chi_matrix(cl, theta, quad=None, grid=None):
     def f(lams):
         return _chi_integrand(cl, theta, lams).real.reshape(len(lams), -1)
 
-    total, err, _ = _loop_integral(cl, theta, f, quad, grid)
+    total, err, _ = _loop_integral(cl, f, quad, grid)
     # the integrand's bottom-right m x nu block is zero: chi is projected
     two_n = cl.calA.shape[0]
     return total.reshape(two_n + cl.m, two_n + cl.nu) / (2.0 * np.pi), err

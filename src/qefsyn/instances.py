@@ -3,13 +3,13 @@
 import numpy as np
 
 from qefsyn.errors import NumericalError, ValidationError
-from qefsyn.freq import check_admissible, theta_for_spec1
+from qefsyn.freq import _modes, check_admissible, theta_for_spec1
 from qefsyn.model import (
+    HURWITZ_MARGIN,
     ControllerParams,
     PlantSpec,
     assemble_closed_loop,
     derive_plant,
-    is_hurwitz,
 )
 from qefsyn.synth import lqg_controller
 
@@ -112,11 +112,11 @@ def random_admissible_instance(rng, theta_fraction=0.25, perturb=0.05):
         )
         ctrl = ctrl + dctrl
         cl = assemble_closed_loop(plant, weights, ctrl)
-        if not is_hurwitz(cl.calA):
+        eigs = _modes(cl.calA).s     # factored once, for theta_for_spec1 too
+        if not np.max(eigs.real) < -HURWITZ_MARGIN:
             continue
         # reject nearly undamped loops: their razor-thin resonance peaks
         # make every finite-difference validation ill-conditioned
-        eigs = np.linalg.eigvals(cl.calA)
         if np.min(-eigs.real / np.abs(eigs)) < 0.05:
             continue
         theta = theta_for_spec1(cl, theta_fraction)

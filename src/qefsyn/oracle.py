@@ -36,7 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, NumericalError
-from qefsyn.freq import check_loop, check_number, check_theta, sinhc, tanhc
+from qefsyn.freq import (_modes, check_loop, check_number, check_theta,
+                         sinhc, tanhc)
 from qefsyn.gramians import solve_lyapunov
 
 __all__ = [
@@ -205,7 +206,7 @@ _HORIZON_DECAYS = 40.0
 
 def default_horizon(calA):
     """Horizon of 40 slowest closed-loop time constants (`_HORIZON_DECAYS`)."""
-    decay = float(np.abs(np.max(np.linalg.eigvals(calA).real)))
+    decay = float(np.abs(np.max(_modes(calA).s.real)))
     return _HORIZON_DECAYS / decay
 
 

@@ -430,6 +430,45 @@ def test_oracle_horizon_too_long_is_numerical(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("T, spec1_sup, expected", [
+    ("1e3", None, cli.EXIT_OK),
+    ("1e4", None, cli.EXIT_NUMERICAL),
+    ("1e4", 0.97, cli.EXIT_INADMISSIBLE),
+])
+def test_oracle_grid_too_coarse_is_numerical(tmp_path, capsys, monkeypatch,
+                                             T, spec1_sup, expected):
+    # at theta = 0.05 (spec1_sup 0.05) a step T / (N - 1) of 1111 breaks
+    # theta lambda_max(P_T K_T) < 1; this used to exit 3 as if theta were
+    # inadmissible.  Only that failure checks admissibility, and a theta
+    # whose spec1_sup misses the margin keeps the oracle's exit 3.
+    checks = []
+
+    def check(cl, theta):
+        checks.append(theta)
+        report = check_admissible(cl, theta)
+        if spec1_sup is None:
+            return report
+        return dataclasses.replace(report, spec1_sup=spec1_sup)
+
+    monkeypatch.setattr(cli, "check_admissible", check)
+    out = tmp_path / "oracle.csv"
+    code = cli.main(["oracle-compare",
+                     _write(tmp_path, _canonical_doc(with_controller=True)),
+                     "--oracle-T", T, "--oracle-N", "10",
+                     "--output", str(out)])
+    assert code == expected
+    err = capsys.readouterr().err
+    if expected == cli.EXIT_OK:
+        assert checks == [] and out.exists()
+        return
+    assert checks == [0.05] and not out.exists()
+    if expected == cli.EXIT_NUMERICAL:
+        assert ("numerical error: oracle grid too coarse: N=10 points over "
+                "horizons up to T=10000 (step up to 1.11e+03)" in err)
+    else:
+        assert "inadmissible: theta * lambda_max(P_T K_T) >= 1" in err
+
+
 def test_written_instances_load(tmp_path):
     # the instance files the bundled script writes must keep loading
     root = Path(__file__).resolve().parents[1]

@@ -348,16 +348,27 @@ def test_growth_rate_carries_its_grid(cl_square, quad_fast):
     theta = 0.05
     grid = growth_rate_grid(cl_square, theta, quad_fast)
     rate = qef_growth_rate(cl_square, theta, quad_fast)
-    # the adaptive value's grid is the subdivision it was summed on
+    # the adaptive value's grid is the subdivision it was summed on, and
+    # its error estimate meets the tolerance by the test that stopped it
     assert isinstance(rate, float)
     assert np.array_equal(rate.grid.body_edges, grid.body_edges)
     assert np.array_equal(rate.grid.tail_edges, grid.tail_edges)
+    assert rate.meets(quad_fast)
     frozen = qef_growth_rate(cl_square, theta, quad_fast, grid=rate.grid)
     assert frozen.grid is rate.grid
     assert abs(frozen - rate) <= 1e-12 * abs(rate)
     assert pickle.loads(pickle.dumps(rate)) == rate
     zero = qef_growth_rate(cl_square, 0.0)
     assert zero == 0.0 and zero.grid is None
+
+
+@pytest.mark.parametrize("spec1", [0.4, 0.9])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_adaptive_growth_rate_meets_its_tolerance(seed, spec1):
+    # the adaptive integral stops on the test GrowthRate.meets applies
+    cl = random_stable_instance(np.random.default_rng(seed))[2]
+    quad = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
+    assert qef_growth_rate(cl, theta_for_spec1(cl, spec1), quad).meets(quad)
 
 
 def test_check_admissible_canonical(cl_square):

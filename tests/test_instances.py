@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import qefsyn.freq as freq
+import qefsyn.instances as instances
 from qefsyn.freq import check_admissible
 from qefsyn.instances import (
     random_admissible_instance,
@@ -9,6 +11,7 @@ from qefsyn.instances import (
     random_stable_instance,
 )
 from qefsyn.model import is_hurwitz
+from qefsyn.oracle import default_horizon
 
 
 def test_random_plant_spec_valid(rng):
@@ -33,3 +36,30 @@ def test_random_admissible_instance(rng):
     assert theta > 0
     report = check_admissible(cl, theta)
     assert report.admissible
+
+
+def test_one_spectrum_per_perturbed_loop(monkeypatch):
+    # the Hurwitz and damping tests of each perturbed loop and
+    # theta_for_spec1 read one cached factorization, and so does
+    # default_horizon; each used to take its own eigvals as well
+    spectra, loops = [], []
+    for name in ("eig", "eigvals"):
+        def counted(a, _fn=getattr(np.linalg, name)):
+            spectra.append(np.asarray(a, dtype=float).tobytes())
+            return _fn(a)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def assembled(*args, _fn=instances.assemble_closed_loop):
+        cl = _fn(*args)
+        loops.append(cl.calA.tobytes())
+        return cl
+
+    monkeypatch.setattr(instances, "assemble_closed_loop", assembled)
+    freq._factor.cache_clear()
+    for seed in (0, 1, 2):
+        _, _, cl, _ = random_admissible_instance(np.random.default_rng(seed))
+        assert spectra.count(cl.calA.tobytes()) == 1
+        n_spectra = len(spectra)
+        default_horizon(cl.calA)
+        assert len(spectra) == n_spectra
+    assert all(spectra.count(calA) <= 1 for calA in loops)
