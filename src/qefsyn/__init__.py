@@ -14,9 +14,9 @@ from qefsyn.model import (
     build_J,
     derive_plant,
     assemble_closed_loop,
-    is_hurwitz,
 )
-from qefsyn.freq import QuadratureConfig, qef_growth_rate, check_admissible
+from qefsyn.freq import (QuadratureConfig, qef_growth_rate, check_admissible,
+                         is_hurwitz)
 from qefsyn.gramians import lqg_cost, chi0
 from qefsyn.grad import frechet_derivatives, optimality_residual
 from qefsyn.synth import SynthesisConfig, lqg_controller, synthesize

@@ -18,9 +18,10 @@ The document and each block are objects.  The document and its oracle
 block hold no keys but the ones shown; the quadrature and synthesis blocks
 take the fields of QuadratureConfig and SynthesisConfig (but theta and
 quad).  Each setting is checked by the type that uses it (QuadratureConfig,
-SynthesisConfig, check_theta, and the oracle's check_horizon and
-check_grid_size): a rejected value, a non-object block or an unknown key
-is a validation error that names it.
+SynthesisConfig, check_theta, model.check_weights for S and K, and the
+oracle's check_horizon and check_grid_size): a rejected value, a
+non-finite or mis-shaped weight, a non-object block or an unknown key is
+a validation error that names it.
 
 Exit codes: 0 ok, 2 validation, 3 inadmissible, 4 numerical, 5 io.
 """
@@ -48,6 +49,7 @@ from qefsyn.model import (
     ControllerParams,
     PlantSpec,
     assemble_closed_loop,
+    check_weights,
     derive_plant,
 )
 from qefsyn.synth import SynthesisConfig, lqg_controller, synthesize
@@ -171,8 +173,8 @@ def load_instance(path):
         raise ValidationError("weights.S length must be a positive multiple "
                               "of n")
     nu = S_flat.size // n
-    S = S_flat.reshape(nu, n)
-    K = _matrix(w, "K", nu, d)
+    S, K = check_weights(spec, (S_flat.reshape(nu, n),
+                                _matrix(w, "K", nu, d)))
 
     ctrl = None
     if "controller" in doc:
@@ -193,11 +195,8 @@ def load_instance(path):
 
 
 def controller_to_json(ctrl):
-    return {
-        "a": [float(x) for x in ctrl.a.ravel()],
-        "b": [float(x) for x in ctrl.b.ravel()],
-        "c": [float(x) for x in ctrl.c.ravel()],
-    }
+    return {name: [float(x) for x in getattr(ctrl, name).ravel()]
+            for name in "abc"}
 
 
 def _closed_loop(inst):

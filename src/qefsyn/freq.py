@@ -38,7 +38,6 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
-from qefsyn.model import HURWITZ_MARGIN
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +50,7 @@ __all__ = [
     "tanhc",
     "delta_matrix",
     "check_admissible",
+    "is_hurwitz",
     "check_loop",
     "check_number",
     "check_theta",
@@ -143,8 +143,7 @@ def _tolerance(total, abs_tol, rel_tol):
     return max(abs_tol, rel_tol * float(np.max(np.abs(total))))
 
 
-def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions=_MAX_SUBDIVISIONS,
-              breakpoints=()):
+def _adaptive(f, a, b, abs_tol, rel_tol, breakpoints=()):
     """Adaptive GK15 for a vector-valued integrand; deterministic order.
 
     `breakpoints` seed the initial subdivision (resonance peaks narrower
@@ -176,7 +175,7 @@ def _adaptive(f, a, b, abs_tol, rel_tol, max_subdivisions=_MAX_SUBDIVISIONS,
     best_err = np.inf
     stall = 0
     converged = False
-    while n_sub < max_subdivisions:
+    while n_sub < _MAX_SUBDIVISIONS:
         total, tot_err, tol = totals()
         if tot_err <= tol:
             converged = True
@@ -293,12 +292,14 @@ def integrate_half_line(f, lam_max, quad, breakpoints=(), grid=None):
 
 #: resolvent residual above which a frequency is a near-singular shift
 _RESOLVENT_TOL = 1e-8
+#: the truncation frequency's multiple of the spectral radius
+_LAMBDA_MAX_MULTIPLE = 50.0
 
 
 def default_lambda_max(calA):
     """Truncation frequency: 50x the spectral radius of the system matrix."""
     rho = float(np.max(np.abs(_modes(calA).s)))
-    return 50.0 * max(rho, 1.0)
+    return _LAMBDA_MAX_MULTIPLE * max(rho, 1.0)
 
 
 def _over_x(fn, x):
@@ -556,12 +557,12 @@ class AdmissibilityReport:
         return self.spec1_ok and self.psi_ok
 
 
-def _admissibility_grid(cl, n_base=241):
+def _admissibility_grid(cl):
     lam_max = default_lambda_max(cl.calA)
     # dense near the resolvent features, sparser in the tail
-    rho = lam_max / 50.0
-    head = np.linspace(0.0, 5.0 * rho, n_base)
-    tail = np.geomspace(5.0 * rho, lam_max, n_base // 2)
+    rho = lam_max / _LAMBDA_MAX_MULTIPLE
+    head = np.linspace(0.0, 5.0 * rho, 241)
+    tail = np.geomspace(5.0 * rho, lam_max, 120)
     return np.unique(np.concatenate([head, tail]))
 
 
@@ -637,12 +638,21 @@ def theta_for_spec1(cl, target):
     return lo
 
 
+#: eigenvalue margin separating Hurwitz from marginal
+HURWITZ_MARGIN = 1e-9
+
+
+def is_hurwitz(calA):
+    """The one stability test: every eigenvalue of calA, read from its
+    cached factorization (`_factor`), has real part below -HURWITZ_MARGIN."""
+    return bool(np.max(_modes(calA).s.real) < -HURWITZ_MARGIN)
+
+
 def check_loop(cl, theta=0.0):
-    """`check_theta`, then an InadmissibleError unless every eigenvalue of
-    calA (from `_factor`) has real part below -HURWITZ_MARGIN; every
-    closed-loop entry point rejects an unstable loop through this."""
+    """`check_theta`, then an InadmissibleError unless `is_hurwitz(calA)`;
+    every closed-loop entry point rejects an unstable loop through this."""
     check_theta(theta)
-    if not np.max(_modes(cl.calA).s.real) < -HURWITZ_MARGIN:
+    if not is_hurwitz(cl.calA):
         raise InadmissibleError("closed loop is not Hurwitz")
 
 

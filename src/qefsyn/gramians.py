@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from qefsyn.errors import NumericalError, ValidationError
-from qefsyn.model import is_hurwitz
+from qefsyn.freq import is_hurwitz
 
 __all__ = ["GramianSet", "solve_lyapunov", "gramian_set", "lqg_cost", "chi0"]
 

@@ -3,9 +3,9 @@
 import numpy as np
 
 from qefsyn.errors import NumericalError, ValidationError
-from qefsyn.freq import _modes, check_admissible, theta_for_spec1
+from qefsyn.freq import (_modes, check_admissible, is_hurwitz,
+                         theta_for_spec1)
 from qefsyn.model import (
-    HURWITZ_MARGIN,
     ControllerParams,
     PlantSpec,
     assemble_closed_loop,
@@ -112,11 +112,11 @@ def random_admissible_instance(rng, theta_fraction=0.25, perturb=0.05):
         )
         ctrl = ctrl + dctrl
         cl = assemble_closed_loop(plant, weights, ctrl)
-        eigs = _modes(cl.calA).s     # factored once, for theta_for_spec1 too
-        if not np.max(eigs.real) < -HURWITZ_MARGIN:
+        if not is_hurwitz(cl.calA):     # factored once, for theta_for_spec1 too
             continue
         # reject nearly undamped loops: their razor-thin resonance peaks
         # make every finite-difference validation ill-conditioned
+        eigs = _modes(cl.calA).s
         if np.min(-eigs.real / np.abs(eigs)) < 0.05:
             continue
         theta = theta_for_spec1(cl, theta_fraction)

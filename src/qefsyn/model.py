@@ -21,15 +21,12 @@ __all__ = [
     "build_J",
     "derive_plant",
     "validate_measurement",
+    "check_weights",
     "assemble_closed_loop",
-    "is_hurwitz",
 ]
 
 #: absolute residual tolerance for realizability identities
 PR_TOL = 1e-10
-
-#: eigenvalue margin separating Hurwitz from marginal
-HURWITZ_MARGIN = 1e-9
 
 
 def build_J(m):
@@ -45,7 +42,7 @@ def build_J(m):
 
 def _check_real(name, M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValidationError(f"{name} has non-finite entries")
     return M
 
@@ -67,16 +64,10 @@ class PlantSpec:
     D: np.ndarray
 
     def __post_init__(self):
-        Theta = _check_real("Theta", self.Theta)
-        R = _check_real("R", self.R)
-        M = _check_real("M", self.M)
-        N = _check_real("N", self.N)
-        D = _check_real("D", self.D)
-        object.__setattr__(self, "Theta", Theta)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "D", D)
+        for name in ("Theta", "R", "M", "N", "D"):
+            value = _check_real(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+        Theta, R, M, N, D = self.Theta, self.R, self.M, self.N, self.D
         n = Theta.shape[0]
         if Theta.shape != (n, n) or n % 2 != 0:
             raise ValidationError("Theta must be square of even order")
@@ -207,12 +198,10 @@ class ControllerParams:
     c: np.ndarray
 
     def __post_init__(self):
-        a = _check_real("a", self.a)
-        b = _check_real("b", self.b)
-        c = _check_real("c", self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        for name in "abc":
+            value = _check_real(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+        a, b, c = self.a, self.b, self.c
         n = a.shape[0]
         if a.shape != (n, n):
             raise ValidationError("a must be square")
@@ -254,6 +243,17 @@ class ClosedLoop:
         return self.plant.J
 
 
+def check_weights(plant, weights):
+    """The weights (S, K) as finite float matrices, S nu x n and K nu x d
+    for the plant's n and d; a ValidationError names the one that is not."""
+    S, K = map(_check_real, "SK", weights)
+    for name, w, cols, dim in (("S", S, plant.n, "n"), ("K", K, plant.d, "d")):
+        if w.shape != (S.shape[0], cols):
+            raise ValidationError(f"weight {name} has shape {w.shape}, not "
+                                  f"nu x {dim} = {S.shape[0]} x {cols}")
+    return S, K
+
+
 def assemble_closed_loop(plant, weights, ctrl):
     """Assemble the joint system matrices for a plant/controller pair.
 
@@ -262,17 +262,14 @@ def assemble_closed_loop(plant, weights, ctrl):
     realizability identity calA Gamma + Gamma calA^T + calB J calB^T = 0
     holds for any (a, b, c) and is asserted.
     """
-    S, K = (np.atleast_2d(np.asarray(w, dtype=float)) for w in weights)
-    n, m, d, r = plant.n, plant.m, plant.d, plant.r
+    S, K = check_weights(plant, weights)
+    n, d, r = plant.n, plant.d, plant.r
     a, b, c = ctrl.a, ctrl.b, ctrl.c
     if a.shape != (n, n) or b.shape != (n, r) or c.shape != (d, n):
         raise ValidationError(
             f"controller shapes {a.shape}, {b.shape}, {c.shape} do not match "
             f"plant dimensions n={n}, r={r}, d={d}"
         )
-    nu = S.shape[0]
-    if S.shape != (nu, n) or K.shape != (nu, d):
-        raise ValidationError("weights S, K must be nu x n and nu x d")
 
     calA = np.block([[plant.A, plant.E @ c], [b @ plant.C, a]])
     calB = np.vstack([plant.B, b @ plant.D])
@@ -287,8 +284,3 @@ def assemble_closed_loop(plant, weights, ctrl):
     return ClosedLoop(plant=plant, ctrl=ctrl, S=S, K=K,
                       calA=calA, calB=calB, calC=calC, Gamma=Gamma)
 
-
-def is_hurwitz(calA):
-    """True iff every eigenvalue has real part below the stability margin."""
-    calA = np.asarray(calA)
-    return bool(np.max(np.linalg.eigvals(calA).real) < -HURWITZ_MARGIN)

@@ -39,10 +39,11 @@ from qefsyn.freq import (
     check_admissible,
     check_number,
     check_theta,
+    is_hurwitz,
     qef_growth_rate,
 )
 from qefsyn.grad import frechet_derivatives, optimality_residual
-from qefsyn.model import ControllerParams, assemble_closed_loop, is_hurwitz
+from qefsyn.model import ControllerParams, assemble_closed_loop, check_weights
 
 __all__ = ["SynthesisConfig", "SynthesisReport", "lqg_controller", "synthesize"]
 
@@ -91,7 +92,7 @@ def lqg_controller(plant, weights):
     (B B^T, D D^T, cross B D^T); feedback gain from the control Riccati
     equation with weights (S^T S, S^T K, K^T K).
     """
-    S, K = (np.atleast_2d(np.asarray(w, dtype=float)) for w in weights)
+    S, K = check_weights(plant, weights)
     A, B, E, C, D = plant.A, plant.B, plant.E, plant.C, plant.D
     R2 = K.T @ K
     if np.min(np.linalg.eigvalsh(R2)) <= 0:
@@ -104,10 +105,7 @@ def lqg_controller(plant, weights):
         raise NumericalError(f"Riccati solve failed: {exc}") from exc
     F = np.linalg.solve(R2, E.T @ X + (S.T @ K).T)      # feedback gain
     Lg = np.linalg.solve(D @ D.T, C @ Y + D @ B.T).T    # filter gain
-    c = -F
-    b = Lg
-    a = A + E @ c - b @ C
-    ctrl = ControllerParams(a=a, b=b, c=c)
+    ctrl = ControllerParams(a=A - E @ F - Lg @ C, b=Lg, c=-F)
     cl = assemble_closed_loop(plant, (S, K), ctrl)
     if not is_hurwitz(cl.calA):
         raise NumericalError("LQG controller failed to stabilize the plant")

@@ -332,6 +332,9 @@ def test_bad_synthesis_setting_is_a_validation_error(tmp_path, synthesis,
     pytest.param("weights", {"S": "abc"}, id="S-string"),  # used: ValueError
     pytest.param("weights", {"S": [], "K": []}, id="S-empty"),  # IndexError
     pytest.param("weights", {"K": ["a", "b"]}, id="K-strings"),
+    pytest.param("weights", {"S": [float("nan"), 0.0, 0.0, 1.0]},
+                 id="S-nan"),  # used: exit 0 from validate, 3 from evaluate
+    pytest.param("weights", {"K": [0.0, float("inf")]}, id="K-inf"),
 ])
 def test_bad_plant_or_weights_is_a_validation_error(tmp_path, block,
                                                     changes):
@@ -345,6 +348,22 @@ def test_bad_plant_or_weights_is_a_validation_error(tmp_path, block,
     with pytest.raises(ValidationError):
         cli.load_instance(path)
     assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("with_controller", [True, False])
+@pytest.mark.parametrize("command", ["validate", "evaluate", "grad-check",
+                                     "oracle-compare", "synthesize"])
+def test_non_finite_weight_exits_2_from_every_command(tmp_path, capsys,
+                                                      command,
+                                                      with_controller):
+    # JSON reads NaN; without a controller the LQG solve used to fail (exit 4)
+    doc = _canonical_doc(with_controller=with_controller)
+    doc["weights"]["S"][0] = float("nan")
+    code = cli.main([command, _write(tmp_path, doc),
+                     "--output", str(tmp_path / "out.csv"),
+                     "--controller-out", str(tmp_path / "controller.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert "S has non-finite entries" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, value", [

@@ -19,6 +19,7 @@ from qefsyn.freq import (
     delta_matrix,
     growth_rate_grid,
     integrate_half_line,
+    is_hurwitz,
     qef_growth_rate,
     resonance_breakpoints,
     spectral_sweep,
@@ -444,8 +445,9 @@ def test_entry_points_reject_an_unstable_loop(canonical_plant,
 
 def test_one_factorization_per_loop(monkeypatch):
     # a loop's calA is factored once, by freq._factor, and its Hurwitz
-    # test, lambda_max and resonance breakpoints read that factorization
-    _, _, cl = random_stable_instance(np.random.default_rng(7))
+    # test, lambda_max and resonance breakpoints read that factorization;
+    # lqg_controller and lqg_cost each used to take their own eigvals
+    plant, _, cl = random_stable_instance(np.random.default_rng(7))
     calls = {"eig": 0, "eigvals": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
@@ -454,11 +456,21 @@ def test_one_factorization_per_loop(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     freq._factor.cache_clear()
     quad = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
+    lqg_controller(plant, (cl.S, cl.K))
+    lqg_cost(cl)
     check_admissible(cl, 0.05)
     theta = theta_for_spec1(cl, 0.3)
     rate = qef_growth_rate(cl, theta, quad)
     chi_matrix(cl, theta, quad, grid=rate.grid)
     assert calls == {"eig": 1, "eigvals": 0}
+
+
+def test_is_hurwitz():
+    assert is_hurwitz(-np.eye(3))
+    assert not is_hurwitz(np.eye(3))
+    assert not is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # marginal
+    assert is_hurwitz(np.array([[-1.0, 1.0], [0.0, -1.0]]))  # Jordan block
+    assert not is_hurwitz(np.array([[0.0, 1.0], [0.0, 0.0]]))  # nilpotent
 
 
 @pytest.mark.parametrize("target", ["0.3", 0.0, 1.0, np.nan, None])
@@ -475,7 +487,7 @@ def test_adaptive_stall_logs_a_warning(caplog):
         return (np.exp(-x) + 1e-9 * np.sin(1e7 * x))[:, None]
 
     with caplog.at_level(logging.WARNING, logger="qefsyn.freq"):
-        total, err, _ = _adaptive(f, 0.0, 1.0, 1e-11, 1e-15, 400)
+        total, err, _ = _adaptive(f, 0.0, 1.0, 1e-11, 1e-15)
     assert 1e-11 < err <= 100 * 1e-11
     assert abs(total[0] - (1.0 - np.exp(-1.0))) <= 1e-9
     [record] = caplog.records
@@ -484,7 +496,7 @@ def test_adaptive_stall_logs_a_warning(caplog):
 
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="qefsyn.freq"):
-        _, err, _ = _adaptive(f, 0.0, 1.0, 1e-9, 1e-15, 400)
+        _, err, _ = _adaptive(f, 0.0, 1.0, 1e-9, 1e-15)
     assert err <= 1e-9
     assert not caplog.records
 
@@ -495,17 +507,18 @@ def test_adaptive_stall_logs_a_warning(caplog):
             r"stalled at error \d\.\d\de-11 after 60 subdivisions: the "
             r"tolerance 1\.00e-13 requested lies below the integrand's "
             r"noise floor")):
-        _adaptive(f, 0.0, 1.0, 1e-13, 1e-15, 400)
+        _adaptive(f, 0.0, 1.0, 1e-13, 1e-15)
 
 
-def test_adaptive_budget_exhaustion_names_the_budget():
+def test_adaptive_budget_exhaustion_names_the_budget(monkeypatch):
     # a narrow peak that 3 subdivisions cannot resolve
     def f(x):
         return (1.0 / (1.0 + 1e4 * (x - 0.3) ** 2))[:, None]
 
+    monkeypatch.setattr(freq, "_MAX_SUBDIVISIONS", 3)
     with pytest.raises(NumericalError,
                        match=r"did not converge within 3 subdivisions"):
-        _adaptive(f, 0.0, 1.0, 1e-12, 1e-12, 3)
+        _adaptive(f, 0.0, 1.0, 1e-12, 1e-12)
 
 
 def test_quadrature_config_validation():

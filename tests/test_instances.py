@@ -4,13 +4,12 @@ import numpy as np
 
 import qefsyn.freq as freq
 import qefsyn.instances as instances
-from qefsyn.freq import check_admissible
+from qefsyn.freq import check_admissible, is_hurwitz
 from qefsyn.instances import (
     random_admissible_instance,
     random_plant_spec,
     random_stable_instance,
 )
-from qefsyn.model import is_hurwitz
 from qefsyn.oracle import default_horizon
 
 

@@ -12,9 +12,9 @@ from qefsyn.model import (
     assemble_closed_loop,
     build_J,
     derive_plant,
-    is_hurwitz,
     validate_measurement,
 )
+from qefsyn.synth import lqg_controller
 
 
 def test_build_j_structure():
@@ -111,10 +111,30 @@ def test_controller_shape_mismatch(canonical_plant):
                              ctrl)
 
 
-def test_is_hurwitz():
-    assert is_hurwitz(-np.eye(3))
-    assert not is_hurwitz(np.eye(3))
-    assert not is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # marginal
+_S, _K = np.eye(2), np.array([[0.0], [1.0]])
+
+
+def _assemble(plant, weights):
+    return assemble_closed_loop(plant, weights,
+                                lqg_controller(plant, (_S, _K)))
+
+
+@pytest.mark.parametrize("weights, name", [
+    pytest.param((np.eye(3), _K), "S", id="S-wrong-columns"),  # was numerical
+    pytest.param((np.ones((1, 2, 2)), _K), "S", id="S-three-dimensional"),
+    pytest.param((_S, np.ones((2, 2))), "K", id="K-wrong-columns"),
+    pytest.param((_S, np.ones((3, 1))), "K", id="K-wrong-rows"),
+    pytest.param((np.array([[np.nan, 0.0], [0.0, 1.0]]), _K), "S",
+                 id="S-nan"),
+    pytest.param((_S, np.array([[0.0], [np.inf]])), "K", id="K-inf"),
+])
+@pytest.mark.parametrize("entry", [lqg_controller, _assemble],
+                         ids=["lqg_controller", "assemble_closed_loop"])
+def test_bad_weights_are_a_validation_error(canonical_plant, weights, name,
+                                            entry):
+    # both read the pair through model.check_weights, which names the weight
+    with pytest.raises(ValidationError, match=rf"^(weight )?{name} has"):
+        entry(canonical_plant, weights)
 
 
 def test_controller_params_add():

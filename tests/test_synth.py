@@ -10,12 +10,13 @@ from qefsyn.freq import (
     QuadratureConfig,
     GrowthRate,
     check_admissible,
+    is_hurwitz,
     qef_growth_rate,
     theta_for_spec1,
 )
 from qefsyn.grad import frechet_derivatives
 from qefsyn.instances import canonical_weights_square, random_stable_instance
-from qefsyn.model import assemble_closed_loop, is_hurwitz
+from qefsyn.model import assemble_closed_loop
 from qefsyn.synth import SynthesisConfig, lqg_controller, synthesize
 
 
