@@ -3,7 +3,9 @@
 
 Compares ln Xi_T / T from the Nystrom-discretized finite-horizon cost
 against the frequency-domain growth rate over a ladder of horizons and
-grid resolutions, writing one CSV row per (T, N) pair.
+grid resolutions, writing one CSV row per (T, N) pair.  The horizons are
+the ladder of `qefsyn oracle-compare`: a quarter, a half and all of the
+oracle's default horizon of 40 slowest closed-loop time constants.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import numpy as np
 from qefsyn.freq import QuadratureConfig, qef_growth_rate, theta_for_spec1
 from qefsyn.instances import canonical_plant_spec, canonical_weights_lqg
 from qefsyn.model import ControllerParams, assemble_closed_loop, derive_plant
-from qefsyn.oracle import build_operators, finite_horizon_qef
+from qefsyn.oracle import build_operators, default_horizon, finite_horizon_qef
 from qefsyn.synth import lqg_controller
 
 
@@ -35,13 +37,12 @@ def main():
     theta = theta_for_spec1(cl, args.spec1_target)
     ups = qef_growth_rate(cl, theta,
                           QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10))
-    decay = abs(np.max(np.linalg.eigvals(cl.calA).real))
-    print(f"theta={theta:.6g}  ups={ups:.12g}  decay={decay:.6g}")
+    T_final = default_horizon(cl.calA)
+    print(f"theta={theta:.6g}  ups={ups:.12g}  T={T_final:.6g}")
 
     with open(args.output, "w") as fh:
         fh.write("T,N,lnXi_over_T,ups_freq,rel_gap\n")
-        for mult in (10.0, 20.0, 40.0):
-            T = mult / decay
+        for T in (T_final / 4, T_final / 2, T_final):
             for N in (200, 400, 800):
                 rate = finite_horizon_qef(build_operators(cl, theta, T, N)) / T
                 gap = abs(rate - ups) / abs(ups)

@@ -47,6 +47,7 @@ from qefsyn.freq import (
 from qefsyn.grad import gradient_check
 from qefsyn.model import (
     ControllerParams,
+    DerivedPlant,
     PlantSpec,
     assemble_closed_loop,
     check_weights,
@@ -88,7 +89,7 @@ def _matrix(obj, key, rows, cols):
 class ProblemInstance:
     """A fully validated problem read from a JSON instance file."""
 
-    spec: PlantSpec
+    plant: DerivedPlant
     S: np.ndarray
     K: np.ndarray
     theta: float
@@ -158,13 +159,13 @@ def load_instance(path):
                       for k in ("n", "m", "d", "r"))
     except KeyError as exc:
         raise ValidationError(f"missing plant field {exc}") from exc
-    spec = PlantSpec(
+    plant = derive_plant(PlantSpec(
         Theta=_matrix(p, "Theta", n, n),
         R=_matrix(p, "R", n, n),
         M=_matrix(p, "M", m, n),
         N=_matrix(p, "N", d, n),
         D=_matrix(p, "D", r, m),
-    )
+    ))
     if "weights" not in doc:
         raise ValidationError("missing 'weights'")
     w = _object(doc["weights"], "weights")
@@ -173,7 +174,7 @@ def load_instance(path):
         raise ValidationError("weights.S length must be a positive multiple "
                               "of n")
     nu = S_flat.size // n
-    S, K = check_weights(spec, (S_flat.reshape(nu, n),
+    S, K = check_weights(plant, (S_flat.reshape(nu, n),
                                 _matrix(w, "K", nu, d)))
 
     ctrl = None
@@ -188,7 +189,7 @@ def load_instance(path):
                                       "quadrature", _QUADRATURE_KEYS))
     odoc = _object(doc.get("oracle", {}), "oracle", ("T", "N"))
     return ProblemInstance(
-        spec=spec, S=S, K=K, theta=doc.get("theta", 0.0), controller=ctrl,
+        plant=plant, S=S, K=K, theta=doc.get("theta", 0.0), controller=ctrl,
         quad=quad, oracle_T=odoc.get("T"), oracle_N=odoc.get("N", 800),
         synthesis=doc.get("synthesis", {}),
     )
@@ -201,15 +202,13 @@ def controller_to_json(ctrl):
 
 def _closed_loop(inst):
     """The closed loop of the instance's controller, else of its LQG one."""
-    plant = derive_plant(inst.spec)
     ctrl = inst.controller
     if ctrl is None:
-        ctrl = lqg_controller(plant, (inst.S, inst.K))
-    return assemble_closed_loop(plant, (inst.S, inst.K), ctrl)
+        ctrl = lqg_controller(inst.plant, (inst.S, inst.K))
+    return assemble_closed_loop(inst.plant, (inst.S, inst.K), ctrl)
 
 
 def cmd_validate(inst, args):
-    derive_plant(inst.spec)
     if inst.controller is not None:
         _closed_loop(inst)
     print("ok")
@@ -271,9 +270,8 @@ def cmd_oracle_compare(inst, args):
 
 
 def cmd_synthesize(inst, args):
-    plant = derive_plant(inst.spec)
     cfg = SynthesisConfig(theta=inst.theta, quad=inst.quad, **inst.synthesis)
-    report = synthesize(plant, (inst.S, inst.K), cfg)
+    report = synthesize(inst.plant, (inst.S, inst.K), cfg)
     trace = args.output or "trace.csv"
     with open(trace, "w") as fh:
         fh.write("iter,ups,residual,step\n")

@@ -126,43 +126,20 @@ def validate_measurement(D, J):
 
 
 @dataclass(frozen=True)
-class DerivedPlant:
-    """State-space matrices of the plant, derived from a PlantSpec."""
+class DerivedPlant(PlantSpec):
+    """A PlantSpec with its state-space matrices (A, B, E, C) and the
+    field channels' J, as derived by `derive_plant`."""
 
-    spec: PlantSpec
     A: np.ndarray
     B: np.ndarray
     E: np.ndarray
     C: np.ndarray
     J: np.ndarray
 
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def d(self):
-        return self.E.shape[1]
-
-    @property
-    def r(self):
-        return self.C.shape[0]
-
-    @property
-    def Theta(self):
-        return self.spec.Theta
-
-    @property
-    def D(self):
-        return self.spec.D
-
 
 def derive_plant(spec):
-    """Derive (A, B, E, C) from the physical parameters and verify PR.
+    """The plant of `spec`: its physical parameters, the same arrays, with
+    (A, B, E, C) derived from them and physical realizability verified.
 
     A = 2 Theta (R + M^T J M), B = 2 Theta M^T, E = 2 Theta N^T,
     C = 2 D J M.  The realizability identities
@@ -186,7 +163,8 @@ def derive_plant(spec):
         raise ValidationError(
             f"realizability residual Theta C^T + B J D^T = {res_c:.2e}"
         )
-    return DerivedPlant(spec=spec, A=A, B=B, E=E, C=C, J=J)
+    return DerivedPlant(Theta=Theta, R=R, M=M, N=N, D=D,
+                        A=A, B=B, E=E, C=C, J=J)
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,6 @@ class CCRKernel:
     def lambda11(self, k):
         return self.values[k][:self.n, :self.n]
 
-    def lambda12(self, k):
-        return self.values[k][:self.n, self.n:]
-
     def lambda21(self, k):
         return self.values[k][self.n:, :self.n]
 

@@ -96,7 +96,7 @@ def lqg_controller(plant, weights):
     A, B, E, C, D = plant.A, plant.B, plant.E, plant.C, plant.D
     R2 = K.T @ K
     if np.min(np.linalg.eigvalsh(R2)) <= 0:
-        raise NumericalError("control weight K^T K must be positive definite")
+        raise ValidationError("control weight K^T K must be positive definite")
     try:
         X = scipy.linalg.solve_continuous_are(A, E, S.T @ S, R2, s=S.T @ K)
         Y = scipy.linalg.solve_continuous_are(A.T, C.T, B @ B.T, D @ D.T,

@@ -366,6 +366,39 @@ def test_non_finite_weight_exits_2_from_every_command(tmp_path, capsys,
     assert "S has non-finite entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "grad-check",
+                                     "oracle-compare", "synthesize"])
+def test_singular_control_weight_exits_2_without_a_controller(
+        tmp_path, capsys, command):
+    # the LQG controller needs K^T K > 0; this used to exit 4
+    doc = _canonical_doc()
+    doc["weights"]["K"] = [0.0, 0.0]
+    code = cli.main([command, _write(tmp_path, doc),
+                     "--output", str(tmp_path / "out.csv"),
+                     "--controller-out", str(tmp_path / "controller.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert "control weight K" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "grad-check",
+                                     "oracle-compare", "synthesize"])
+def test_every_command_derives_the_plant_once(tmp_path, monkeypatch, command):
+    calls = []
+
+    def derive(spec):
+        calls.append(spec)
+        return derive_plant(spec)
+
+    monkeypatch.setattr(cli, "derive_plant", derive)
+    # with a controller, validate used to derive the plant twice
+    code = cli.main([command, _write(tmp_path, _canonical_doc(
+                         with_controller=True)),
+                     "--oracle-N", "40",
+                     "--output", str(tmp_path / "out.csv"),
+                     "--controller-out", str(tmp_path / "controller.json")])
+    assert code == cli.EXIT_OK and len(calls) == 1
+
+
 @pytest.mark.parametrize("block, value", [
     pytest.param(None, [1, 2], id="document"),  # used: TypeError
     pytest.param("plant", [1], id="plant"),  # used: TypeError

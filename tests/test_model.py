@@ -1,5 +1,7 @@
 """Plant validation, derived state space, realizability, closed-loop assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from qefsyn.errors import ValidationError
 from qefsyn.instances import random_plant_spec
 from qefsyn.model import (
     ControllerParams,
+    DerivedPlant,
     PlantSpec,
     assemble_closed_loop,
     build_J,
@@ -54,11 +57,28 @@ def test_measurement_rank_enforced():
 
 def test_derive_plant_canonical(canonical_plant, canonical_spec):
     p = canonical_plant
+    # one plant record: the spec's fields, then the realization
+    assert [f.name for f in dataclasses.fields(DerivedPlant)] == [
+        *(f.name for f in dataclasses.fields(PlantSpec)),
+        "A", "B", "E", "C", "J"]
+    assert not any(isinstance(v, property)
+                   for v in vars(DerivedPlant).values())
+    assert not hasattr(p, "spec")
+    assert isinstance(p, PlantSpec)
+    assert all(getattr(p, f.name) is getattr(canonical_spec, f.name)
+               for f in dataclasses.fields(PlantSpec))
+    assert (p.n, p.m, p.d, p.r) == (2, 2, 1, 1)
     assert np.allclose(p.A, 2.0 * canonical_spec.Theta
                        @ (canonical_spec.R
                           + canonical_spec.M.T @ p.J @ canonical_spec.M))
     assert np.allclose(p.B, 2.0 * canonical_spec.Theta @ canonical_spec.M.T)
     assert np.allclose(p.C, 2.0 * canonical_spec.D @ p.J @ canonical_spec.M)
+
+
+def test_derived_plant_checks_its_spec(canonical_plant):
+    # a DerivedPlant built directly runs PlantSpec's checks
+    with pytest.raises(ValidationError, match="R must be symmetric"):
+        dataclasses.replace(canonical_plant, R=canonical_plant.Theta)
 
 
 @settings(max_examples=50, deadline=None)

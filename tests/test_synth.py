@@ -1,5 +1,7 @@
 """LQG initializer and the descent loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ def test_lqg_controller_observer_form(canonical_plant, weights_square):
 
 
 def test_lqg_controller_rejects_degenerate_control_weight(canonical_plant):
-    with pytest.raises(NumericalError):
+    # the weights are input: a singular K is invalid, not a numerical fault
+    with pytest.raises(ValidationError, match="control weight K"):
         lqg_controller(canonical_plant, (np.eye(2), np.zeros((2, 1))))
 
 
@@ -354,14 +357,26 @@ def test_continuation_ladder(monkeypatch):
     assert check_admissible(cl, theta).admissible
 
 
-def test_inadmissible_later_stage_start_names_the_stage():
-    # the minimizer of stage 3 (theta/2) is inadmissible at theta; this
-    # used to be reported as the "initial controller"
-    plant, weights, cfg = _continuation_problem(2, 0.99)
+def test_inadmissible_later_stage_start_names_the_stage(monkeypatch):
+    plant, weights, cfg = _pool_descent(21)
+    cfg = dataclasses.replace(cfg, max_iters=1)
+    checks = []
+
+    def check(cl, theta):
+        checks.append(theta)
+        report = check_admissible(cl, theta)
+        return _failing(report) if theta == cfg.theta else report
+
+    monkeypatch.setattr(synth, "check_admissible", check)
+    # every loop fails at theta, so the minimizer of stage 3 (theta/2)
+    # does; this used to be reported as the "initial controller"
     with pytest.raises(InadmissibleError,
                        match="stage 4 of 4: its start, the minimizer of "
                              "stage 3, is inadmissible"):
         synthesize(plant, weights, cfg)
+    # the LQG start and the stage-4 start
+    assert checks.count(cfg.theta) == 2
+    assert checks[0] == checks[-1] == cfg.theta
 
 
 def test_inadmissible_lqg_start_names_the_first_stage(monkeypatch):
