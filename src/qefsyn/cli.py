@@ -209,8 +209,7 @@ def _closed_loop(inst):
 
 
 def cmd_validate(inst, args):
-    if inst.controller is not None:
-        _closed_loop(inst)
+    _closed_loop(inst)
     print("ok")
     return EXIT_OK
 

@@ -22,7 +22,13 @@ the projected real frequency integral
     chi = (1/(4 pi)) Re int fP([[G calB], [I_m]]
               (F^*(phi + phi^*) + J F^*(psi - psi^*)) [calC G, I_nu]) dlam,
 and the derivatives in (a, b, c) are theta times the three nontrivial
-blocks of K1^T chi^T K2^T.
+blocks of K1^T chi^T K2^T, where K1 and K2 are the constant selection
+matrices relating (a, b, c) variations to variations of (calA, calB,
+calC).  With x the plant rows/columns of chi^T, xi the controller's, z its
+nu output rows and w its m field columns, those blocks are
+    d/da: chi^T[xi, xi],
+    d/db: chi^T[xi, x] C^T + chi^T[xi, w] D^T,
+    d/dc: E^T chi^T[x, xi] + K^T chi^T[z, xi].
 """
 
 from dataclasses import dataclass
@@ -33,6 +39,7 @@ import numpy as np
 from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import (
     AdmissibilityReport,
+    _conj_t,
     _loop_integral,
     check_loop,
     growth_rate_grid,
@@ -46,7 +53,6 @@ __all__ = [
     "GradReport",
     "GradientCheck",
     "chi_matrix",
-    "build_k_factors",
     "sandwich_blocks",
     "frechet_derivatives",
     "gradient_check",
@@ -87,7 +93,7 @@ def _weights(sweep, theta):
     phit = sx[:, :, None] * Dinv
     psit = (np.cosh(half_sum) * dd * Xt - 1j * np.sinh(half_sum) * dd * Dinv
             - sx[:, :, None] * Xt)
-    Uh = U.conj().swapaxes(1, 2)
+    Uh = _conj_t(U)
     return U @ phit @ Uh, U @ psit @ Uh
 
 
@@ -98,15 +104,14 @@ def _chi_integrand(cl, theta, lams):
     from one sweep over all the frequencies.
     """
     sweep = spectral_sweep(cl, lams)
-    Fh = sweep.F.conj().swapaxes(1, 2)
+    Fh = _conj_t(sweep.F)
     k, nu = len(sweep.lams), cl.nu
     if theta == 0.0:
         sweep.raise_first()
         mid = 2.0 * Fh
     else:
         phi, psi = _weights(sweep, theta)
-        mid = (Fh @ (phi + phi.conj().swapaxes(1, 2))
-               + cl.J @ Fh @ (psi - psi.conj().swapaxes(1, 2)))
+        mid = Fh @ (phi + _conj_t(phi)) + cl.J @ Fh @ (psi - _conj_t(psi))
     left = np.concatenate(
         [sweep.G @ cl.calB, np.broadcast_to(np.eye(cl.m), (k, cl.m, cl.m))],
         axis=1)
@@ -140,27 +145,16 @@ def chi_matrix(cl, theta, quad=None, grid=None):
     return total.reshape(two_n + cl.m, two_n + cl.nu) / (2.0 * np.pi), err
 
 
-def build_k_factors(plant, K_weight):
-    """The constant factors relating (a, b, c) variations to system variations."""
-    n, m, d, r = plant.n, plant.m, plant.d, plant.r
-    nu = K_weight.shape[0]
-    K1 = np.zeros((2 * n + nu, n + d))
-    K1[:n, n:] = plant.E
-    K1[n:2 * n, :n] = np.eye(n)
-    K1[2 * n:, n:] = K_weight
-    K2 = np.zeros((n + r, 2 * n + m))
-    K2[:n, n:2 * n] = np.eye(n)
-    K2[n:, :n] = plant.C
-    K2[n:, 2 * n:] = plant.D
-    return K1, K2
-
-
 def sandwich_blocks(plant, K_weight, chi):
-    """The three nontrivial blocks of K1^T chi^T K2^T (unscaled)."""
-    n, d = plant.n, plant.d
-    K1, K2 = build_k_factors(plant, K_weight)
-    M = K1.T @ chi.T @ K2.T
-    return M[:n, :n], M[:n, n:], M[n:, :n]
+    """The three nontrivial blocks of K1^T chi^T K2^T (unscaled), read
+    straight off chi^T (module doc)."""
+    n = plant.n
+    chiT = chi.T
+    x, xi = slice(0, n), slice(n, 2 * n)
+    z = w = slice(2 * n, None)
+    return (chiT[xi, xi],
+            chiT[xi, x] @ plant.C.T + chiT[xi, w] @ plant.D.T,
+            plant.E.T @ chiT[x, xi] + K_weight.T @ chiT[z, xi])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
-"""Lyapunov solvers, Gramians, the quadratic (LQG) cost and its gradient matrix.
+"""Lyapunov solver, the mean-square (LQG) cost and its gradient matrix chi0.
 
-All solvers are dense Bartels-Stewart (Schur-based) via scipy; solutions are
+The solver is dense Bartels-Stewart (Schur-based) via scipy; solutions are
 symmetrized to remove asymmetric round-off before any definiteness check.
+For a stabilized closed loop, the controllability Gramian Sigma (equal to
+the steady covariance) and the observability Gramian Q solve
+    calA Sigma + Sigma calA^T + calB calB^T = 0,
+    calA^T Q + Q calA + calC^T calC = 0,
+and the small-risk limit of the gradient matrix is
+    chi0^T = [[Q Sigma, Q calB], [calC Sigma, 0]],
+Q Sigma being the Hankelian.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -12,7 +17,7 @@ import scipy.linalg
 from qefsyn.errors import NumericalError, ValidationError
 from qefsyn.freq import is_hurwitz
 
-__all__ = ["GramianSet", "solve_lyapunov", "gramian_set", "lqg_cost", "chi0"]
+__all__ = ["solve_lyapunov", "lqg_cost", "chi0"]
 
 
 def solve_lyapunov(A, W):
@@ -23,35 +28,17 @@ def solve_lyapunov(A, W):
         raise ValidationError("W must be symmetric")
     if not is_hurwitz(A):
         raise NumericalError("A is not Hurwitz; Lyapunov solution not unique/PSD")
+    return _solve(A, W)
+
+
+def _solve(A, W):
+    """solve_lyapunov past its checks: A is known Hurwitz, W symmetric."""
     X = scipy.linalg.solve_continuous_lyapunov(A, -W)
     X = 0.5 * (X + X.T)
     res = np.max(np.abs(A @ X + X @ A.T + W))
     if res > 1e-10 * (1.0 + np.max(np.abs(W))):
         raise NumericalError(f"Lyapunov residual {res:.2e} above tolerance")
     return X
-
-
-@dataclass(frozen=True)
-class GramianSet:
-    """Steady covariance, controllability/observability Gramians, Hankelian."""
-
-    Sigma: np.ndarray
-    sP: np.ndarray
-    sQ: np.ndarray
-    sH: np.ndarray
-
-
-def gramian_set(cl):
-    """Gramians of a stabilized closed loop.
-
-    Sigma and sP both solve calA X + X calA^T + calB calB^T = 0 and
-    coincide; sQ solves the adjoint equation with calC^T calC; the
-    Hankelian is sH = sQ sP.
-    """
-    W = cl.calB @ cl.calB.T
-    Sigma = solve_lyapunov(cl.calA, W)
-    sQ = solve_lyapunov(cl.calA.T, cl.calC.T @ cl.calC)
-    return GramianSet(Sigma=Sigma, sP=Sigma, sQ=sQ, sH=sQ @ Sigma)
 
 
 def lqg_cost(cl):
@@ -61,18 +48,18 @@ def lqg_cost(cl):
 
 
 def chi0(cl):
-    """Small-risk limit of the gradient matrix, by the Gramian formula.
+    """Small-risk limit of the gradient matrix, by the Gramian formula
+    (module doc).
 
-    chi0^T = [[sH, sQ calB], [calC sP, 0]]; the zero bottom-right block is
-    the image of the projection that kills that block in the frequency
-    integral.
+    The zero bottom-right block of chi0^T is the image of the projection
+    that kills that block in the frequency integral.  calA^T shares the
+    spectrum of calA, so the adjoint solve reuses its Hurwitz verdict.
     """
-    g = gramian_set(cl)
+    Sigma = solve_lyapunov(cl.calA, cl.calB @ cl.calB.T)
+    Q = _solve(cl.calA.T, cl.calC.T @ cl.calC)
     two_n = cl.calA.shape[0]
-    nu = cl.calC.shape[0]
-    m = cl.calB.shape[1]
-    chi0_T = np.zeros((two_n + nu, two_n + m))
-    chi0_T[:two_n, :two_n] = g.sH
-    chi0_T[:two_n, two_n:] = g.sQ @ cl.calB
-    chi0_T[two_n:, :two_n] = cl.calC @ g.sP
+    chi0_T = np.zeros((two_n + cl.calC.shape[0], two_n + cl.calB.shape[1]))
+    chi0_T[:two_n, :two_n] = Q @ Sigma
+    chi0_T[:two_n, two_n:] = Q @ cl.calB
+    chi0_T[two_n:, :two_n] = cl.calC @ Sigma
     return chi0_T.T

@@ -87,6 +87,43 @@ def test_missing_file_exit_code(capsys):
     assert cli.main(["validate", "/nonexistent/inst.json"]) == cli.EXIT_IO
 
 
+def test_invalid_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"plant": ')
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_missing_plant_dimension_exits_2(tmp_path, capsys):
+    doc = _canonical_doc()
+    del doc["plant"]["r"]
+    assert cli.main(["validate", _write(tmp_path, doc)]) == cli.EXIT_VALIDATION
+    assert "missing plant field 'r'" in capsys.readouterr().err
+
+
+def test_missing_weights_block_exits_2(tmp_path, capsys):
+    doc = _canonical_doc()
+    del doc["weights"]
+    assert cli.main(["validate", _write(tmp_path, doc)]) == cli.EXIT_VALIDATION
+    assert "missing 'weights'" in capsys.readouterr().err
+
+
+def test_evaluate_inadmissible_theta_exits_3_after_the_report(tmp_path,
+                                                              capsys):
+    # at theta = 1000 the spectral supremum reads 1 to round-off: the
+    # admissibility report and the LQG cost print, the growth rate does not
+    path = _write(tmp_path, _canonical_doc(with_controller=True))
+    assert cli.main(["evaluate", path, "--theta", "1000"]) \
+        == cli.EXIT_INADMISSIBLE
+    out, err = capsys.readouterr()
+    fields = dict(line.split(",", 1) for line in out.strip().splitlines())
+    assert list(fields) == ["spec1_sup", "psi_min_rel_sigma", "admissible",
+                            "ups0"]
+    assert abs(float(fields["spec1_sup"]) - 1.0) <= 1e-12
+    assert fields["admissible"] == "0"
+    assert "inadmissible" in err
+
+
 def test_evaluate_command(tmp_path, capsys):
     path = _write(tmp_path, _canonical_doc(with_controller=True))
     assert cli.main(["evaluate", path]) == cli.EXIT_OK
@@ -366,7 +403,7 @@ def test_non_finite_weight_exits_2_from_every_command(tmp_path, capsys,
     assert "S has non-finite entries" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "grad-check",
+@pytest.mark.parametrize("command", ["validate", "evaluate", "grad-check",
                                      "oracle-compare", "synthesize"])
 def test_singular_control_weight_exits_2_without_a_controller(
         tmp_path, capsys, command):

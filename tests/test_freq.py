@@ -27,7 +27,7 @@ from qefsyn.freq import (
     theta_for_spec1,
 )
 from qefsyn.grad import chi_matrix, frechet_derivatives, gradient_check
-from qefsyn.gramians import lqg_cost
+from qefsyn.gramians import chi0, lqg_cost
 from qefsyn.instances import random_stable_instance
 from qefsyn.model import ControllerParams, assemble_closed_loop
 from qefsyn.oracle import build_operators
@@ -446,7 +446,8 @@ def test_entry_points_reject_an_unstable_loop(canonical_plant,
 def test_one_factorization_per_loop(monkeypatch):
     # a loop's calA is factored once, by freq._factor, and its Hurwitz
     # test, lambda_max and resonance breakpoints read that factorization;
-    # lqg_controller and lqg_cost each used to take their own eigvals
+    # lqg_controller and lqg_cost each used to take their own eigvals, and
+    # chi0 used to factor calA^T for its adjoint solve
     plant, _, cl = random_stable_instance(np.random.default_rng(7))
     calls = {"eig": 0, "eigvals": 0}
     for name in calls:
@@ -459,6 +460,7 @@ def test_one_factorization_per_loop(monkeypatch):
     lqg_controller(plant, (cl.S, cl.K))
     lqg_cost(cl)
     check_admissible(cl, 0.05)
+    chi0(cl)
     theta = theta_for_spec1(cl, 0.3)
     rate = qef_growth_rate(cl, theta, quad)
     chi_matrix(cl, theta, quad, grid=rate.grid)

@@ -21,15 +21,18 @@ from qefsyn.freq import (
 from qefsyn.grad import (
     _chi_integrand,
     _weights,
-    build_k_factors,
     chi_matrix,
     frechet_derivatives,
     sandwich_blocks,
 )
 from qefsyn.gramians import chi0
-from qefsyn.instances import random_admissible_instance, random_stable_instance
+from qefsyn.instances import (
+    random_admissible_instance,
+    random_plant_spec,
+    random_stable_instance,
+)
 from qefsyn.matfun import gateaux_cos, gateaux_sin
-from qefsyn.model import ControllerParams, assemble_closed_loop
+from qefsyn.model import ControllerParams, assemble_closed_loop, derive_plant
 
 
 def _reference_weights(Phi, Psi, theta):
@@ -158,11 +161,41 @@ def test_chi_projection_zero_block(cl_square, quad_fast):
     assert np.allclose(chi[-m:, -nu:], 0.0)
 
 
-def test_k_factor_shapes(canonical_plant, weights_square):
-    K1, K2 = build_k_factors(canonical_plant, weights_square[1])
-    n, m, d, r, nu = 2, 2, 1, 1, 2
-    assert K1.shape == (2 * n + nu, n + d)
-    assert K2.shape == (n + r, 2 * n + m)
+def _k_factors(plant, K_weight):
+    """The zero-padded selection matrices K1 and K2 of the paper."""
+    n, m, d, r = plant.n, plant.m, plant.d, plant.r
+    nu = K_weight.shape[0]
+    K1 = np.zeros((2 * n + nu, n + d))
+    K1[:n, n:] = plant.E
+    K1[n:2 * n, :n] = np.eye(n)
+    K1[2 * n:, n:] = K_weight
+    K2 = np.zeros((n + r, 2 * n + m))
+    K2[:n, n:2 * n] = np.eye(n)
+    K2[n:, :n] = plant.C
+    K2[n:, 2 * n:] = plant.D
+    return K1, K2
+
+
+@pytest.mark.parametrize("dims", [None, (4, 4, 2, 2)],
+                         ids=["canonical", "n4-m4-d2-r2"])
+def test_sandwich_blocks_match_k_factor_product(canonical_plant,
+                                                weights_square, dims):
+    # the blocks read off chi^T are those of K1^T chi^T K2^T
+    rng = np.random.default_rng(5)
+    if dims is None:
+        plant, K = canonical_plant, weights_square[1]
+    else:
+        n, m, d, r = dims
+        plant = derive_plant(random_plant_spec(rng, n=n, m=m, d=d, r=r))
+        K = rng.standard_normal((3, d))
+    n, nu = plant.n, K.shape[0]
+    chi = rng.standard_normal((2 * n + plant.m, 2 * n + nu))
+    K1, K2 = _k_factors(plant, K)
+    M = K1.T @ chi.T @ K2.T
+    want = (M[:n, :n], M[:n, n:], M[n:, :n])
+    for got, ref in zip(sandwich_blocks(plant, K, chi), want):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 #: moves the canonical LQG controller off its stationary point

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qefsyn.errors import NumericalError, ValidationError
-from qefsyn.gramians import chi0, gramian_set, lqg_cost, solve_lyapunov
+from qefsyn.gramians import chi0, lqg_cost, solve_lyapunov
 
 
 def test_solve_lyapunov_scalar():
@@ -32,16 +32,6 @@ def test_solve_lyapunov_rejects_asymmetric_w():
         solve_lyapunov(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_gramian_set_properties(cl_square):
-    g = gramian_set(cl_square)
-    assert np.allclose(g.Sigma, g.Sigma.T)
-    assert np.min(np.linalg.eigvalsh(g.Sigma)) >= -1e-12
-    assert np.min(np.linalg.eigvalsh(g.sQ)) >= -1e-12
-    assert np.allclose(g.sH, g.sQ @ g.sP)
-    # sP is the controllability Gramian = steady covariance here
-    assert g.sP is g.Sigma
-
-
 def test_lqg_cost_positive(cl_square):
     assert lqg_cost(cl_square) > 0
 
@@ -55,11 +45,16 @@ def test_lqg_cost_zero_for_zero_weights(canonical_plant, cl_square):
 
 
 def test_chi0_block_structure(cl_square):
-    g = gramian_set(cl_square)
+    # chi0^T = [[Q Sigma, Q calB], [calC Sigma, 0]] with the controllability
+    # Gramian Sigma and the observability Gramian Q; Q Sigma is the Hankelian
+    calA, calB, calC = cl_square.calA, cl_square.calB, cl_square.calC
+    Sigma = solve_lyapunov(calA, calB @ calB.T)
+    Q = solve_lyapunov(calA.T, calC.T @ calC)
+    assert np.min(np.linalg.eigvalsh(Q)) >= -1e-12
     X = chi0(cl_square).T
     two_n, m, nu = 4, cl_square.m, cl_square.nu
     assert X.shape == (two_n + nu, two_n + m)
-    assert np.allclose(X[:two_n, :two_n], g.sH)
-    assert np.allclose(X[:two_n, two_n:], g.sQ @ cl_square.calB)
-    assert np.allclose(X[two_n:, :two_n], cl_square.calC @ g.sP)
+    assert np.allclose(X[:two_n, :two_n], Q @ Sigma)
+    assert np.allclose(X[:two_n, two_n:], Q @ calB)
+    assert np.allclose(X[two_n:, :two_n], calC @ Sigma)
     assert np.allclose(X[two_n:, two_n:], 0)

@@ -181,6 +181,25 @@ def test_numerical_error_from_trial_cost(pool_problem, monkeypatch,
     assert len(checks_after_raise) == 1
 
 
+def test_line_search_failure_keeps_the_start(pool_problem, monkeypatch):
+    plant, weights, cfg, _ = pool_problem
+    start = []
+
+    def cost(cl, theta, quad=None, grid=None):
+        if grid is None:
+            start.append(qef_growth_rate(cl, theta, quad))
+            return start[-1]
+        # every frozen-grid trial costs more than the start, so no step
+        # passes its Armijo bound down to _MIN_STEP
+        return GrowthRate(start[0] + 1.0, grid)
+
+    monkeypatch.setattr(synth, "qef_growth_rate", cost)
+    report = synthesize(plant, weights, cfg)
+    assert report.termination == "line-search failure"
+    assert len(report.iterates) == 1 and np.isnan(report.iterates[0][3])
+    assert len(start) == 1 and report.cost == start[0]
+
+
 def _pool_descent(seed):
     """Plant `seed` of the benchmark's synthesis pool, 3-iteration settings."""
     weights = canonical_weights_square()
