@@ -66,10 +66,25 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _leaves(value):
+    """The entries of a JSON value, nested lists flattened."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def _array(obj, key):
-    """obj[key] as a flat float array; missing or non-numeric is invalid."""
+    """obj[key] as a flat float array; missing or non-numeric is invalid,
+    and so is an entry that is a string or a boolean, which numpy would
+    read as a number."""
     if key not in obj:
         raise ValidationError(f"missing array {key!r}")
+    bad = [v for v in _leaves(obj[key]) if isinstance(v, (str, bool))]
+    if bad:
+        raise ValidationError(f"{key!r} is not a numeric array: entry "
+                              f"{bad[0]!r} is not a JSON number")
     try:
         return np.asarray(obj[key], dtype=float).ravel()
     except (TypeError, ValueError) as exc:

@@ -134,6 +134,10 @@ def _panels(f, edges):
 
 #: subdivision budget of one adaptive integral
 _MAX_SUBDIVISIONS = 400
+#: splits in a row without a 10% drop of the error estimate: a stall
+_STALL_LIMIT = 60
+#: the multiple of its tolerance an unfinished integral may be returned at
+_STALL_SLACK = 100.0
 
 
 def _tolerance(total, abs_tol, rel_tol):
@@ -150,69 +154,59 @@ def _adaptive(f, a, b, abs_tol, rel_tol, breakpoints=()):
     than a panel would otherwise produce falsely small error estimates
     and never trigger refinement).
 
-    The worst panel is split until the summed error estimate meets the
-    tolerance.  When the total estimate stops improving under subdivision
-    the integrand's evaluation-noise floor has been reached: a genuinely
-    unresolved feature shrinks the estimate steadily, while noise-level
-    estimates scale with panel width and their sum stays flat.  A result
-    within a modest factor of the request is then returned (the estimate
-    is part of the return value) with a logged warning; anything worse
-    raises NumericalError, which says whether the subdivision budget ran
-    out or the request lies below the noise floor.
+    The panels are kept in edge order: the sorted `edges`, with each
+    panel's integral and error estimate.  The worst panel (the first in
+    edge order on a tie) is split in place at its midpoint until the
+    summed estimate meets the tolerance, which is tested after every
+    split, the last of the _MAX_SUBDIVISIONS included; the edges are the
+    grid returned.  When the estimate has not dropped by 10% in
+    _STALL_LIMIT splits the integrand's evaluation-noise floor has been
+    reached: a genuinely unresolved feature shrinks the estimate
+    steadily, while noise-level estimates scale with panel width and
+    their sum stays flat.  An integral that ends above its tolerance is
+    returned with a logged warning when within _STALL_SLACK times it (the
+    estimate is part of the return value); anything worse raises
+    NumericalError, which says whether the subdivision budget ran out or
+    the request lies below the noise floor.
     """
-    _STALL_LIMIT = 60
-    _STALL_SLACK = 100.0
-    edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    iks, errs = _panels(f, edges)
-    intervals = list(zip(edges[:-1], edges[1:], iks, errs))
-
-    def totals():
-        total = np.sum(np.stack([iv[2] for iv in intervals]), axis=0)
-        return (total, sum(iv[3] for iv in intervals),
-                _tolerance(total, abs_tol, rel_tol))
-
-    n_sub = 0
+    edges = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b)
+                     + [b], dtype=float)
+    ik, err = _panels(f, edges)
+    n_sub = stall = 0
     best_err = np.inf
-    stall = 0
-    converged = False
-    while n_sub < _MAX_SUBDIVISIONS:
-        total, tot_err, tol = totals()
+    while True:
+        total, tot_err = ik.sum(axis=0), float(err.sum())
+        tol = _tolerance(total, abs_tol, rel_tol)
         if tot_err <= tol:
-            converged = True
+            return total, tot_err, edges
+        if n_sub >= _MAX_SUBDIVISIONS:
             break
         if tot_err < 0.9 * best_err:
-            best_err = tot_err
-            stall = 0
+            best_err, stall = tot_err, 0
         else:
             stall += 1
         if stall >= _STALL_LIMIT:
             break
-        worst = max(range(len(intervals)), key=lambda i: intervals[i][3])
-        wa, wb, _, _ = intervals.pop(worst)
-        wm = 0.5 * (wa + wb)
-        (i1, i2), (e1, e2) = _panels(f, (wa, wm, wb))
-        intervals.append((wa, wm, i1, e1))
-        intervals.append((wm, wb, i2, e2))
+        i = int(np.argmax(err))
+        edges = np.insert(edges, i + 1, 0.5 * (edges[i] + edges[i + 1]))
+        ik2, err2 = _panels(f, edges[i:i + 3])
+        ik = np.concatenate([ik[:i], ik2, ik[i + 1:]])
+        err = np.concatenate([err[:i], err2, err[i + 1:]])
         n_sub += 1
-    if not converged:
-        total, tot_err, tol = totals()
-        if tot_err > _STALL_SLACK * tol:
-            if stall >= _STALL_LIMIT:
-                raise NumericalError(
-                    f"frequency quadrature stalled at error {tot_err:.2e} "
-                    f"after {n_sub} subdivisions: the tolerance {tol:.2e} "
-                    "requested lies below the integrand's noise floor")
+    if tot_err > _STALL_SLACK * tol:
+        if stall >= _STALL_LIMIT:
             raise NumericalError(
-                "frequency quadrature did not converge within "
-                f"{n_sub} subdivisions (error {tot_err:.2e})"
-            )
-        logger.warning(
-            "frequency quadrature stalled after %d subdivisions: error "
-            "%.2e above the tolerance %.2e", n_sub, tot_err, tol)
-    intervals.sort(key=lambda iv: iv[0])
-    total, tot_err, _ = totals()
-    edges = np.array([iv[0] for iv in intervals] + [intervals[-1][1]])
-    return total, float(tot_err), edges
+                f"frequency quadrature stalled at error {tot_err:.2e} "
+                f"after {n_sub} subdivisions: the tolerance {tol:.2e} "
+                "requested lies below the integrand's noise floor")
+        raise NumericalError(
+            "frequency quadrature did not converge within "
+            f"{n_sub} subdivisions (error {tot_err:.2e})"
+        )
+    logger.warning(
+        "frequency quadrature stalled after %d subdivisions: error "
+        "%.2e above the tolerance %.2e", n_sub, tot_err, tol)
+    return total, tot_err, edges
 
 
 def resonance_breakpoints(calA, lam_max):

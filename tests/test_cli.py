@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qefsyn import cli, synth
-from qefsyn.errors import ValidationError
+from qefsyn import cli, grad, synth
+from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import check_admissible
 from qefsyn.instances import canonical_plant_spec, canonical_weights_square
 from qefsyn.model import derive_plant
@@ -54,6 +54,13 @@ def test_load_instance_round_trip(tmp_path):
     assert inst.controller is not None
     assert np.allclose(inst.controller.a.ravel(), doc["controller"]["a"])
     assert inst.S.shape == (2, 2) and inst.K.shape == (2, 1)
+
+    # matrices may also be written as nested lists of JSON numbers
+    doc["plant"]["Theta"] = [[0, 1], [-1, 0]]
+    doc["weights"]["S"] = [[1.0, 0.0], [0, 1]]
+    nested = cli.load_instance(_write(tmp_path, doc))
+    assert np.array_equal(nested.plant.Theta, inst.plant.Theta)
+    assert np.array_equal(nested.S, inst.S)
 
 
 def test_load_instance_rejects_symmetric_theta(tmp_path):
@@ -230,6 +237,35 @@ def test_grad_check_command(tmp_path, capsys, perturb, max_rel):
     assert float(figures["invariance_residual"]) <= 1e-12
 
 
+def test_grad_check_exits_3_when_every_step_is_inadmissible(
+        tmp_path, capsys, monkeypatch):
+    exact = grad.qef_growth_rate
+
+    def rate(cl, theta, quad=None, grid=None):
+        if grid is not None:
+            raise InadmissibleError("step leaves the admissible set")
+        return exact(cl, theta, quad, grid)
+
+    monkeypatch.setattr(grad, "qef_growth_rate", rate)
+    path = _write(tmp_path, _canonical_doc(with_controller=True))
+    assert cli.main(["grad-check", path]) == cli.EXIT_INADMISSIBLE
+    captured = capsys.readouterr()
+    assert "finite-difference steps leave the admissible set" in captured.err
+    assert captured.out == ""
+
+
+def test_riccati_failure_exits_4_without_a_controller(tmp_path, capsys,
+                                                      monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("failed to find a finite solution")
+
+    monkeypatch.setattr(synth.scipy.linalg, "solve_continuous_are", fail)
+    assert (cli.main(["evaluate", _write(tmp_path, _canonical_doc())])
+            == cli.EXIT_NUMERICAL)
+    assert ("Riccati solve failed: failed to find a finite solution"
+            in capsys.readouterr().err)
+
+
 def test_synthesize_inadmissible_start_exit_code(tmp_path, capsys,
                                                  monkeypatch):
     def check(cl, theta):
@@ -385,6 +421,36 @@ def test_bad_plant_or_weights_is_a_validation_error(tmp_path, block,
     with pytest.raises(ValidationError):
         cli.load_instance(path)
     assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("block, changes, message", [
+    # numpy reads strings and booleans as numbers: each of these used to
+    # exit 0 with the canonical figures
+    pytest.param("plant", {"Theta": ["0", "1", "-1", "0"]},
+                 "'Theta' is not a numeric array", id="Theta-strings"),
+    pytest.param("plant", {"D": [True, False]},
+                 "'D' is not a numeric array", id="D-booleans"),
+    pytest.param("controller", {"a": ["-2.0", "1.4", "-1.0", "-1.5"]},
+                 "'a' is not a numeric array", id="a-strings"),
+    pytest.param("weights", {"S": [True, False, False, True]},
+                 "'S' is not a numeric array", id="S-booleans"),
+    # plant shapes that derive_plant rejects and no other test reaches
+    pytest.param("plant", {"n": 3, "Theta": [0.0] * 9, "R": [0.0] * 9,
+                           "M": [1.0] * 6, "N": [1.0] * 3},
+                 "Theta must be square of even order", id="n-odd"),
+    pytest.param("plant", {"m": 3, "M": [1.0] * 6, "D": [1.0] * 3},
+                 "M must have an even number of rows and n columns",
+                 id="m-odd"),
+])
+def test_bad_matrix_entry_or_shape_exits_2_with_the_message(
+        tmp_path, capsys, block, changes, message):
+    doc = _canonical_doc(with_controller=True)
+    doc[block].update(changes)
+    path = _write(tmp_path, doc)
+    with pytest.raises(ValidationError, match=message):
+        cli.load_instance(path)
+    assert cli.main(["evaluate", path]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("with_controller", [True, False])

@@ -277,6 +277,34 @@ def test_defective_system_matrix_takes_the_solve_path(solve_nodes):
                        @ sweep.G, eye, rtol=0, atol=1e-14)
 
 
+def test_singular_eigenvector_matrix_solves_every_node(monkeypatch,
+                                                       solve_nodes):
+    # where V^{-1} cannot be formed the factorization keeps s and the
+    # sweep solves every node directly
+    cl = random_stable_instance(np.random.default_rng(3))[2]
+    lams = np.linspace(0.0, 10.0, 50)
+    modal = spectral_sweep(cl, lams)
+    modal_G = modal.G
+
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    freq._factor.cache_clear()
+    try:
+        sweep = spectral_sweep(cl, lams)
+        G = sweep.G
+        hurwitz = is_hurwitz(cl.calA)
+    finally:
+        freq._factor.cache_clear()
+    assert solve_nodes == list(lams)
+    assert _worst_rel(sweep.F, modal.F) <= 1e-12
+    assert _worst_rel(G, modal_G) <= 1e-12
+    assert np.array_equal(sweep.residual, freq._solve(cl.calA, lams)[1])
+    assert np.all(sweep.residual <= 1e-8)
+    assert hurwitz
+
+
 def test_frozen_grid_sum_is_one_sweep(cl_square, quad_fast):
     theta = 0.05
     grid = growth_rate_grid(cl_square, theta, quad_fast)
@@ -521,6 +549,28 @@ def test_adaptive_budget_exhaustion_names_the_budget(monkeypatch):
     with pytest.raises(NumericalError,
                        match=r"did not converge within 3 subdivisions"):
         _adaptive(f, 0.0, 1.0, 1e-12, 1e-12)
+
+
+def test_adaptive_converged_on_its_last_split_logs_nothing(monkeypatch,
+                                                          caplog):
+    # the peak converges after exactly 17 splits; with a budget of 17 the
+    # convergence test used to be skipped after the last split, and a
+    # converged integral was logged as "stalled after 17 subdivisions:
+    # error 6.93e-13 above the tolerance 1.00e-12"
+    def f(x):
+        return (1.0 / (1.0 + 1e4 * (x - 0.3) ** 2))[:, None]
+
+    full = _adaptive(f, 0.0, 1.0, 1e-12, 1e-12)
+    assert len(full[2]) == 17 + 2
+    monkeypatch.setattr(freq, "_MAX_SUBDIVISIONS", 17)
+    with caplog.at_level(logging.WARNING, logger="qefsyn.freq"):
+        total, err, edges = _adaptive(f, 0.0, 1.0, 1e-12, 1e-12)
+    assert err <= 1e-12
+    assert not caplog.records
+    assert total[0] == full[0][0] and err == full[1]
+    assert np.array_equal(edges, full[2])
+    # the grid is the panel table in edge order
+    assert np.all(np.diff(edges) > 0)
 
 
 def test_quadrature_config_validation():

@@ -296,3 +296,39 @@ def test_gradient_similarity_invariance(seed):
                 np.linalg.norm(Gb) * np.linalg.norm(b),
                 np.linalg.norm(Gc) * np.linalg.norm(c))
     assert np.linalg.norm(resid) <= 1e-10 * scale
+
+
+def _reject_frozen_grid_steps(monkeypatch, cl, above):
+    """Make every frozen-grid growth rate whose controller lies more than
+    `above` from cl's raise InadmissibleError, as a step out of the
+    admissible set would."""
+    exact = grad.qef_growth_rate
+
+    def rate(cl_, theta, quad=None, grid=None):
+        step = max(np.max(np.abs(getattr(cl_.ctrl, f) - getattr(cl.ctrl, f)))
+                   for f in "abc")
+        if grid is not None and step > above:
+            raise InadmissibleError("step leaves the admissible set")
+        return exact(cl_, theta, quad, grid)
+
+    monkeypatch.setattr(grad, "qef_growth_rate", rate)
+
+
+def test_gradient_check_skips_steps_that_leave_the_admissible_set(
+        monkeypatch):
+    _, _, cl, theta = random_admissible_instance(np.random.default_rng(0),
+                                                 0.25, 0.2)
+    # the widest steps of the ladder (above 1e-2) are skipped and the
+    # narrower ones still agree (max_abs_err read 2.3e-9, 7.3e-10 with
+    # every step)
+    _reject_frozen_grid_steps(monkeypatch, cl, 1e-2)
+    check = grad.gradient_check(cl, theta)
+    assert len(check.rows) == 8
+    assert all(np.isfinite(row[4]) for row in check.rows)
+    assert check.max_abs_err <= 1e-8
+
+    # with every step rejected no pair of estimates is left
+    _reject_frozen_grid_steps(monkeypatch, cl, -1.0)
+    with pytest.raises(InadmissibleError,
+                       match="finite-difference steps leave the admissible"):
+        grad.gradient_check(cl, theta)
