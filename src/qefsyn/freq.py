@@ -16,11 +16,15 @@ has eigenvalues theta d0 and the same U.
 
 ln det Delta is real on the admissible set: with T = tanc(theta Psi) > 0,
     det Delta = det(cos(theta Psi)) * det(I - theta Phi T),
-and the second factor has the (real) eigenvalues 1 - theta mu_j where mu_j
-are the eigenvalues of the Hermitian matrix sqrt(T) Phi sqrt(T), which is
-s W s with s = sqrt(tanhc(theta d0)) and the theta-free W = U* Phi U.  So
-the admissibility condition theta*mu < 1 is monitored at every quadrature
-node, and a bisection over theta costs one stacked eigvalsh per step.
+and the second factor is det(I - theta s W s), with s = sqrt(tanhc(theta
+d0)) and the theta-free W = U* Phi U; this Hermitian matrix has the
+eigenvalues 1 - theta mu_j.  It is positive definite exactly where the
+admissibility condition theta*mu < 1 holds, so one stacked Cholesky
+factorization (`_log_det_eye_minus`) gives ln det Delta and checks that
+condition at every quadrature node.  The spectral condition itself
+(`spec1`) and a bisection over theta need the largest mu: one stacked
+eigvalsh per step.  The nu x nu products of the sweep are broadcast sums
+(`_mm`), not one BLAS call per matrix.
 
 The integrand is conjugate-even in lambda, so the half-line is integrated,
 mapped onto t in [0, 2] with a 1/lambda tail (`integrate_half_line`), as
@@ -32,7 +36,7 @@ import logging
 import numbers
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -166,8 +170,8 @@ def _adaptive(f, a, b, abs_tol, rel_tol, breakpoints=()):
     their sum stays flat.  An integral that ends above its tolerance is
     returned with a logged warning when within _STALL_SLACK times it (the
     estimate is part of the return value); anything worse raises
-    NumericalError, which says whether the subdivision budget ran out or
-    the request lies below the noise floor.
+    NumericalError.  The warning and the error each say whether the
+    estimate stalled or the subdivision budget ran out.
     """
     edges = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b)
                      + [b], dtype=float)
@@ -193,8 +197,9 @@ def _adaptive(f, a, b, abs_tol, rel_tol, breakpoints=()):
         ik = np.concatenate([ik[:i], ik2, ik[i + 1:]])
         err = np.concatenate([err[:i], err2, err[i + 1:]])
         n_sub += 1
+    stalled = stall >= _STALL_LIMIT
     if tot_err > _STALL_SLACK * tol:
-        if stall >= _STALL_LIMIT:
+        if stalled:
             raise NumericalError(
                 f"frequency quadrature stalled at error {tot_err:.2e} "
                 f"after {n_sub} subdivisions: the tolerance {tol:.2e} "
@@ -204,8 +209,9 @@ def _adaptive(f, a, b, abs_tol, rel_tol, breakpoints=()):
             f"{n_sub} subdivisions (error {tot_err:.2e})"
         )
     logger.warning(
-        "frequency quadrature stalled after %d subdivisions: error "
-        "%.2e above the tolerance %.2e", n_sub, tot_err, tol)
+        "frequency quadrature %s %d subdivisions: error %.2e above the "
+        "tolerance %.2e", "stalled after" if stalled else
+        "did not converge within", n_sub, tot_err, tol)
     return total, tot_err, edges
 
 
@@ -318,6 +324,39 @@ def _conj_t(X):
     return X.conj().swapaxes(-1, -2)
 
 
+def _mm(A, B):
+    """Stacked A @ B as a sum of broadcast outer products over the inner
+    index: for the few-by-few matrices of a sweep this is a handful of
+    array operations in place of one BLAS call per matrix."""
+    out = A[..., :, :1] * B[..., :1, :]
+    for j in range(1, A.shape[-1]):
+        out += A[..., :, j:j + 1] * B[..., j:j + 1, :]
+    return out
+
+
+def _log_det_eye_minus(X):
+    """ln det(I - X) per node of a stack of Hermitian X; not finite where
+    I - X is not positive definite.
+
+    A Cholesky factorization of I - X without square roots (LDL*), column
+    by column over the whole stack and kept in the form I - X: the pivot
+    of column j is 1 - y_j, and its log is log1p(-y_j), accurate to the
+    last digits also where X is small (the 1/lambda tail, whose integrand
+    the half-line map scales up by lambda^2).  I - X is positive definite exactly where
+    every pivot is positive.
+    """
+    X = X.copy()
+    ld = np.zeros(X.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(X.shape[-1]):
+            y = X[:, j, j].real
+            ld += np.log1p(-y)
+            X[:, j + 1:, j + 1:] += (X[:, j + 1:, j:j + 1]
+                                     * X[:, j:j + 1, j + 1:]
+                                     / (1.0 - y)[:, None, None])
+    return ld
+
+
 @dataclass(frozen=True)
 class SpectralSweep:
     """Theta-free per-frequency quantities, stacked one node per `lams` entry.
@@ -384,11 +423,24 @@ class SpectralSweep:
         return theta * self.mu(theta)[:, -1]
 
     def log_det_delta(self, theta):
-        """ln det Delta per node, checking theta mu < 1 at every node."""
+        """ln det Delta per node, checking theta mu < 1 at every node.
+
+        ln det(I - theta s W s) comes from one stacked factorization
+        (`_log_det_eye_minus`), which succeeds exactly where every
+        theta mu < 1.  Where a resolvent failed or the factorization does
+        not, the eigenvalues mu decide, and the first failing node in node
+        order raises (`raise_first`).
+        """
+        log_cosh = np.sum(np.log(np.cosh(theta * self.d0)), axis=1)
+        if not self.failed.any():
+            s = np.sqrt(tanhc(theta * self.d0))
+            ld = _log_det_eye_minus(theta * (s[:, :, None] * self.W
+                                             * s[:, None, :]))
+            if np.all(np.isfinite(ld)):
+                return log_cosh + ld
         factors = 1.0 - theta * self.mu(theta)
         self.raise_first(np.any(factors <= 0.0, axis=1))
-        return (np.sum(np.log(np.cosh(theta * self.d0)), axis=1)
-                + np.sum(np.log(factors), axis=1))
+        return log_cosh + np.sum(np.log(factors), axis=1)
 
 
 @dataclass(frozen=True)
@@ -435,7 +487,10 @@ def _factor(n, data):
         return _Modes(s, zero, zero, np.inf, 0.0, 0.0)
     for a in (V, Vinv):
         a.flags.writeable = False
-    norm = partial(np.linalg.norm, ord=np.inf)
+
+    def norm(X):                    # the infinity norm: largest row sum
+        return np.abs(X).sum(axis=1).max()
+
     # an overflow here (a nearly defective calA) leaves the bound
     # infinite or nan, which certifies no node
     with np.errstate(over="ignore", invalid="ignore"):
@@ -503,12 +558,14 @@ def spectral_sweep(cl, lams):
             G[direct] = G_direct
         return G
 
-    Phi, Psi = F @ _conj_t(F), F @ cl.J @ _conj_t(F)
+    Fh = _conj_t(F)
+    Phi = _mm(F, Fh)
+    Psi = _mm((F.reshape(-1, F.shape[-1]) @ cl.J).reshape(F.shape), Fh)
     # enforce the exact symmetry classes against round-off
     Phi = 0.5 * (Phi + _conj_t(Phi))
     Psi = 0.5 * (Psi - _conj_t(Psi))
     d0, U = np.linalg.eigh(1j * Psi)
-    W = _conj_t(U) @ Phi @ U
+    W = _mm(_mm(_conj_t(U), Phi), U)
     return SpectralSweep(lams=lams, F=F, Phi=Phi, Psi=Psi, d0=d0, U=U, W=W,
                          residual=residual, resolvent=resolvent)
 
@@ -670,7 +727,8 @@ class GrowthRate(float):
     loop on that grid gives a sum over the same nodes, so the two values
     compare like for like.  `error` is the summed Gauss-Kronrod estimate
     of the value's error on that grid.  On a grid adapted to this loop it
-    met the quadrature tolerance (or stalled within 100x of it); on a grid
+    met the quadrature tolerance, or ended within 100x of it when the
+    estimate stalled or the subdivision budget ran out; on a grid
     frozen from another loop it grows as the two loops drift apart, and
     `meets` tells whether the value is still as accurate as an adaptive
     one.

@@ -41,6 +41,7 @@ from qefsyn.freq import (
     AdmissibilityReport,
     _conj_t,
     _loop_integral,
+    _mm,
     check_loop,
     growth_rate_grid,
     qef_growth_rate,
@@ -86,7 +87,7 @@ def _weights(sweep, theta):
                       "singular at a quadrature node (the gradient needs "
                       "det Psi != 0)")
     Dinv = np.linalg.inv(Dt)
-    Xt = Dinv @ W * (1j / d0)[:, None, :]          # U* Delta^-1 Phi Psi^-1 U
+    Xt = _mm(Dinv, W) * (1j / d0)[:, None, :]      # U* Delta^-1 Phi Psi^-1 U
     # first divided differences of sin and cos on the eigenvalues -i x
     half_sum = 0.5 * (x[:, :, None] + x[:, None, :])
     dd = sinhc(0.5 * (x[:, :, None] - x[:, None, :]))
@@ -94,7 +95,7 @@ def _weights(sweep, theta):
     psit = (np.cosh(half_sum) * dd * Xt - 1j * np.sinh(half_sum) * dd * Dinv
             - sx[:, :, None] * Xt)
     Uh = _conj_t(U)
-    return U @ phit @ Uh, U @ psit @ Uh
+    return _mm(_mm(U, phit), Uh), _mm(_mm(U, psit), Uh)
 
 
 def _chi_integrand(cl, theta, lams):
@@ -111,7 +112,8 @@ def _chi_integrand(cl, theta, lams):
         mid = 2.0 * Fh
     else:
         phi, psi = _weights(sweep, theta)
-        mid = Fh @ (phi + _conj_t(phi)) + cl.J @ Fh @ (psi - _conj_t(psi))
+        mid = (_mm(Fh, phi + _conj_t(phi))
+               + _mm(_mm(cl.J, Fh), psi - _conj_t(psi)))
     left = np.concatenate(
         [sweep.G @ cl.calB, np.broadcast_to(np.eye(cl.m), (k, cl.m, cl.m))],
         axis=1)

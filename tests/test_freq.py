@@ -1,5 +1,6 @@
 """Quadrature machinery, per-frequency quantities, growth rate, admissibility."""
 
+import itertools
 import logging
 import pickle
 from types import SimpleNamespace
@@ -28,8 +29,8 @@ from qefsyn.freq import (
 )
 from qefsyn.grad import chi_matrix, frechet_derivatives, gradient_check
 from qefsyn.gramians import chi0, lqg_cost
-from qefsyn.instances import random_stable_instance
-from qefsyn.model import ControllerParams, assemble_closed_loop
+from qefsyn.instances import random_plant_spec, random_stable_instance
+from qefsyn.model import ControllerParams, assemble_closed_loop, derive_plant
 from qefsyn.oracle import build_operators
 from qefsyn.synth import lqg_controller
 
@@ -183,6 +184,131 @@ def test_sweep_raises_first_failing_node():
         spectral_sweep(loop, [ok, singular]).spec1(theta)
     with pytest.raises(NumericalError):
         spectral_sweep(loop, [singular]).log_det_delta(0.0)
+
+
+def test_sweep_with_one_inadmissible_node_raises_inadmissible():
+    # the lag of test_sweep_raises_first_failing_node: no resolvent fails,
+    # so the Cholesky of I - theta s W s is what finds the one bad node
+    lag = SimpleNamespace(calA=np.array([[-1.0]]), calB=np.array([[1.0]]),
+                          calC=np.array([[1.0]]), J=np.zeros((1, 1)))
+    theta, ok, inadmissible = 4.0, 3.0, 0.5
+    for lams in ([inadmissible], [ok, inadmissible], [inadmissible, ok]):
+        sweep = spectral_sweep(lag, lams)
+        assert not sweep.failed.any()
+        with pytest.raises(InadmissibleError):
+            sweep.log_det_delta(theta)
+
+
+def test_small_product_matches_matmul():
+    rng = np.random.default_rng(5)
+    for p, q, r in itertools.product([1, 2, 3, 4], repeat=3):
+        A = (rng.standard_normal((5, p, q))
+             + 1j * rng.standard_normal((5, p, q)))
+        B = (rng.standard_normal((5, q, r))
+             + 1j * rng.standard_normal((5, q, r)))
+        J = rng.standard_normal((p, q))
+        for X, Y in ((A, B), (J, B), (A, B.real)):
+            # relative to |X| |Y|, the scale of a product's rounding error
+            bound = 1e-14 * (np.abs(X) @ np.abs(Y))
+            assert np.all(np.abs(freq._mm(X, Y) - X @ Y) <= bound)
+
+
+@pytest.fixture(scope="module")
+def cl_multimode():
+    """n = 4, m = 4, d = 2, r = 2 plant with S = I_4, K = [0; I_2] and its
+    LQG controller."""
+    plant = derive_plant(random_plant_spec(np.random.default_rng(0), n=4,
+                                           m=4, d=2, r=2))
+    weights = (np.eye(4), np.vstack([np.zeros((2, 2)), np.eye(2)]))
+    return assemble_closed_loop(plant, weights,
+                                lqg_controller(plant, weights))
+
+
+@pytest.mark.parametrize("loop", ["cl_square", "cl_multimode"])
+def test_log_det_delta_matches_eigenvalue_form(request, loop):
+    # ln det Delta by the factorization of I - theta s W s against
+    # sum ln cosh(theta d0) + sum ln(1 - theta mu), mu from eigvalsh
+    cl = request.getfixturevalue(loop)
+    theta = theta_for_spec1(cl, 0.4)
+    lam_max = default_lambda_max(cl.calA)
+    lams = np.concatenate([np.linspace(0.0, lam_max, 150),
+                           lam_max * np.geomspace(1.0, 1e4, 30)])
+    sweep = spectral_sweep(cl, lams)
+    ld = sweep.log_det_delta(theta)
+    ref = (np.sum(np.log(np.cosh(theta * sweep.d0)), axis=1)
+           + np.sum(np.log(1.0 - theta * sweep.mu(theta)), axis=1))
+    assert np.all(np.abs(ld - ref) <= 1e-12 * (1.0 + np.abs(ld)))
+
+
+def test_log_det_delta_keeps_its_digits_in_the_tail(cl_square):
+    # far in the 1/lambda tail ln det Delta is of order 1e-11 and below,
+    # and the half-line map scales it up by lambda^2; ln of the rounded
+    # 1 - theta mu kept only 3 to 7 digits there
+    theta = 0.05
+    lams = default_lambda_max(cl_square.calA) * np.geomspace(1e3, 1e5, 5)
+    sweep = spectral_sweep(cl_square, lams)
+    x = theta * sweep.d0
+    accurate = (np.sum(np.log1p(2.0 * np.sinh(0.5 * x) ** 2), axis=1)
+                + np.sum(np.log1p(-theta * sweep.mu(theta)), axis=1))
+    assert np.all(np.abs(accurate) < 1e-10)
+    assert np.allclose(sweep.log_det_delta(theta), accurate, rtol=1e-10,
+                       atol=0)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_log_det_eye_minus(nu):
+    rng = np.random.default_rng(nu)
+    Z = rng.standard_normal((20, nu, nu)) + 1j * rng.standard_normal(
+        (20, nu, nu))
+    H = Z @ freq._conj_t(Z)
+    top = np.linalg.eigvalsh(H)[:, -1:, None]
+    eye = np.eye(nu)
+    # I - X positive definite: slogdet agrees
+    X = 0.9 * H / top
+    assert np.allclose(freq._log_det_eye_minus(X),
+                       np.linalg.slogdet(eye - X)[1], rtol=1e-13,
+                       atol=1e-13)
+    # X of order 1e-12, as in the 1/lambda tail: accurate to the last
+    # digits, where ln of the rounded 1 - y is off by about 1e-4
+    X = 1e-12 * H / top
+    series = -np.trace(X + X @ X / 2, axis1=1, axis2=2).real
+    assert np.allclose(freq._log_det_eye_minus(X), series, rtol=1e-14,
+                       atol=0)
+    # the largest eigenvalue of X 1.5 at every other node: not finite there
+    X = 1.5 * H / top
+    X[::2] *= 0.5
+    assert list(np.isfinite(freq._log_det_eye_minus(X))) == [True, False] * 10
+
+
+def _norm_inf(X):
+    return np.linalg.norm(X, ord=np.inf)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factor_constants_are_infinity_norms(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 + 2 * seed
+    calA = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    modes = freq._modes(calA)
+    V, Vinv, s = modes.V, modes.Vinv, modes.s
+    rounding = 4.0 * n * np.finfo(float).eps * _norm_inf(V) * _norm_inf(Vinv)
+    inv_err = _norm_inf(V @ Vinv - np.eye(n)) + rounding
+    eig_err = (_norm_inf(calA @ V - V * s) * _norm_inf(Vinv)
+               + rounding * (_norm_inf(calA) + np.max(np.abs(s))))
+    for got, want in ((modes.rounding, rounding), (modes.inv_err, inv_err),
+                      (modes.eig_err, eig_err)):
+        assert abs(got - want) <= 1e-14 * want
+
+
+def test_nearly_defective_system_matrix_certifies_no_node():
+    # the eigenvectors of this calA are parallel to about 1e-216, so the
+    # norms behind the bound overflow; the bound must then certify nothing
+    calA = np.array([[-1.0, 1e200], [0.0, -1.0]])
+    modes = freq._modes(calA)
+    lams = np.linspace(0.0, 10.0, 11)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = modes.bound(lams, 1.0 / (1j * lams[:, None] - modes.s))
+    assert not np.any(bound <= 1e-8)
 
 
 def _solve_reference(cl, lams):
@@ -522,6 +648,8 @@ def test_adaptive_stall_logs_a_warning(caplog):
     assert abs(total[0] - (1.0 - np.exp(-1.0))) <= 1e-9
     [record] = caplog.records
     assert record.levelno == logging.WARNING
+    assert record.message.startswith(
+        "frequency quadrature stalled after 60 subdivisions")
     assert f"error {err:.2e} above the tolerance 1.00e-11" in record.message
 
     caplog.clear()
@@ -549,6 +677,24 @@ def test_adaptive_budget_exhaustion_names_the_budget(monkeypatch):
     with pytest.raises(NumericalError,
                        match=r"did not converge within 3 subdivisions"):
         _adaptive(f, 0.0, 1.0, 1e-12, 1e-12)
+
+
+def test_adaptive_budget_within_the_slack_logs_the_budget(monkeypatch,
+                                                         caplog):
+    # one split short of converging, the peak spends a budget of 16
+    # while its estimate still falls; the warning used to read "stalled
+    # after 16 subdivisions"
+    def f(x):
+        return (1.0 / (1.0 + 1e4 * (x - 0.3) ** 2))[:, None]
+
+    monkeypatch.setattr(freq, "_MAX_SUBDIVISIONS", 16)
+    with caplog.at_level(logging.WARNING, logger="qefsyn.freq"):
+        _, err, _ = _adaptive(f, 0.0, 1.0, 1e-12, 1e-12)
+    assert 1e-12 < err <= 100 * 1e-12
+    [record] = caplog.records
+    assert record.message == (
+        "frequency quadrature did not converge within 16 subdivisions: "
+        f"error {err:.2e} above the tolerance 1.00e-12")
 
 
 def test_adaptive_converged_on_its_last_split_logs_nothing(monkeypatch,
