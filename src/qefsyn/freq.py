@@ -342,8 +342,8 @@ def _log_det_eye_minus(X):
     by column over the whole stack and kept in the form I - X: the pivot
     of column j is 1 - y_j, and its log is log1p(-y_j), accurate to the
     last digits also where X is small (the 1/lambda tail, whose integrand
-    the half-line map scales up by lambda^2).  I - X is positive definite exactly where
-    every pivot is positive.
+    the half-line map scales up by lambda^2).  I - X is positive definite
+    exactly where every pivot is positive.
     """
     X = X.copy()
     ld = np.zeros(X.shape[0])
@@ -412,10 +412,14 @@ class SpectralSweep:
             )
         raise InadmissibleError(reason)
 
+    def _scaled_W(self, theta):
+        """s W s = U* sqrt(T) Phi sqrt(T) U, s = sqrt(tanhc(theta d0))."""
+        s = np.sqrt(tanhc(theta * self.d0))
+        return s[:, :, None] * self.W * s[:, None, :]
+
     def mu(self, theta):
         """Ascending eigenvalues of sqrt(T) Phi sqrt(T), T = tanc(theta Psi)."""
-        s = np.sqrt(tanhc(theta * self.d0))
-        return np.linalg.eigvalsh(s[:, :, None] * self.W * s[:, None, :])
+        return np.linalg.eigvalsh(self._scaled_W(theta))
 
     def spec1(self, theta):
         """theta * lambda_max(Phi tanc(theta Psi)) per node."""
@@ -426,21 +430,16 @@ class SpectralSweep:
         """ln det Delta per node, checking theta mu < 1 at every node.
 
         ln det(I - theta s W s) comes from one stacked factorization
-        (`_log_det_eye_minus`), which succeeds exactly where every
-        theta mu < 1.  Where a resolvent failed or the factorization does
-        not, the eigenvalues mu decide, and the first failing node in node
-        order raises (`raise_first`).
+        (`_log_det_eye_minus`), which is finite exactly where theta mu < 1;
+        a failed resolvent's node holds W = 0 and a finite 0.  The first
+        node in node order that fails either way raises (`raise_first`).
+        ln cosh x is log1p(2 sinh^2(x/2)), exact to the last digits also
+        where x is small, as in the 1/lambda tail.
         """
-        log_cosh = np.sum(np.log(np.cosh(theta * self.d0)), axis=1)
-        if not self.failed.any():
-            s = np.sqrt(tanhc(theta * self.d0))
-            ld = _log_det_eye_minus(theta * (s[:, :, None] * self.W
-                                             * s[:, None, :]))
-            if np.all(np.isfinite(ld)):
-                return log_cosh + ld
-        factors = 1.0 - theta * self.mu(theta)
-        self.raise_first(np.any(factors <= 0.0, axis=1))
-        return log_cosh + np.sum(np.log(factors), axis=1)
+        ld = _log_det_eye_minus(theta * self._scaled_W(theta))
+        self.raise_first(~np.isfinite(ld))
+        half = np.sinh(0.5 * theta * self.d0)
+        return np.sum(np.log1p(2.0 * half * half), axis=1) + ld
 
 
 @dataclass(frozen=True)
