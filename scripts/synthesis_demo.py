@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Gradient-descent synthesis demo on a random plant.
+"""L-BFGS synthesis demo on a random plant.
 
-Draws a random plant, initializes with its LQG controller, descends the
-exponential-cost growth rate at a risk level pinned by the spectral
-condition, and writes the convergence trace to CSV.
+Draws a random plant, initializes with its LQG controller, runs the
+L-BFGS descent on the exponential-cost growth rate at a risk level pinned
+by the spectral condition, writes the convergence trace to CSV and prints
+the termination reason (`termination=stationary` once the gradient test
+holds).
 """
 
 import argparse

@@ -1,14 +1,20 @@
-"""Controller synthesis: LQG initializer and gradient descent on the cost.
+"""Controller synthesis: LQG initializer and L-BFGS descent on the cost.
 
 The classical LQG controller for the equivalent classical system
 (dx = (Ax + Eu)dt + B dw, dz = Cx dt + D dw, cost density |Sx + Ku|^2)
-solves the limiting small-risk problem exactly and initializes a plain
-gradient descent on the exponential-cost growth rate over the controller
-triple (a, b, c), with a backtracking line search that keeps every iterate
-stabilizing and spectrally admissible.  Its step rule is fixed: the step
-along -g starts at _INITIAL_STEP / (1 + |g|) and is multiplied by
-_BACKTRACK until a trial passes the Armijo bound
-ups - _ARMIJO_C * step * |g|^2; the search gives up below _MIN_STEP.
+solves the limiting small-risk problem exactly and initializes an L-BFGS
+descent on the exponential-cost growth rate over the controller triple
+(a, b, c), with a backtracking line search that keeps every iterate
+stabilizing and spectrally admissible.  Its step rule is fixed.  The
+direction d is -H g, with H built from the last _MEMORY pairs
+(s, y) = (change of (a, b, c), change of g) of accepted steps by the
+two-loop recursion, scaled by s^T y / y^T y of the newest pair (Nocedal &
+Wright, Numerical Optimization, 2nd ed., Alg. 7.4 and eq. 7.20); a pair
+with s^T y <= 0 is not kept, and each continuation stage starts with no
+pairs.  The step along d starts at 1.  With no pairs, or where g^T d >= 0,
+d is -g and the step starts at _INITIAL_STEP / (1 + |g|).  The step is
+multiplied by _BACKTRACK until a trial passes the Armijo bound
+ups + _ARMIJO_C * step * g^T d; the search gives up below _MIN_STEP.
 
 Each iterate has one FrequencyGrid: the grid its cost, a GrowthRate, was
 summed on.  Its gradient is summed on that grid too, so it is the exact
@@ -27,7 +33,9 @@ drifted far enough from the loop it was adapted to that its own estimate
 fails.
 """
 
+import dataclasses
 import numbers
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +63,8 @@ _INITIAL_STEP = 1.0
 _BACKTRACK = 0.5
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-14
+#: (s, y) pairs the L-BFGS direction keeps
+_MEMORY = 8
 
 
 @dataclass
@@ -152,6 +162,45 @@ def _trial(plant, weights, ctrl, theta, quad, ups, bound):
     return (ctrl, cl, adm, cost) if cost <= bound and cost < ups else None
 
 
+def _flat(record):
+    """The entries of a ControllerParams or GradReport as one vector."""
+    return np.concatenate([getattr(record, f.name).ravel()
+                           for f in dataclasses.fields(record)])
+
+
+def _unflat(v, like):
+    """The inverse of _flat: `v` as a record of the type and shapes of
+    `like`."""
+    blocks, k = {}, 0
+    for f in dataclasses.fields(like):
+        shape = getattr(like, f.name).shape
+        size = int(np.prod(shape))
+        blocks[f.name] = v[k:k + size].reshape(shape)
+        k += size
+    return type(like)(**blocks)
+
+
+def _remember(pairs, s, y):
+    """Append the pair (s, y) to `pairs` unless s^T y <= 0."""
+    if s @ y > 0:
+        pairs.append((s, y))
+
+
+def _direction(g, pairs):
+    """-H g by the L-BFGS two-loop recursion over `pairs`, oldest first."""
+    q, alphas = g.copy(), []
+    for s, y in reversed(pairs):
+        alpha = (s @ q) / (s @ y)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - (y @ q) / (s @ y)) * s
+    return -q
+
+
 def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
              start=None):
     """One stage at fixed theta; returns (ctrl, cost, resid, reason).
@@ -167,23 +216,28 @@ def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
         raise InadmissibleError(f"stage {k} of {n}: its start, {origin}, "
                                 f"is inadmissible at theta={theta:g}")
     ups = qef_growth_rate(cl, theta, cfg.quad)
+    x, pairs, last = _flat(ctrl), deque(maxlen=_MEMORY), None
     for i in range(cfg.max_iters + 1):
         report = frechet_derivatives(cl, theta, cfg.quad, grid=ups.grid)
+        g = _flat(report)
         resid = optimality_residual(report)
         row = (len(iterates), float(ups), resid)
         adm_hist.append(adm)
         if i == cfg.max_iters or resid <= cfg.grad_tol * (1.0 + abs(ups)):
             reason = "max-iterations" if i == cfg.max_iters else "stationary"
             break
-        step = _INITIAL_STEP / (1.0 + resid)
+        if last is not None:
+            _remember(pairs, x - last[0], g - last[1])
+        d = _direction(g, pairs)
+        if pairs and g @ d < 0:
+            step = 1.0
+        else:
+            d, step = -g, _INITIAL_STEP / (1.0 + resid)
+        slope = g @ d
         while step >= _MIN_STEP:
-            trial = ControllerParams(
-                a=ctrl.a - step * report.dUps_da,
-                b=ctrl.b - step * report.dUps_db,
-                c=ctrl.c - step * report.dUps_dc,
-            )
-            accepted = _trial(plant, weights, trial, theta, cfg.quad, ups,
-                              ups - _ARMIJO_C * step * resid**2)
+            accepted = _trial(plant, weights, _unflat(x + step * d, ctrl),
+                              theta, cfg.quad, ups,
+                              ups + _ARMIJO_C * step * slope)
             if accepted:
                 break
             step *= _BACKTRACK
@@ -191,17 +245,20 @@ def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
             reason = "line-search failure"
             break
         iterates.append((*row, step))
+        last = x, g
         ctrl, cl, adm, ups = accepted
+        x = _flat(ctrl)
     iterates.append((*row, np.nan))
     return ctrl, float(ups), resid, reason
 
 
 def synthesize(plant, weights, cfg):
-    """Gradient descent on the cost growth rate, LQG-initialized.
+    """L-BFGS descent on the cost growth rate, LQG-initialized.
 
     If the LQG controller is inadmissible at the target theta, the stages
     theta/8, theta/4, theta/2, theta each start from the previous stage's
-    minimizer.  cfg.theta must be > 0.
+    minimizer with no (s, y) pairs, so each stage's first step is along -g
+    (module doc).  cfg.theta must be > 0.
     """
     if cfg.theta == 0.0:
         raise ValidationError("synthesize needs theta > 0")

@@ -16,9 +16,9 @@ from qefsyn.freq import (
     qef_growth_rate,
     theta_for_spec1,
 )
-from qefsyn.grad import frechet_derivatives
+from qefsyn.grad import GradReport, frechet_derivatives
 from qefsyn.instances import canonical_weights_square, random_stable_instance
-from qefsyn.model import assemble_closed_loop
+from qefsyn.model import ControllerParams, assemble_closed_loop
 from qefsyn.synth import SynthesisConfig, lqg_controller, synthesize
 
 
@@ -413,3 +413,138 @@ def test_inadmissible_lqg_start_names_the_first_stage(monkeypatch):
                              "is inadmissible"):
         synthesize(plant, weights, cfg)
     assert checks == [cfg.theta, cfg.theta / 8]
+
+
+def test_continuation_from_inadmissible_stage_minimizer():
+    # under steepest descent, stage 3's minimizer on this plant was
+    # inadmissible at theta, so stage 4 could not start
+    plant, weights, cfg = _continuation_problem(2, 0.99)
+    report = synthesize(plant, weights, cfg)
+    # every stage ran its max_iters + 1 rows
+    assert [it for it, *_ in report.iterates] == list(range(24))
+    assert report.termination == "max-iterations"
+    cl = assemble_closed_loop(plant, weights, report.controller)
+    assert check_admissible(cl, cfg.theta).admissible
+
+
+#: rows each descent needs (38, 14 and 32 when measured), with 50% margin
+_STATIONARY_ROWS = {0: 57, 1: 21, 2: 48}
+
+
+@pytest.mark.parametrize("seed", sorted(_STATIONARY_ROWS))
+def test_descent_reaches_stationarity_on_random_plants(seed):
+    # the canonical plant's LQG start is already stationary; these are not
+    plant, _, cl = random_stable_instance(np.random.default_rng(seed))
+    weights = canonical_weights_square()
+    cfg = SynthesisConfig(theta=theta_for_spec1(cl, 0.4), max_iters=100,
+                          quad=QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9))
+    ups_lqg = qef_growth_rate(cl, cfg.theta, cfg.quad)
+    report = synthesize(plant, weights, cfg)
+    assert report.termination == "stationary"
+    assert len(report.iterates) <= _STATIONARY_ROWS[seed]
+    assert report.residual <= cfg.grad_tol * (1 + abs(report.cost))
+    assert report.residual < report.iterates[0][2]
+    costs = [u for _, u, _, _ in report.iterates]
+    assert all(c2 < c1 for c1, c2 in zip(costs, costs[1:]))
+    assert report.cost < ups_lqg
+    assert all(a.admissible for a in report.admissibility)
+
+
+def _pairs(rng, count, size=8):
+    """`count` pairs (s, A s) for one random symmetric positive definite A."""
+    M = rng.standard_normal((size, size))
+    A = M @ M.T + 0.1 * np.eye(size)
+    pairs = []
+    for _ in range(count):
+        s = rng.standard_normal(size)
+        synth._remember(pairs, s, A @ s)
+    assert len(pairs) == count
+    return pairs
+
+
+def test_direction_without_pairs_is_the_negative_gradient():
+    g = np.random.default_rng(0).standard_normal(8)
+    assert np.array_equal(synth._direction(g, []), -g)
+
+
+@pytest.mark.parametrize("count", [1, 3, synth._MEMORY])
+def test_direction_meets_the_newest_secant_condition(count):
+    pairs = _pairs(np.random.default_rng(count), count)
+    s, y = pairs[-1]
+    d = synth._direction(y, pairs)
+    assert np.linalg.norm(d + s) <= 1e-12 * np.linalg.norm(s)
+
+
+def test_direction_is_a_descent_direction():
+    rng = np.random.default_rng(1)
+    for count in range(1, synth._MEMORY + 1):
+        pairs = _pairs(rng, count)
+        for _ in range(20):
+            g = rng.standard_normal(8)
+            assert g @ synth._direction(g, pairs) < 0
+
+
+def test_pair_without_positive_curvature_is_not_kept():
+    s = np.array([1.0, 2.0, -1.0])
+    pairs = []
+    for y in (-s, np.array([2.0, -1.0, 0.0]), np.array([1.0, 0.0, 1.0])):
+        synth._remember(pairs, s, y)     # s^T y = -6, 0, 0
+    assert pairs == []
+    synth._remember(pairs, s, s)
+    assert len(pairs) == 1
+
+
+def test_flat_view_round_trips():
+    rng = np.random.default_rng(3)
+    ctrl = ControllerParams(a=rng.standard_normal((2, 2)),
+                            b=rng.standard_normal((2, 1)),
+                            c=rng.standard_normal((1, 2)))
+    grad = GradReport(dUps_da=ctrl.a, dUps_db=ctrl.b, dUps_dc=ctrl.c)
+    v = synth._flat(ctrl)
+    assert np.array_equal(v, np.concatenate([ctrl.a.ravel(), ctrl.b.ravel(),
+                                             ctrl.c.ravel()]))
+    assert np.array_equal(synth._flat(grad), v)
+    for record in (ctrl, grad):
+        back = synth._unflat(synth._flat(record), record)
+        assert type(back) is type(record)
+        for f in dataclasses.fields(record):
+            assert np.array_equal(getattr(back, f.name),
+                                  getattr(record, f.name))
+
+
+def test_ascent_direction_falls_back_to_the_scaled_gradient(pool_problem,
+                                                            monkeypatch):
+    plant, weights, cfg, _ = pool_problem
+    cfg = dataclasses.replace(cfg, max_iters=2)
+    gradients, directions, trials = [], [], []
+    trial = synth._trial
+
+    def gradient(cl, theta, quad=None, grid=None):
+        gradients.append((cl.ctrl, frechet_derivatives(cl, theta, quad,
+                                                        grid)))
+        return gradients[-1][1]
+
+    def ascent(g, pairs):
+        directions.append(len(pairs))
+        return g
+
+    def record(plant, weights, ctrl, theta, quad, ups, bound):
+        trials.append((len(gradients), ctrl, ups - bound))
+        return trial(plant, weights, ctrl, theta, quad, ups, bound)
+
+    monkeypatch.setattr(synth, "frechet_derivatives", gradient)
+    monkeypatch.setattr(synth, "_direction", ascent)
+    monkeypatch.setattr(synth, "_trial", record)
+    report = synthesize(plant, weights, cfg)
+    assert len(report.iterates) == 3
+    # the second step had a pair, and its direction +g is an ascent one
+    assert directions == [0, 1]
+    ctrl, g = gradients[1]
+    resid = report.iterates[1][2]
+    step = synth._INITIAL_STEP / (1.0 + resid)
+    _, first, decrement = next(t for t in trials if t[0] == 2)
+    for name, dname in zip("abc", ("dUps_da", "dUps_db", "dUps_dc")):
+        assert np.array_equal(getattr(first, name),
+                              getattr(ctrl, name) - step * getattr(g, dname))
+    assert decrement == pytest.approx(synth._ARMIJO_C * step * resid**2,
+                                      rel=1e-12)
