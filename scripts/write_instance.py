@@ -1,28 +1,37 @@
 #!/usr/bin/env python3
-"""Emit the canonical test plant as a CLI instance file (JSON schema)."""
+"""Write a CLI instance file (JSON schema): the canonical test plant, or
+the random plant of a seed, at a given theta or at the theta that puts the
+spectral supremum of the plant's LQG loop at a target."""
 
 import argparse
 import json
 
 import numpy as np
 
+from qefsyn.cli import controller_to_json
+from qefsyn.freq import theta_for_spec1
 from qefsyn.instances import (
     canonical_plant_spec,
     canonical_weights_lqg,
     canonical_weights_square,
+    random_stable_instance,
 )
-from qefsyn.model import derive_plant
+from qefsyn.model import assemble_closed_loop, derive_plant
 from qefsyn.synth import lqg_controller
-
-
-def flat(M):
-    return [float(x) for x in np.asarray(M).ravel()]
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("output", help="path of the JSON instance file to write")
-    ap.add_argument("--theta", type=float, default=0.05)
+    ap.add_argument("--seed", type=int, default=None,
+                    help="write the plant of random_stable_instance drawn "
+                         "with this seed instead of the canonical plant")
+    risk = ap.add_mutually_exclusive_group()
+    risk.add_argument("--theta", type=float, default=0.05,
+                      help="risk parameter (default 0.05)")
+    risk.add_argument("--spec1", type=float, default=None, metavar="TARGET",
+                      help="set theta so that the spectral-condition "
+                           "supremum of the LQG loop reads TARGET")
     ap.add_argument("--stacked-weights", action="store_true",
                     help="use the nu=3 state/control penalty instead of the "
                          "square nu=2 weights")
@@ -30,20 +39,27 @@ def main():
                     help="embed the LQG controller in the instance")
     args = ap.parse_args()
 
-    spec = canonical_plant_spec()
     S, K = (canonical_weights_lqg() if args.stacked_weights
             else canonical_weights_square())
+    if args.seed is None:
+        plant = derive_plant(canonical_plant_spec())
+        ctrl = lqg_controller(plant, (S, K))
+    else:
+        plant, ctrl, _ = random_stable_instance(
+            np.random.default_rng(args.seed), (S, K))
+    theta = args.theta
+    if args.spec1 is not None:
+        theta = theta_for_spec1(assemble_closed_loop(plant, (S, K), ctrl),
+                                args.spec1)
     doc = {
-        "plant": {"n": 2, "m": 2, "d": 1, "r": 1,
-                  "Theta": flat(spec.Theta), "R": flat(spec.R),
-                  "M": flat(spec.M), "N": flat(spec.N), "D": flat(spec.D)},
-        "weights": {"S": flat(S), "K": flat(K)},
-        "theta": args.theta,
+        "plant": {"n": plant.n, "m": plant.m, "d": plant.d, "r": plant.r,
+                  **{k: getattr(plant, k).ravel().tolist()
+                     for k in ("Theta", "R", "M", "N", "D")}},
+        "weights": {"S": S.ravel().tolist(), "K": K.ravel().tolist()},
+        "theta": theta,
     }
     if args.with_controller:
-        ctrl = lqg_controller(derive_plant(spec), (S, K))
-        doc["controller"] = {"a": flat(ctrl.a), "b": flat(ctrl.b),
-                             "c": flat(ctrl.c)}
+        doc["controller"] = controller_to_json(ctrl)
     with open(args.output, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

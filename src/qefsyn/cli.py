@@ -17,11 +17,19 @@ arrays:
 The document and each block are objects.  The document and its oracle
 block hold no keys but the ones shown; the quadrature and synthesis blocks
 take the fields of QuadratureConfig and SynthesisConfig (but theta and
-quad).  Each setting is checked by the type that uses it (QuadratureConfig,
-SynthesisConfig, check_theta, model.check_weights for S and K, and the
-oracle's check_horizon and check_grid_size): a rejected value, a
-non-finite or mis-shaped weight, a non-object block or an unknown key is
-a validation error that names it.
+quad).  theta and those two blocks make the instance's one
+SynthesisConfig, `ProblemInstance.cfg`, which every command reads and
+`--theta` and `--quad-tol` replace fields of.  Each setting is checked by
+the type that uses it (QuadratureConfig, SynthesisConfig, check_theta,
+model.check_weights for S and K, and the oracle's check_horizon and
+check_grid_size): a rejected value, a non-finite or mis-shaped weight, a
+non-object block or an unknown key is a validation error that names it.
+So is a file that is not JSON, including one that is not UTF-8 text or
+nests arrays past the parser's recursion limit.
+
+`scripts/write_instance.py` writes instance files: the canonical plant or
+the random plant of a seed, at a given theta or at the theta that puts the
+spectral supremum of the plant's LQG loop at a target.
 
 Exit codes: 0 ok, 2 validation, 3 inadmissible, 4 numerical, 5 io.
 """
@@ -107,18 +115,12 @@ class ProblemInstance:
     plant: DerivedPlant
     S: np.ndarray
     K: np.ndarray
-    theta: float
     controller: Optional[ControllerParams]
-    quad: QuadratureConfig
+    cfg: SynthesisConfig           # theta, quadrature and descent settings
     oracle_T: Optional[float]
     oracle_N: int
-    synthesis: dict
 
     def __post_init__(self):
-        # the config the synthesize command builds checks theta and the block
-        SynthesisConfig(theta=self.theta, quad=self.quad, **_object(
-            self.synthesis, "synthesis", _SYNTHESIS_KEYS))
-        self.theta = float(self.theta)
         # oracle-compare divides T before build_operators sees it, so the
         # oracle's checks run here; without T the horizon is the loop's
         # default_horizon
@@ -160,7 +162,8 @@ def load_instance(path):
             doc = json.load(fh)
     except OSError as exc:
         raise OSError(f"cannot read instance file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # bytes that are not text, or arrays nested past the parser's depth
         raise ValidationError(f"instance file is not valid JSON: {exc}") from exc
 
     # a misspelt optional key such as "theta" would otherwise fall back to
@@ -202,11 +205,14 @@ def load_instance(path):
         )
     quad = QuadratureConfig(**_object(doc.get("quadrature", {}),
                                       "quadrature", _QUADRATURE_KEYS))
+    cfg = SynthesisConfig(theta=doc.get("theta", 0.0), quad=quad,
+                          **_object(doc.get("synthesis", {}), "synthesis",
+                                    _SYNTHESIS_KEYS))
+    cfg.theta = float(cfg.theta)        # JSON may write it as an integer
     odoc = _object(doc.get("oracle", {}), "oracle", ("T", "N"))
     return ProblemInstance(
-        plant=plant, S=S, K=K, theta=doc.get("theta", 0.0), controller=ctrl,
-        quad=quad, oracle_T=odoc.get("T"), oracle_N=odoc.get("N", 800),
-        synthesis=doc.get("synthesis", {}),
+        plant=plant, S=S, K=K, controller=ctrl, cfg=cfg,
+        oracle_T=odoc.get("T"), oracle_N=odoc.get("N", 800),
     )
 
 
@@ -231,7 +237,7 @@ def cmd_validate(inst, args):
 
 def cmd_evaluate(inst, args):
     cl = _closed_loop(inst)
-    adm = check_admissible(cl, inst.theta)
+    adm = check_admissible(cl, inst.cfg.theta)
     ups0 = gramians.lqg_cost(cl)
     print(f"spec1_sup,{_fmt(adm.spec1_sup)}")
     print(f"psi_min_rel_sigma,{_fmt(adm.psi_min_rel_sigma)}")
@@ -239,14 +245,14 @@ def cmd_evaluate(inst, args):
     print(f"ups0,{_fmt(ups0)}")
     if not adm.spec1_ok:
         raise InadmissibleError("cost growth rate undefined for this instance")
-    ups = qef_growth_rate(cl, inst.theta, inst.quad)
+    ups = qef_growth_rate(cl, inst.cfg.theta, inst.cfg.quad)
     print(f"ups,{_fmt(ups)}")
     return EXIT_OK
 
 
 def cmd_grad_check(inst, args):
     cl = _closed_loop(inst)
-    check = gradient_check(cl, inst.theta, inst.quad)
+    check = gradient_check(cl, inst.cfg.theta, inst.cfg.quad)
     print("block,row,col,analytic,fd,rel_err")
     for name, i, j, analytic, fd, rel in check.rows:
         print(f"{name},{i},{j},{_fmt(analytic)},{_fmt(fd)},{_fmt(rel)}")
@@ -258,8 +264,8 @@ def cmd_grad_check(inst, args):
 
 def cmd_oracle_compare(inst, args):
     cl = _closed_loop(inst)
-    theta = inst.theta
-    ups = qef_growth_rate(cl, theta, inst.quad)
+    theta = inst.cfg.theta
+    ups = qef_growth_rate(cl, theta, inst.cfg.quad)
     T_final = inst.oracle_T
     if T_final is None:
         T_final = oracle.default_horizon(cl.calA)
@@ -284,8 +290,7 @@ def cmd_oracle_compare(inst, args):
 
 
 def cmd_synthesize(inst, args):
-    cfg = SynthesisConfig(theta=inst.theta, quad=inst.quad, **inst.synthesis)
-    report = synthesize(inst.plant, (inst.S, inst.K), cfg)
+    report = synthesize(inst.plant, (inst.S, inst.K), inst.cfg)
     trace = args.output or "trace.csv"
     with open(trace, "w") as fh:
         fh.write("iter,ups,residual,step\n")
@@ -335,14 +340,16 @@ _COMMANDS = {
 
 def _with_overrides(inst, args):
     """The instance with the command-line overrides, validated again."""
-    changes = {}
+    cfg = {}
+    if args.theta is not None:
+        cfg["theta"] = args.theta
     if args.quad_tol is not None:
-        changes["quad"] = dataclasses.replace(
-            inst.quad, abs_tol=args.quad_tol, rel_tol=args.quad_tol)
-    for name in ("theta", "oracle_N", "oracle_T"):
-        if getattr(args, name) is not None:
-            changes[name] = getattr(args, name)
-    return dataclasses.replace(inst, **changes)
+        cfg["quad"] = dataclasses.replace(
+            inst.cfg.quad, abs_tol=args.quad_tol, rel_tol=args.quad_tol)
+    changes = {name: getattr(args, name) for name in ("oracle_N", "oracle_T")
+               if getattr(args, name) is not None}
+    return dataclasses.replace(
+        inst, cfg=dataclasses.replace(inst.cfg, **cfg), **changes)
 
 
 def main(argv=None):

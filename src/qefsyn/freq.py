@@ -622,9 +622,13 @@ def check_admissible(cl, theta):
     A loop that is not Hurwitz raises (`check_loop`).  `spec1_sup` is the
     largest sample of the spectral condition on a base grid (at most 361
     frequencies) and on 90 points between the base neighbours of its
-    maximum; a narrower peak can be missed.  The Psi-invertibility check
-    reports the worst relative singular-value ratio of Psi over the base
-    grid; i Psi is Hermitian, so that ratio is min|d0| / max|d0|.
+    maximum; a narrower peak can be missed.  `theta_for_spec1` reads the
+    base grid only, so at the theta it returns `spec1_sup` can read above
+    its target: over the LQG loops of `random_stable_instance` seeds 0-59
+    at targets 0.4 and 0.9 it read between 0.009% below and 0.24% above.
+    The Psi-invertibility check reports the worst relative singular-value
+    ratio of Psi over the base grid; i Psi is Hermitian, so that ratio is
+    min|d0| / max|d0|.
     """
     check_loop(cl, theta)
     grid = _admissibility_grid(cl)
@@ -653,8 +657,13 @@ def theta_for_spec1(cl, target):
     is square and invertible, so targets well inside (0, 1) are the
     meaningful way to pin a risk level to this plant.  theta doubles from
     1 until the target is bracketed, then bisects to a relative bracket
-    width of `_THETA_TOL`, returning the lower end.  The grid is swept
-    once; every bisection step reuses its theta-free parts.  A target
+    width of `_THETA_TOL`, returning the lower end.  The supremum is
+    taken over `check_admissible`'s base grid alone, without its 90
+    points around the peak, so `check_admissible` at the returned theta
+    can read a `spec1_sup` above the target (by up to 0.24% over the LQG
+    loops of `random_stable_instance` seeds 0-59 at targets 0.4 and 0.9).
+    The grid is swept once; every bisection step reuses its theta-free
+    parts.  A target
     outside (0, 1) is a ValidationError, a loop that is not Hurwitz an
     InadmissibleError, and a target that 80 doublings of theta do not
     reach a ValueError naming the supremum reached.

@@ -12,8 +12,12 @@ import pytest
 
 from qefsyn import cli, grad, synth
 from qefsyn.errors import InadmissibleError, ValidationError
-from qefsyn.freq import check_admissible
-from qefsyn.instances import canonical_plant_spec, canonical_weights_square
+from qefsyn.freq import check_admissible, theta_for_spec1
+from qefsyn.instances import (
+    canonical_plant_spec,
+    canonical_weights_square,
+    random_stable_instance,
+)
 from qefsyn.model import derive_plant
 from qefsyn.synth import lqg_controller
 
@@ -50,7 +54,7 @@ def _write(tmp_path, doc, name="inst.json"):
 def test_load_instance_round_trip(tmp_path):
     doc = _canonical_doc(with_controller=True)
     inst = cli.load_instance(_write(tmp_path, doc))
-    assert inst.theta == 0.05
+    assert inst.cfg.theta == 0.05
     assert inst.controller is not None
     assert np.allclose(inst.controller.a.ravel(), doc["controller"]["a"])
     assert inst.S.shape == (2, 2) and inst.K.shape == (2, 1)
@@ -99,6 +103,17 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     path.write_text('{"plant": ')
     assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe\x00", id="not-utf8"),  # used: UnicodeDecodeError
+    pytest.param(b"[" * 5000 + b"]" * 5000, id="too-deep"),  # RecursionError
+])
+def test_undecodable_instance_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATION
+    assert "instance file is not valid JSON" in capsys.readouterr().err
 
 
 def test_missing_plant_dimension_exits_2(tmp_path, capsys):
@@ -624,15 +639,36 @@ def test_oracle_grid_too_coarse_is_numerical(tmp_path, capsys, monkeypatch,
         assert "inadmissible: theta * lambda_max(P_T K_T) >= 1" in err
 
 
-def test_written_instances_load(tmp_path):
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--stacked-weights", "--with-controller"], id="canonical"),
+    pytest.param(["--seed", "0", "--spec1", "0.4"], id="seed0-spec1"),
+])
+def test_written_instances_load(tmp_path, capsys, flags):
     # the instance files the bundled script writes must keep loading
     root = Path(__file__).resolve().parents[1]
-    path = tmp_path / "canonical.json"
+    path = tmp_path / "inst.json"
     subprocess.run([sys.executable, str(root / "scripts" / "write_instance.py"),
-                    str(path), "--stacked-weights", "--with-controller"],
+                    str(path), *flags],
                    check=True, capture_output=True,
                    env={**os.environ, "PYTHONPATH": str(root / "src")})
-    assert cli.load_instance(str(path)).controller is not None
+    inst = cli.load_instance(str(path))
+    assert (inst.controller is not None) == ("--with-controller" in flags)
+    if "--seed" not in flags:
+        return
+    # the seeded plant and its theta load bit for bit
+    plant, _, cl = random_stable_instance(np.random.default_rng(0))
+    for name in "ABCE":
+        assert np.array_equal(getattr(inst.plant, name), getattr(plant, name))
+    assert inst.cfg.theta == theta_for_spec1(cl, 0.4)
+    # the descent from its LQG start reaches stationarity at the CLI
+    # defaults, within the row budget of the seed-0 stationarity test in
+    # test_synth.py (38 rows when measured)
+    trace = tmp_path / "trace.csv"
+    code = cli.main(["synthesize", str(path), "--output", str(trace),
+                     "--controller-out", str(tmp_path / "controller.json")])
+    assert code == cli.EXIT_OK
+    assert "termination,stationary" in capsys.readouterr().out.splitlines()
+    assert len(trace.read_text().strip().splitlines()) - 1 <= 57
 
 
 def test_seed_flag_is_rejected(tmp_path):

@@ -535,6 +535,16 @@ def test_theta_for_spec1_hits_target(cl_square):
     assert abs(sup - target) <= 0.02
 
 
+@pytest.mark.parametrize("target", [0.4, 0.9])
+def test_check_admissible_reads_theta_for_spec1_near_its_target(target):
+    # theta_for_spec1 bisects on the base grid only; check_admissible's
+    # points around the peak read up to 0.24% above the target (seed 55)
+    for seed in range(50, 60):
+        _, _, cl = random_stable_instance(np.random.default_rng(seed))
+        sup = check_admissible(cl, theta_for_spec1(cl, target)).spec1_sup
+        assert abs(sup / target - 1.0) <= 0.01
+
+
 def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,
                                                     weights_square):
     # with S = 0 and c = 0 the cost output is zero, so spec1 is zero at
