@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Write a CLI instance file (JSON schema): the canonical test plant, or
 the random plant of a seed, at a given theta or at the theta that puts the
-spectral supremum of the plant's LQG loop at a target."""
+spectral supremum of the plant's LQG loop at a target.
+
+Exit codes are the CLI's (0 ok, 2 validation, 3 inadmissible, 4
+numerical, 5 io); a rejected flag or an unreachable target writes no file."""
 
 import argparse
 import json
+import numbers
+import sys
 
 import numpy as np
 
-from qefsyn.cli import controller_to_json
-from qefsyn.freq import theta_for_spec1
+from qefsyn.cli import EXIT_OK, controller_to_json, exit_code
+from qefsyn.freq import check_number, check_theta, theta_for_spec1
 from qefsyn.instances import (
     canonical_plant_spec,
     canonical_weights_lqg,
@@ -38,7 +43,14 @@ def main():
     ap.add_argument("--with-controller", action="store_true",
                     help="embed the LQG controller in the instance")
     args = ap.parse_args()
+    return exit_code(lambda: write(args))
 
+
+def write(args):
+    check_theta(args.theta)
+    if args.seed is not None:
+        check_number("seed", args.seed, lambda v: v >= 0, "an integer >= 0",
+                     numbers.Integral)
     S, K = (canonical_weights_lqg() if args.stacked_weights
             else canonical_weights_square())
     if args.seed is None:
@@ -64,7 +76,8 @@ def main():
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     print(f"wrote {args.output}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -352,11 +352,11 @@ def _with_overrides(inst, args):
         inst, cfg=dataclasses.replace(inst.cfg, **cfg), **changes)
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def exit_code(fn):
+    """fn(), or the exit code of the package error or OSError it raises,
+    with that error printed as one line on stderr."""
     try:
-        inst = _with_overrides(load_instance(args.instance), args)
-        return _COMMANDS[args.command](inst, args)
+        return fn()
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -369,6 +369,12 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    return exit_code(lambda: _COMMANDS[args.command](
+        _with_overrides(load_instance(args.instance), args), args))
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ eigenvalues 1 - theta mu_j.  It is positive definite exactly where the
 admissibility condition theta*mu < 1 holds, so one stacked Cholesky
 factorization (`_log_det_eye_minus`) gives ln det Delta and checks that
 condition at every quadrature node.  The spectral condition itself
-(`spec1`) and a bisection over theta need the largest mu: one stacked
-eigvalsh per step.  The nu x nu products of the sweep are broadcast sums
+(`spec1`) and a root-find over theta need the largest mu: one stacked
+eigvalsh per theta.  The nu x nu products of the sweep are broadcast sums
 (`_mm`), not one BLAS call per matrix.
 
 The integrand is conjugate-even in lambda, so the half-line is integrated,
@@ -616,37 +616,39 @@ def _admissibility_grid(cl):
     return np.unique(np.concatenate([head, tail]))
 
 
+def _spec1_sup(cl, grid, sweep, theta):
+    """The sampled spectral-condition supremum at theta: the larger of the
+    maximum over `grid` (`sweep` is its spectral sweep) and the maximum
+    over 90 points between the grid neighbours of its argmax."""
+    vals = sweep.spec1(theta)
+    k = int(np.argmax(vals))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    vals_fine = spectral_sweep(cl, np.linspace(lo, hi, 90)).spec1(theta)
+    return max(float(np.max(vals)), float(np.max(vals_fine)))
+
+
 def check_admissible(cl, theta):
     """Sampled admissibility report for a stabilizing controller.
 
     A loop that is not Hurwitz raises (`check_loop`).  `spec1_sup` is the
-    largest sample of the spectral condition on a base grid (at most 361
-    frequencies) and on 90 points between the base neighbours of its
-    maximum; a narrower peak can be missed.  `theta_for_spec1` reads the
-    base grid only, so at the theta it returns `spec1_sup` can read above
-    its target: over the LQG loops of `random_stable_instance` seeds 0-59
-    at targets 0.4 and 0.9 it read between 0.009% below and 0.24% above.
-    The Psi-invertibility check reports the worst relative singular-value
+    sampled supremum of the spectral condition (`_spec1_sup`) on a base
+    grid of at most 361 frequencies; a narrower peak can be missed.  The
+    Psi-invertibility check reports the worst relative singular-value
     ratio of Psi over the base grid; i Psi is Hermitian, so that ratio is
     min|d0| / max|d0|.
     """
     check_loop(cl, theta)
     grid = _admissibility_grid(cl)
     sweep = spectral_sweep(cl, grid)
-    vals = sweep.spec1(theta)
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    vals_fine = spectral_sweep(cl, np.linspace(lo, hi, 90)).spec1(theta)
-    sup = max(float(np.max(vals)), float(np.max(vals_fine)))
-
     sigma = np.abs(sweep.d0)      # an all-zero Psi gives the ratio 0
     min_rel = float(np.min(np.min(sigma, axis=1) / np.maximum(
         np.max(sigma, axis=1), np.finfo(float).tiny)))
-    return AdmissibilityReport(spec1_sup=sup, psi_min_rel_sigma=min_rel)
+    return AdmissibilityReport(spec1_sup=_spec1_sup(cl, grid, sweep, theta),
+                               psi_min_rel_sigma=min_rel)
 
 
-#: relative width of the bracket at which theta_for_spec1 stops
+#: relative tolerance of theta_for_spec1's root (Brent's rtol)
 _THETA_TOL = 1e-4
 
 
@@ -656,45 +658,35 @@ def theta_for_spec1(cl, target):
     The supremum saturates towards 1 from below when the transfer matrix
     is square and invertible, so targets well inside (0, 1) are the
     meaningful way to pin a risk level to this plant.  theta doubles from
-    1 until the target is bracketed, then bisects to a relative bracket
-    width of `_THETA_TOL`, returning the lower end.  The supremum is
-    taken over `check_admissible`'s base grid alone, without its 90
-    points around the peak, so `check_admissible` at the returned theta
-    can read a `spec1_sup` above the target (by up to 0.24% over the LQG
-    loops of `random_stable_instance` seeds 0-59 at targets 0.4 and 0.9).
-    The grid is swept once; every bisection step reuses its theta-free
-    parts.  A target
-    outside (0, 1) is a ValidationError, a loop that is not Hurwitz an
-    InadmissibleError, and a target that 80 doublings of theta do not
-    reach a ValueError naming the supremum reached.
+    1 until the target is bracketed; Brent's method then roots
+    `check_admissible`'s supremum (`_spec1_sup`, on one sweep of its base
+    grid) minus the target, and returns a theta within a relative
+    `_THETA_TOL` of the root, on either side.  A target outside (0, 1) is
+    a ValidationError, a loop that is not Hurwitz an InadmissibleError, and
+    a target that 80 doublings of theta do not reach a ValidationError
+    naming the supremum reached.
     """
+    # scipy.optimize costs a fresh interpreter 0.3 s; only this needs it
+    from scipy.optimize import brentq
+
     check_number("target", target, lambda v: 0.0 < v < 1.0, "in (0, 1)")
     check_loop(cl)
-    sweep = spectral_sweep(cl, _admissibility_grid(cl))
+    grid = _admissibility_grid(cl)
+    sweep = spectral_sweep(cl, grid)
 
-    def sup_at(theta):
-        return float(np.max(sweep.spec1(theta)))
+    def excess(theta):
+        return _spec1_sup(cl, grid, sweep, theta) - target
 
     lo, hi = 0.0, 1.0
     for _ in range(80):
-        sup = sup_at(hi)
-        if sup >= target:
-            break
+        if excess(hi) >= 0.0:
+            # brentq needs xtol > 0; a tiny one leaves rtol in charge
+            return brentq(excess, lo, hi, xtol=1e-300, rtol=_THETA_TOL)
         lo, hi = hi, 2.0 * hi
-    else:
-        raise ValueError(
-            f"spec1 target {target:g} is not reached: the supremum is "
-            f"{sup:.6g} at theta={lo:.6g}"
-        )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if sup_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _THETA_TOL * max(hi, 1e-30):
-            break
-    return lo
+    raise ValidationError(
+        f"spec1 target {target:g} is not reached: the supremum is "
+        f"{_spec1_sup(cl, grid, sweep, lo):.6g} at theta={lo:.6g}"
+    )
 
 
 #: eigenvalue margin separating Hurwitz from marginal

@@ -94,10 +94,10 @@ def random_admissible_instance(rng, theta_fraction=0.25, perturb=0.05):
     """Random n=2, m=2, r=1, d=1 instance admissible at a safe risk level.
 
     The controller is the LQG solution plus a small random perturbation
-    (so the gradient is not already near zero); theta is chosen so that
-    the supremum of the spectral condition equals ``theta_fraction``,
-    which keeps the integrands well conditioned.  Instances whose Psi is
-    near-singular on the frequency grid are redrawn.
+    (so the gradient is not already near zero); theta is the one at which
+    `check_admissible`'s spectral supremum reads ``theta_fraction``
+    (`theta_for_spec1`), which keeps the integrands well conditioned.
+    Instances whose Psi is near-singular on the frequency grid are redrawn.
     """
     weights = canonical_weights_square()
     for _ in range(_MAX_TRIES):

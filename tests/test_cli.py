@@ -671,6 +671,50 @@ def test_written_instances_load(tmp_path, capsys, flags):
     assert len(trace.read_text().strip().splitlines()) - 1 <= 57
 
 
+@pytest.mark.parametrize("name, flags, code, message", [
+    pytest.param("inst.json", ["--spec1", "1.5"], cli.EXIT_VALIDATION,
+                 "validation error: target must be in (0, 1), got 1.5",
+                 id="spec1-out-of-range"),
+    pytest.param("inst.json", ["--seed", "-1"], cli.EXIT_VALIDATION,
+                 "validation error: seed must be an integer >= 0, got -1",
+                 id="seed-negative"),
+    pytest.param("inst.json", ["--theta", "-1"], cli.EXIT_VALIDATION,
+                 "validation error: theta must be finite and nonnegative, "
+                 "got -1.0", id="theta-negative"),
+    pytest.param("missing/inst.json", [], cli.EXIT_IO,
+                 "io error: [Errno 2] No such file or directory",
+                 id="missing-directory"),
+])
+def test_write_instance_exit_codes(tmp_path, name, flags, code, message):
+    # each of these used to end in a traceback with exit 1, or (a negative
+    # theta) to write a file that `qefsyn validate` then rejected
+    root = Path(__file__).resolve().parents[1]
+    path = tmp_path / name
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "write_instance.py"),
+         str(path), *flags],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 0.3 s to a fresh interpreter; only
+    # freq.theta_for_spec1 needs it, and it imports it when called
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qefsyn.cli, qefsyn.instances; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.stdout.strip() == "False"
+
+
 def test_seed_flag_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["validate", "inst.json", "--seed", "1"])

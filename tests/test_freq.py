@@ -537,12 +537,31 @@ def test_theta_for_spec1_hits_target(cl_square):
 
 @pytest.mark.parametrize("target", [0.4, 0.9])
 def test_check_admissible_reads_theta_for_spec1_near_its_target(target):
-    # theta_for_spec1 bisects on the base grid only; check_admissible's
-    # points around the peak read up to 0.24% above the target (seed 55)
+    # theta_for_spec1 roots check_admissible's own supremum, so it reads
+    # the target to Brent's tolerance (within 2.5e-5 when measured); with
+    # a supremum of the base grid alone it read up to 0.24% above (seed 55)
     for seed in range(50, 60):
         _, _, cl = random_stable_instance(np.random.default_rng(seed))
         sup = check_admissible(cl, theta_for_spec1(cl, target)).spec1_sup
-        assert abs(sup / target - 1.0) <= 0.01
+        assert abs(sup / target - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("target", [0.4, 0.9])
+def test_theta_for_spec1_evaluates_few_suprema(monkeypatch, target):
+    # doubling and Brent's method take at most 10 evaluations of the
+    # supremum on these loops when measured; bisection took up to 40
+    calls = []
+    sup = freq._spec1_sup
+
+    def counted(*args):
+        calls.append(args[-1])          # theta
+        return sup(*args)
+    monkeypatch.setattr(freq, "_spec1_sup", counted)
+    for seed in range(50, 60):
+        _, _, cl = random_stable_instance(np.random.default_rng(seed))
+        calls.clear()
+        theta_for_spec1(cl, target)
+        assert 0 < len(calls) <= 12
 
 
 def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,
@@ -554,7 +573,7 @@ def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,
     ctrl = lqg_controller(canonical_plant, weights_square)
     ctrl = ControllerParams(a=ctrl.a, b=ctrl.b, c=np.zeros_like(ctrl.c))
     cl = assemble_closed_loop(canonical_plant, weights, ctrl)
-    with pytest.raises(ValueError,
+    with pytest.raises(ValidationError,
                        match=r"target 0\.3 is not reached: the supremum is 0 "):
         theta_for_spec1(cl, 0.3)
 
