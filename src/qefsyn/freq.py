@@ -26,6 +26,12 @@ condition at every quadrature node.  The spectral condition itself
 eigvalsh per theta.  The nu x nu products of the sweep are broadcast sums
 (`_mm`), not one BLAS call per matrix.
 
+Since tanhc lies in (0, 1], theta mu is at most theta sigma_max(F)^2, so
+`check_admissible` first tries to certify the condition at every
+frequency with one Hamiltonian eigenvalue test of the H-infinity bound
+theta ||F||_inf^2 < 1 - margin (`_certified`); only a loop it cannot
+certify has its supremum sampled before the report is returned.
+
 The integrand is conjugate-even in lambda, so the half-line is integrated,
 mapped onto t in [0, 2] with a 1/lambda tail (`integrate_half_line`), as
 one adaptive Gauss-Kronrod 7-15 integral with one tolerance; each panel set
@@ -406,10 +412,7 @@ class SpectralSweep:
             return
         k = int(np.argmax(bad))
         if failed[k]:
-            raise NumericalError(
-                f"resolvent residual {self.residual[k]:.2e} at "
-                f"lambda={self.lams[k]}: near-singular shift"
-            )
+            raise _near_singular(self.lams, self.residual, k)
         raise InadmissibleError(reason)
 
     def _scaled_W(self, theta):
@@ -526,17 +529,15 @@ def _modal_product(r, X, Y):
     return (r @ outer).reshape(len(r), X.shape[0], Y.shape[1])
 
 
-def spectral_sweep(cl, lams):
-    """The SpectralSweep of a closed loop at the frequencies `lams`.
+def _near_singular(lams, residual, k):
+    """The NumericalError of node k's failed resolvent."""
+    return NumericalError(f"resolvent residual {residual[k]:.2e} at "
+                          f"lambda={lams[k]}: near-singular shift")
 
-    F is formed in the modal basis of calA, (calC V) diag(r) (V^{-1} calB)
-    with r = 1 / (i lambda - s), as one product over all nodes.  A node
-    whose residual bound exceeds 1e-8 (a defective or ill-conditioned
-    calA, or a shift near an eigenvalue) is solved directly instead; an
-    exact residual above 1e-8 there marks a near-singular shift, which the
-    sweep's methods raise as NumericalError.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+
+def _transfer(cl, lams):
+    """F at the frequencies `lams`, each node's residual, and a function
+    forming the resolvents G (`spectral_sweep`)."""
     modes = _modes(cl.calA)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = 1.0 / (1j * lams[:, None] - modes.s)
@@ -557,12 +558,32 @@ def spectral_sweep(cl, lams):
             G[direct] = G_direct
         return G
 
+    return F, residual, resolvent
+
+
+def _skew_psi(cl, F, Fh):
+    """Psi = F J F* per node, made exactly skew-Hermitian."""
+    Psi = _mm((F.reshape(-1, F.shape[-1]) @ cl.J).reshape(F.shape), Fh)
+    return 0.5 * (Psi - _conj_t(Psi))
+
+
+def spectral_sweep(cl, lams):
+    """The SpectralSweep of a closed loop at the frequencies `lams`.
+
+    F is formed in the modal basis of calA, (calC V) diag(r) (V^{-1} calB)
+    with r = 1 / (i lambda - s), as one product over all nodes.  A node
+    whose residual bound exceeds 1e-8 (a defective or ill-conditioned
+    calA, or a shift near an eigenvalue) is solved directly instead; an
+    exact residual above 1e-8 there marks a near-singular shift, which the
+    sweep's methods raise as NumericalError.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    F, residual, resolvent = _transfer(cl, lams)
     Fh = _conj_t(F)
     Phi = _mm(F, Fh)
-    Psi = _mm((F.reshape(-1, F.shape[-1]) @ cl.J).reshape(F.shape), Fh)
     # enforce the exact symmetry classes against round-off
     Phi = 0.5 * (Phi + _conj_t(Phi))
-    Psi = 0.5 * (Psi - _conj_t(Psi))
+    Psi = _skew_psi(cl, F, Fh)
     d0, U = np.linalg.eigh(1j * Psi)
     W = _mm(_mm(_conj_t(U), Phi), U)
     return SpectralSweep(lams=lams, F=F, Phi=Phi, Psi=Psi, d0=d0, U=U, W=W,
@@ -580,11 +601,31 @@ def delta_matrix(Phi, Psi, theta):
     return cosm - theta * np.asarray(Phi) @ sincm
 
 
+class _Supremum:
+    """The `spec1_sup` field of AdmissibilityReport: a float as set, or
+    the value of a `_Deferred` set in its place, summed on first read."""
+
+    def __get__(self, report, owner=None):
+        if report is None:          # the field has no default
+            raise AttributeError("spec1_sup")
+        sup = vars(report)["spec1_sup"]
+        return sup.value if isinstance(sup, _Deferred) else sup
+
+    def __set__(self, report, value):
+        vars(report)["spec1_sup"] = value
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Spectral-condition and Psi-invertibility samples of a Hurwitz loop."""
+    """Spectral-condition and Psi-invertibility samples of a Hurwitz loop.
 
-    spec1_sup: float
+    `spec1_sup` is the sampled supremum of the spectral condition.  Where
+    `check_admissible` certified the condition it is summed only when
+    read, and `spec1_ok` holds without reading it; a value set in the
+    constructor (or by `dataclasses.replace`) is read as given.
+    """
+
+    spec1_sup: float = _Supremum()
     psi_min_rel_sigma: float
 
     #: safety margin on the spectral supremum
@@ -596,7 +637,8 @@ class AdmissibilityReport:
 
     @property
     def spec1_ok(self):
-        return self.spec1_sup < 1.0 - self.margin
+        return (isinstance(vars(self)["spec1_sup"], _Deferred)
+                or self.spec1_sup < 1.0 - self.margin)
 
     @property
     def psi_ok(self):
@@ -628,24 +670,81 @@ def _spec1_sup(cl, grid, sweep, theta):
     return max(float(np.max(vals)), float(np.max(vals_fine)))
 
 
+@dataclass(frozen=True, eq=False)
+class _Deferred:
+    """`_spec1_sup` of a certified loop, summed when first read."""
+
+    cl: object
+    grid: np.ndarray
+    theta: float
+
+    @cached_property
+    def value(self):
+        sweep = spectral_sweep(self.cl, self.grid)
+        return _spec1_sup(self.cl, self.grid, sweep, self.theta)
+
+
+#: an eigenvalue of the Hamiltonian test whose real part is within this
+#: multiple of max(1, spectral radius) counts as on the imaginary axis
+_AXIS_TOL = 1e-6
+
+
+def _certified(cl, theta):
+    """Whether theta ||F||_inf^2 < 1 - margin, for theta > 0.
+
+    Since tanhc lies in (0, 1], theta lambda_max(Phi tanc(theta Psi)) is at
+    most theta sigma_max(F)^2 at every frequency, so this bound certifies
+    the spectral condition everywhere.  With gamma^2 = (1 - margin) /
+    theta, ||F||_inf < gamma holds exactly when the Hamiltonian
+        [[calA, calB calB^T / gamma^2], [-calC^T calC, -calA^T]]
+    has no eigenvalue on the imaginary axis (Boyd, Balakrishnan & Kabamba,
+    Math. Control Signals Systems 2, 1989).  An eigenvalue within
+    _AXIS_TOL of the axis counts as on it, and so does a failed eigensolve:
+    a loop near the bound is left to sampling.
+    """
+    gamma2 = (1.0 - AdmissibilityReport.margin) / theta
+    H = np.block([[cl.calA, cl.calB @ cl.calB.T / gamma2],
+                  [-cl.calC.T @ cl.calC, -cl.calA.T]])
+    try:
+        eig = np.linalg.eigvals(H)
+    except np.linalg.LinAlgError:
+        return False
+    scale = max(1.0, float(np.max(np.abs(eig))))
+    return bool(np.all(np.abs(eig.real) > _AXIS_TOL * scale))
+
+
 def check_admissible(cl, theta):
-    """Sampled admissibility report for a stabilizing controller.
+    """Admissibility report for a stabilizing controller.
 
     A loop that is not Hurwitz raises (`check_loop`).  `spec1_sup` is the
     sampled supremum of the spectral condition (`_spec1_sup`) on a base
-    grid of at most 361 frequencies; a narrower peak can be missed.  The
-    Psi-invertibility check reports the worst relative singular-value
+    grid of at most 361 frequencies; a narrower peak can be missed.  At
+    theta > 0 one Hamiltonian eigenvalue test (`_certified`) first bounds
+    the true supremum below 1 - margin; where it does, the sampled value
+    (which lies below that bound) is summed only when `spec1_sup` is read,
+    so a failed resolvent among its 90 resampled points raises only then.
+    The Psi-invertibility check reports the worst relative singular-value
     ratio of Psi over the base grid; i Psi is Hermitian, so that ratio is
-    min|d0| / max|d0|.
+    min|d0| / max|d0|.  A failed resolvent on the base grid raises
+    NumericalError.
     """
     check_loop(cl, theta)
     grid = _admissibility_grid(cl)
-    sweep = spectral_sweep(cl, grid)
-    sigma = np.abs(sweep.d0)      # an all-zero Psi gives the ratio 0
+    if theta > 0.0 and _certified(cl, theta):
+        F, residual, _ = _transfer(cl, grid)
+        failed = ~(residual <= _RESOLVENT_TOL)
+        if failed.any():
+            raise _near_singular(grid, residual, int(np.argmax(failed)))
+        d0 = np.linalg.eigvalsh(1j * _skew_psi(cl, F, _conj_t(F)))
+        sup = _Deferred(cl, grid, theta)
+    else:
+        sweep = spectral_sweep(cl, grid)
+        d0 = sweep.d0
+        sup = _spec1_sup(cl, grid, sweep, theta)
+    sigma = np.abs(d0)      # an all-zero Psi gives the ratio 0
     min_rel = float(np.min(np.min(sigma, axis=1) / np.maximum(
         np.max(sigma, axis=1), np.finfo(float).tiny)))
-    return AdmissibilityReport(spec1_sup=_spec1_sup(cl, grid, sweep, theta),
-                               psi_min_rel_sigma=min_rel)
+    return AdmissibilityReport(spec1_sup=sup, psi_min_rel_sigma=min_rel)
 
 
 #: relative tolerance of theta_for_spec1's root (Brent's rtol)
@@ -731,14 +830,21 @@ class GrowthRate(float):
     estimate stalled or the subdivision budget ran out; on a grid
     frozen from another loop it grows as the two loops drift apart, and
     `meets` tells whether the value is still as accurate as an adaptive
-    one.
+    one.  `sweep` is the theta-free SpectralSweep of the value's nodes
+    where it was summed in one sweep, on a grid passed in, and None for an
+    adaptive sum; the gradient on the same grid reuses it (`chi_matrix`).
+    It is not pickled.
     """
 
-    def __new__(cls, value, grid=None, error=0.0):
+    def __new__(cls, value, grid=None, error=0.0, sweep=None):
         rate = super().__new__(cls, value)
         rate.grid = grid
         rate.error = error
+        rate.sweep = sweep
         return rate
+
+    def __reduce__(self):
+        return GrowthRate, (float(self), self.grid, self.error)
 
     def meets(self, quad):
         """Whether `error` meets the tolerance of `quad`: the test
@@ -758,18 +864,22 @@ def qef_growth_rate(cl, theta, quad=None, grid=None):
     the value's `grid` is the one it produced; a FrequencyGrid passed in
     (from an earlier value or from `growth_rate_grid`) pins the
     subdivision, which is what comparisons and finite-difference studies
-    over nearby controllers need.
+    over nearby controllers need, and the value then carries the one
+    sweep of its nodes.
     """
     check_loop(cl, theta)
     if theta == 0.0:
         return GrowthRate(0.0)
+    sweep = None
 
     def f(lams):
-        return spectral_sweep(cl, lams).log_det_delta(theta)[:, None]
+        nonlocal sweep
+        sweep = spectral_sweep(cl, lams)
+        return sweep.log_det_delta(theta)[:, None]
 
-    total, err, grid = _loop_integral(cl, f, quad, grid)
-    return GrowthRate(-float(total[0]) / (2.0 * np.pi), grid,
-                      err / (2.0 * np.pi))
+    total, err, summed_on = _loop_integral(cl, f, quad, grid)
+    return GrowthRate(-float(total[0]) / (2.0 * np.pi), summed_on,
+                      err / (2.0 * np.pi), None if grid is None else sweep)
 
 
 def growth_rate_grid(cl, theta, quad=None):

@@ -98,13 +98,15 @@ def _weights(sweep, theta):
     return _mm(_mm(U, phit), Uh), _mm(_mm(U, psit), Uh)
 
 
-def _chi_integrand(cl, theta, lams):
+def _chi_integrand(cl, theta, lams, sweep=None):
     """Unprojected gradient integrands, (len(lams), 2n+m, 2n+nu).
 
     The spectral quantities and the weight functions phi and psi come
-    from one sweep over all the frequencies.
+    from one sweep over all the frequencies: `sweep`, a sweep of this
+    loop, where its `lams` are these frequencies, else a new one.
     """
-    sweep = spectral_sweep(cl, lams)
+    if sweep is None or not np.array_equal(sweep.lams, lams):
+        sweep = spectral_sweep(cl, lams)
     Fh = _conj_t(sweep.F)
     k, nu = len(sweep.lams), cl.nu
     if theta == 0.0:
@@ -127,19 +129,22 @@ def _chi_integrand(cl, theta, lams):
     return out
 
 
-def chi_matrix(cl, theta, quad=None, grid=None):
+def chi_matrix(cl, theta, quad=None, grid=None, sweep=None):
     """Gradient matrix chi by frequency quadrature (theta = 0 gives chi0).
 
     Without `grid` the subdivision is adaptive; a FrequencyGrid passed in
     (a GrowthRate's) sums chi on its panels, which makes the gradient the
-    exact derivative of the growth rate summed on that grid.
+    exact derivative of the growth rate summed on that grid.  `sweep`, a
+    SpectralSweep of this loop (a frozen-grid GrowthRate's), is reused
+    where its `lams` are the nodes summed, in place of a new sweep.
     """
     check_loop(cl, theta)
     # conjugate evenness in lambda: the full-line integral is twice the
     # real part of the half-line one, so integrate Re per frequency (the
     # imaginary part decays only like 1/lambda and must not be integrated)
     def f(lams):
-        return _chi_integrand(cl, theta, lams).real.reshape(len(lams), -1)
+        return _chi_integrand(cl, theta, lams, sweep).real.reshape(
+            len(lams), -1)
 
     total, err, _ = _loop_integral(cl, f, quad, grid)
     # the integrand's bottom-right m x nu block is zero: chi is projected
@@ -168,10 +173,10 @@ class GradReport:
     dUps_dc: np.ndarray
 
 
-def frechet_derivatives(cl, theta, quad=None, grid=None):
+def frechet_derivatives(cl, theta, quad=None, grid=None, sweep=None):
     """Analytic derivatives of the cost growth rate in (a, b, c); `grid`
-    as in chi_matrix."""
-    chi, _ = chi_matrix(cl, theta, quad, grid)
+    and `sweep` as in chi_matrix."""
+    chi, _ = chi_matrix(cl, theta, quad, grid, sweep)
     da, db, dc = sandwich_blocks(cl.plant, cl.K, chi)
     return GradReport(dUps_da=theta * da, dUps_db=theta * db,
                       dUps_dc=theta * dc)

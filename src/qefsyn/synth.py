@@ -18,11 +18,14 @@ ups + _ARMIJO_C * step * g^T d; the search gives up below _MIN_STEP.
 
 Each iterate has one FrequencyGrid: the grid its cost, a GrowthRate, was
 summed on.  Its gradient is summed on that grid too, so it is the exact
-derivative of the sums that the line search compares.  A line-search trial
-(`_trial`) runs, in order: closed-loop assembly (a ValidationError rejects
-it); its cost on the current iterate's grid (an InadmissibleError rejects
-it; a NumericalError rejects it if it fails `check_admissible` and is
-re-raised otherwise); the Armijo test; `check_admissible`.  If the frozen
+derivative of the sums that the line search compares; where the cost was
+summed on a kept grid, the gradient reuses that sum's sweep (`ups.sweep`).
+A line-search trial (`_trial`) runs, in order: closed-loop assembly (a
+ValidationError rejects it); its cost on the current iterate's grid (an
+InadmissibleError rejects it; a NumericalError rejects it if it fails
+`check_admissible` and is re-raised otherwise); the Armijo test;
+`check_admissible`, of which only `.admissible` is read (on a loop its
+Hamiltonian test certifies, the supremum is never summed).  If the frozen
 sum's error estimate then meets the quadrature tolerance, by the test that
 stops the adaptive integral, that sum is the trial's cost and the grid is
 kept.  Otherwise one adaptive integral gives its cost and a new grid (an
@@ -218,7 +221,8 @@ def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
     ups = qef_growth_rate(cl, theta, cfg.quad)
     x, pairs, last = _flat(ctrl), deque(maxlen=_MEMORY), None
     for i in range(cfg.max_iters + 1):
-        report = frechet_derivatives(cl, theta, cfg.quad, grid=ups.grid)
+        report = frechet_derivatives(cl, theta, cfg.quad, grid=ups.grid,
+                                     sweep=ups.sweep)
         g = _flat(report)
         resid = optimality_residual(report)
         row = (len(iterates), float(ups), resid)

@@ -1,5 +1,6 @@
 """Quadrature machinery, per-frequency quantities, growth rate, admissibility."""
 
+import dataclasses
 import itertools
 import logging
 import pickle
@@ -12,6 +13,7 @@ import scipy.linalg
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 import qefsyn.freq as freq
 from qefsyn.freq import (
+    AdmissibilityReport,
     QuadratureConfig,
     _adaptive,
     _panels,
@@ -504,6 +506,9 @@ def test_growth_rate_carries_its_grid(cl_square, quad_fast):
     assert frozen.grid is rate.grid
     assert abs(frozen - rate) <= 1e-12 * abs(rate)
     assert pickle.loads(pickle.dumps(rate)) == rate
+    # the sweep a frozen-grid sum carries is not pickled with it
+    assert frozen.sweep is not None
+    assert pickle.loads(pickle.dumps(frozen)).sweep is None
     zero = qef_growth_rate(cl_square, 0.0)
     assert zero == 0.0 and zero.grid is None
 
@@ -564,6 +569,94 @@ def test_theta_for_spec1_evaluates_few_suprema(monkeypatch, target):
         assert 0 < len(calls) <= 12
 
 
+def _certified_report(rep):
+    """Whether `rep` holds a certified, not yet summed, supremum."""
+    return isinstance(vars(rep)["spec1_sup"], freq._Deferred)
+
+
+def test_certificate_bounds_the_dense_supremum():
+    # wherever the Hamiltonian test certifies theta ||F||^2 < 1 - margin,
+    # so does theta times the peak of sigma_max(F)^2 over 20 000 frequencies
+    bound = 1.0 - AdmissibilityReport.margin
+    certified = 0
+    for seed in range(60):
+        _, _, cl = random_stable_instance(np.random.default_rng(seed))
+        rho = default_lambda_max(cl.calA) / 50.0
+        lams = np.concatenate([np.linspace(0.0, 5.0 * rho, 15000),
+                               np.geomspace(5.0 * rho, 50.0 * rho, 5000)])
+        F, _, _ = freq._transfer(cl, lams)
+        peak = np.max(np.linalg.eigvalsh(F @ F.conj().swapaxes(1, 2)))
+        for target in (0.25, 0.4, 0.9):
+            theta = theta_for_spec1(cl, target)
+            for factor in (1.0, 1.05, 1.3):
+                if freq._certified(cl, factor * theta):
+                    certified += 1
+                    assert factor * theta * peak < bound
+    assert certified >= 400             # 455 of the 540 when measured
+
+
+def _light_resonance():
+    """A loop whose resonance at lambda = 1 (damping 1e-5) lies midway
+    between two base-grid samples, next to a fast real mode that sets the
+    grid: its sampled supremum misses the peak."""
+    fast = 48.0 / 10.5                  # samples at k fast / 48
+    osc = np.array([[-1e-5, 1.0], [-1.0, -1e-5]])
+    return SimpleNamespace(
+        calA=scipy.linalg.block_diag(osc, -fast * np.eye(2)),
+        calB=np.vstack([np.eye(2), np.eye(2)]),
+        calC=np.hstack([np.eye(2), np.eye(2)]),
+        J=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def test_certificate_refuses_a_peak_sampling_misses():
+    cl = _light_resonance()
+    theta = theta_for_spec1(cl, 0.3)
+    rep = check_admissible(cl, theta)
+    # sampling reads 0.3 and accepts, as it did before the certificate
+    assert not _certified_report(rep)
+    assert rep.admissible and abs(rep.spec1_sup - 0.3) <= 1e-4
+    # the peak itself breaks the condition, and the certificate sees it
+    assert spectral_sweep(cl, [1.0]).spec1(theta)[0] > 0.99
+    assert not freq._certified(cl, theta)
+
+
+def test_certified_supremum_is_summed_when_read(monkeypatch):
+    sups = []
+    sup = freq._spec1_sup
+
+    def counted(*args):
+        sups.append(args[-1])
+        return sup(*args)
+    monkeypatch.setattr(freq, "_spec1_sup", counted)
+    for seed in range(5):
+        _, _, cl = random_stable_instance(np.random.default_rng(seed))
+        theta = theta_for_spec1(cl, 0.4)
+        sups.clear()
+        rep = check_admissible(cl, theta)
+        assert _certified_report(rep) and rep.admissible and sups == []
+        grid = freq._admissibility_grid(cl)
+        eager = sup(cl, grid, spectral_sweep(cl, grid), theta)
+        assert rep.spec1_sup == eager and sups == [theta]
+        assert rep.spec1_sup == eager and sups == [theta]   # summed once
+        # a value set in its place is read as given
+        assert not dataclasses.replace(rep, spec1_sup=1.0).admissible
+        assert AdmissibilityReport(1.0, rep.psi_min_rel_sigma).spec1_sup == 1.0
+    # theta = 0 skips the certificate and samples a zero supremum
+    rep = check_admissible(cl, 0.0)
+    assert rep.spec1_sup == 0.0 and not _certified_report(rep)
+
+
+def test_certified_loop_raises_for_a_failed_base_resolvent(monkeypatch):
+    # a certified loop samples only Psi on the base grid, and a failed
+    # resolvent there is still a NumericalError
+    _, _, cl = random_stable_instance(np.random.default_rng(0))
+    theta = theta_for_spec1(cl, 0.4)
+    assert freq._certified(cl, theta)
+    monkeypatch.setattr(freq, "_RESOLVENT_TOL", -1.0)
+    with pytest.raises(NumericalError, match="near-singular shift"):
+        check_admissible(cl, theta)
+
+
 def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,
                                                     weights_square):
     # with S = 0 and c = 0 the cost output is zero, so spec1 is zero at
@@ -621,13 +714,14 @@ def test_one_factorization_per_loop(monkeypatch):
     # a loop's calA is factored once, by freq._factor, and its Hurwitz
     # test, lambda_max and resonance breakpoints read that factorization;
     # lqg_controller and lqg_cost each used to take their own eigvals, and
-    # chi0 used to factor calA^T for its adjoint solve
+    # chi0 used to factor calA^T for its adjoint solve.  The one other
+    # spectrum is the 4n x 4n Hamiltonian of check_admissible's certificate
     plant, _, cl = random_stable_instance(np.random.default_rng(7))
-    calls = {"eig": 0, "eigvals": 0}
+    calls = {"eig": [], "eigvals": []}
     for name in calls:
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
-            calls[_name] += 1
-            return _fn(*args)
+        def counted(a, _name=name, _fn=getattr(np.linalg, name)):
+            calls[_name].append(np.shape(a))
+            return _fn(a)
         monkeypatch.setattr(np.linalg, name, counted)
     freq._factor.cache_clear()
     quad = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
@@ -638,7 +732,9 @@ def test_one_factorization_per_loop(monkeypatch):
     theta = theta_for_spec1(cl, 0.3)
     rate = qef_growth_rate(cl, theta, quad)
     chi_matrix(cl, theta, quad, grid=rate.grid)
-    assert calls == {"eig": 1, "eigvals": 0}
+    two_n = cl.calA.shape[0]
+    assert calls == {"eig": [(two_n, two_n)],
+                     "eigvals": [(2 * two_n, 2 * two_n)]}
 
 
 def test_is_hurwitz():

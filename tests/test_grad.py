@@ -332,3 +332,47 @@ def test_gradient_check_skips_steps_that_leave_the_admissible_set(
     with pytest.raises(InadmissibleError,
                        match="finite-difference steps leave the admissible"):
         grad.gradient_check(cl, theta)
+
+
+def _counted_sweeps(monkeypatch):
+    """A list that grows by one for every sweep the gradient makes."""
+    calls = []
+    sweep = grad.spectral_sweep
+
+    def counted(cl, lams):
+        calls.append(len(lams))
+        return sweep(cl, lams)
+    monkeypatch.setattr(grad, "spectral_sweep", counted)
+    return calls
+
+
+def test_gradient_reuses_the_cost_sweep(monkeypatch):
+    # pool plant 16 at spec1 0.4: the sweep its frozen-grid cost carries
+    # gives the gradient bit for bit, with no sweep of its own
+    _, _, cl = random_stable_instance(np.random.default_rng(16))
+    theta = theta_for_spec1(cl, 0.4)
+    quad = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
+    adaptive = qef_growth_rate(cl, theta, quad)
+    grid = adaptive.grid
+    cost = qef_growth_rate(cl, theta, quad, grid=grid)
+    # an adaptive sum carries no sweep, a frozen-grid sum its one sweep
+    assert adaptive.sweep is None and cost.sweep is not None
+    calls = _counted_sweeps(monkeypatch)
+    reused = frechet_derivatives(cl, theta, quad, grid=grid, sweep=cost.sweep)
+    assert calls == []
+    own = frechet_derivatives(cl, theta, quad, grid=grid)
+    assert calls == [len(cost.sweep.lams)]
+    for block in ("dUps_da", "dUps_db", "dUps_dc"):
+        assert np.array_equal(getattr(reused, block), getattr(own, block))
+
+
+def test_gradient_ignores_a_sweep_of_other_nodes(monkeypatch, cl_square,
+                                                 quad_fast):
+    theta = 0.05
+    grid = growth_rate_grid(cl_square, theta, quad_fast)
+    other = spectral_sweep(cl_square, [0.5, 1.0])
+    calls = _counted_sweeps(monkeypatch)
+    chi, _ = chi_matrix(cl_square, theta, quad_fast, grid=grid, sweep=other)
+    assert len(calls) == 1 and calls[0] > 2
+    assert np.array_equal(chi, chi_matrix(cl_square, theta, quad_fast,
+                                          grid=grid)[0])

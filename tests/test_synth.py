@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qefsyn import synth
+from qefsyn import grad, synth
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import (
     AdmissibilityReport,
@@ -235,9 +235,9 @@ def test_trials_are_costed_on_the_current_iterate_grid(monkeypatch):
                    else ("trial", grid, rate.meets(quad)))
         return rate
 
-    def gradient(cl, theta, quad=None, grid=None):
+    def gradient(cl, theta, quad=None, grid=None, sweep=None):
         log.append(("gradient", grid))
-        return frechet_derivatives(cl, theta, quad, grid)
+        return frechet_derivatives(cl, theta, quad, grid, sweep)
 
     monkeypatch.setattr(synth, "qef_growth_rate", cost)
     monkeypatch.setattr(synth, "frechet_derivatives", gradient)
@@ -260,6 +260,33 @@ def test_trials_are_costed_on_the_current_iterate_grid(monkeypatch):
     assert sum(kind == "gradient" for kind, *_ in log) == 1 + accepted
     # at least one accepted step kept its iterate's grid
     assert sum(kind == "adaptive" for kind, *_ in log) < 1 + accepted
+
+
+def test_gradient_on_a_kept_grid_makes_no_sweep(monkeypatch):
+    # an accepted trial whose frozen sum met the tolerance kept its
+    # iterate's grid, and the gradient reuses that sum's sweep
+    plant, weights, cfg = _pool_descent(21)
+    sweeps, gradients = [], []
+    sweep_of = grad.spectral_sweep
+
+    def counted(cl, lams):
+        sweeps.append(len(lams))
+        return sweep_of(cl, lams)
+
+    def gradient(cl, theta, quad=None, grid=None, sweep=None):
+        before = len(sweeps)
+        report = frechet_derivatives(cl, theta, quad, grid, sweep)
+        gradients.append((grid, sweep is not None, len(sweeps) - before))
+        return report
+
+    monkeypatch.setattr(grad, "spectral_sweep", counted)
+    monkeypatch.setattr(synth, "frechet_derivatives", gradient)
+    synthesize(plant, weights, cfg)
+    kept = [False] + [g1 is g0 for (g0, *_), (g1, *_)
+                      in zip(gradients, gradients[1:])]
+    assert len(gradients) == 4 and any(kept)
+    for keeps, (_, reused, made) in zip(kept, gradients):
+        assert reused == keeps and made == (0 if keeps else 1)
 
 
 @pytest.mark.parametrize("outcome", ["not lower", "above the Armijo bound",
@@ -314,9 +341,9 @@ def test_trial_within_tolerance_keeps_the_grid(pool_problem, monkeypatch):
         frozen.append(GrowthRate(rate, rate.grid, error=0.0))
         return frozen[-1]
 
-    def gradient(cl, theta, quad=None, grid=None):
+    def gradient(cl, theta, quad=None, grid=None, sweep=None):
         gradient_grids.append(grid)
-        return frechet_derivatives(cl, theta, quad, grid)
+        return frechet_derivatives(cl, theta, quad, grid, sweep)
 
     monkeypatch.setattr(synth, "qef_growth_rate", cost)
     monkeypatch.setattr(synth, "frechet_derivatives", gradient)
@@ -519,9 +546,9 @@ def test_ascent_direction_falls_back_to_the_scaled_gradient(pool_problem,
     gradients, directions, trials = [], [], []
     trial = synth._trial
 
-    def gradient(cl, theta, quad=None, grid=None):
+    def gradient(cl, theta, quad=None, grid=None, sweep=None):
         gradients.append((cl.ctrl, frechet_derivatives(cl, theta, quad,
-                                                        grid)))
+                                                        grid, sweep)))
         return gradients[-1][1]
 
     def ascent(g, pairs):
