@@ -10,9 +10,9 @@ All per-frequency work is one batched sweep over an array of frequencies
 (`spectral_sweep`).  calA = V diag(s) V^{-1} is factored once per loop, so
 F(i lambda) = (calC V) diag(1 / (i lambda - s)) (V^{-1} calB) at every node
 is one matrix product; a residual bound certifies each node, and the nodes
-it cannot certify are solved directly.  Phi, Psi and a stacked eigh of
-i Psi = U diag(d0) U* follow.  None of it depends on theta: i theta Psi
-has eigenvalues theta d0 and the same U.
+it cannot certify are solved directly.  Phi, Psi and the stacked
+eigendecomposition i Psi = U diag(d0) U* (`_eigh`) follow.  None of it
+depends on theta: i theta Psi has eigenvalues theta d0 and the same U.
 
 ln det Delta is real on the admissible set: with T = tanc(theta Psi) > 0,
     det Delta = det(cos(theta Psi)) * det(I - theta Phi T),
@@ -23,8 +23,12 @@ admissibility condition theta*mu < 1 holds, so one stacked Cholesky
 factorization (`_log_det_eye_minus`) gives ln det Delta and checks that
 condition at every quadrature node.  The spectral condition itself
 (`spec1`) and a root-find over theta need the largest mu: one stacked
-eigvalsh per theta.  The nu x nu products of the sweep are broadcast sums
-(`_mm`), not one BLAS call per matrix.
+Hermitian eigensolve per theta.  The nu x nu products of the sweep are
+broadcast sums (`_mm`), not one BLAS call per matrix.  At nu = 2 the
+small factorizations are closed forms, not one LAPACK call per matrix:
+one Jacobi rotation diagonalizes a 2 x 2 Hermitian matrix (`_eigh`), and
+a 2 x 2 matrix has a closed-form inverse and singular values (`_inv_sv`,
+for the gradient); any other nu calls `np.linalg`.
 
 Since tanhc lies in (0, 1], theta mu is at most theta sigma_max(F)^2, so
 `check_admissible` first tries to certify the condition at every
@@ -340,6 +344,66 @@ def _mm(A, B):
     return out
 
 
+def _eigh(X, vectors=True):
+    """Ascending eigenvalues of a stack of Hermitian X, and with `vectors`
+    the unitary U of X = U diag(w) U*, as `np.linalg.eigh` returns them.
+
+    At nu = 2 one Jacobi rotation diagonalizes X = [[a, b], [b*, c]]
+    exactly (Golub & Van Loan, Matrix Computations, Sec. 8.5): with
+    m = (a + c)/2 and h = (a - c)/2 the eigenvalues are m -/+ hypot(h, |b|),
+    and the rotation angle t = atan2(|b|, h)/2 and the phase p = b*/|b|
+    (1 where b = 0) give U = [[-sin t, cos t], [p cos t, p sin t]], unitary
+    to rounding also as b -> 0.  Like `np.linalg.eigh` it reads the lower
+    triangle, b* = X[1, 0].  Any other nu calls `np.linalg`.
+    """
+    if X.shape[-1] != 2:
+        return np.linalg.eigh(X) if vectors else np.linalg.eigvalsh(X)
+    a, c, bc = X[..., 0, 0].real, X[..., 1, 1].real, X[..., 1, 0]
+    m, h, ab = 0.5 * (a + c), 0.5 * (a - c), np.abs(bc)
+    r = np.hypot(h, ab)
+    w = np.empty(X.shape[:-1])
+    w[..., 0], w[..., 1] = m - r, m + r
+    if not vectors:
+        return w
+    t = 0.5 * np.arctan2(ab, h)
+    cos, sin = np.cos(t), np.sin(t)
+    nz = ab > 0.0
+    p = np.where(nz, bc / np.where(nz, ab, 1.0), 1.0)
+    U = np.empty(X.shape, dtype=complex)
+    U[..., 0, 0], U[..., 0, 1] = -sin, cos
+    U[..., 1, 0], U[..., 1, 1] = p * cos, p * sin
+    return w, U
+
+
+def _inv_sv(X):
+    """sigma_max and sigma_min of each matrix of a square stack X, and a
+    function forming the stacked inverse, so a caller can test the
+    conditioning before it inverts.
+
+    At nu = 2 these are closed forms.  sigma_max^2 is the larger
+    eigenvalue of X* X (`_eigh`), whose hypot keeps it accurate also where
+    the two singular values nearly meet, which a difference of ||X||_F^2
+    and 2 |det X| would not; sigma_min is |det X| / sigma_max (0 for
+    X = 0), and the inverse is adj(X) / det X.  Any other nu calls
+    `np.linalg`.
+    """
+    if X.shape[-1] != 2:
+        sv = np.linalg.svd(X, compute_uv=False)
+        return sv[..., 0], sv[..., -1], lambda: np.linalg.inv(X)
+    p, q, r, s = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+    det = p * s - q * r
+    smax = np.sqrt(_eigh(_mm(_conj_t(X), X), vectors=False)[..., 1])
+    smin = np.abs(det) / np.where(smax > 0.0, smax, 1.0)
+
+    def inverse():
+        adj = np.empty_like(X)
+        adj[..., 0, 0], adj[..., 0, 1] = s, -q
+        adj[..., 1, 0], adj[..., 1, 1] = -r, p
+        return adj / det[..., None, None]
+
+    return smax, smin, inverse
+
+
 def _log_det_eye_minus(X):
     """ln det(I - X) per node of a stack of Hermitian X; not finite where
     I - X is not positive definite.
@@ -421,8 +485,9 @@ class SpectralSweep:
         return s[:, :, None] * self.W * s[:, None, :]
 
     def mu(self, theta):
-        """Ascending eigenvalues of sqrt(T) Phi sqrt(T), T = tanc(theta Psi)."""
-        return np.linalg.eigvalsh(self._scaled_W(theta))
+        """Ascending eigenvalues of sqrt(T) Phi sqrt(T), T = tanc(theta Psi),
+        as those of the similar s W s (`_eigh`, closed form at nu = 2)."""
+        return _eigh(self._scaled_W(theta), vectors=False)
 
     def spec1(self, theta):
         """theta * lambda_max(Phi tanc(theta Psi)) per node."""
@@ -584,7 +649,7 @@ def spectral_sweep(cl, lams):
     # enforce the exact symmetry classes against round-off
     Phi = 0.5 * (Phi + _conj_t(Phi))
     Psi = _skew_psi(cl, F, Fh)
-    d0, U = np.linalg.eigh(1j * Psi)
+    d0, U = _eigh(1j * Psi)
     W = _mm(_mm(_conj_t(U), Phi), U)
     return SpectralSweep(lams=lams, F=F, Phi=Phi, Psi=Psi, d0=d0, U=U, W=W,
                          residual=residual, resolvent=resolvent)
@@ -735,7 +800,7 @@ def check_admissible(cl, theta):
         failed = ~(residual <= _RESOLVENT_TOL)
         if failed.any():
             raise _near_singular(grid, residual, int(np.argmax(failed)))
-        d0 = np.linalg.eigvalsh(1j * _skew_psi(cl, F, _conj_t(F)))
+        d0 = _eigh(1j * _skew_psi(cl, F, _conj_t(F)), vectors=False)
         sup = _Deferred(cl, grid, theta)
     else:
         sweep = spectral_sweep(cl, grid)

@@ -40,6 +40,7 @@ from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import (
     AdmissibilityReport,
     _conj_t,
+    _inv_sv,
     _loop_integral,
     _mm,
     check_loop,
@@ -69,9 +70,12 @@ def _weights(sweep, theta):
     """phi and psi at every node of a sweep, theta > 0, stacked by node.
 
     A failed resolvent, cond(Psi) > 1e8 (one over check_admissible's floor)
-    or cond(Delta) > 1e12 raises for the first failing node in node order.
-    i Psi is Hermitian, so cond(Psi) is max|d0| / min|d0|; Delta and
-    Delta~ = U* Delta U share their singular values.
+    or cond(Delta) > 1e12 raises for the first failing node in node order,
+    before any inverse is formed.  i Psi is Hermitian, so cond(Psi) is
+    max|d0| / min|d0|; Delta and Delta~ = U* Delta U share their singular
+    values.  The extreme singular values and the inverse of Delta~ come
+    from `_inv_sv`: closed forms at nu = 2 (adj/det for the inverse),
+    `np.linalg.svd` and `inv` at any other nu.
     """
     d0, U, W = sweep.d0, sweep.U, sweep.W
     x = theta * d0
@@ -80,13 +84,13 @@ def _weights(sweep, theta):
           - theta * W * sx[:, None, :])
     absd = np.abs(d0)
     dmin, dmax = absd.min(axis=1), absd.max(axis=1)
-    sv = np.linalg.svd(Dt, compute_uv=False)
+    smax, smin, inverse = _inv_sv(Dt)
     singular = ((dmin == 0.0) | (dmax > _PSI_COND_MAX * dmin)
-                | ~(sv[:, 0] <= _DELTA_COND_MAX * sv[:, -1]))
+                | ~(smax <= _DELTA_COND_MAX * smin))
     sweep.raise_first(singular, reason="Psi or Delta is numerically "
                       "singular at a quadrature node (the gradient needs "
                       "det Psi != 0)")
-    Dinv = np.linalg.inv(Dt)
+    Dinv = inverse()
     Xt = _mm(Dinv, W) * (1j / d0)[:, None, :]      # U* Delta^-1 Phi Psi^-1 U
     # first divided differences of sin and cos on the eigenvalues -i x
     half_sum = 0.5 * (x[:, :, None] + x[:, None, :])

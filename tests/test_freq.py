@@ -206,6 +206,123 @@ def test_small_product_matches_matmul():
             assert np.all(np.abs(freq._mm(X, Y) - X @ Y) <= bound)
 
 
+_EPS = np.finfo(float).eps
+
+
+def _hermitian_stack(rng, k):
+    """k random 2 x 2 Hermitian matrices at each scale 1e-12 ... 1e3, and
+    the edge cases b = 0 (a < c, a > c, a = c), b -> 0 and X = 0."""
+    edges = np.array([[[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, 1.0]],
+                      [[1.5, 0.0], [0.0, 1.5]], [[1.0, 1e-20], [1e-20, 1.0]],
+                      [[1.0, 1e-9j], [-1e-9j, 1.0 + 1e-17]],
+                      [[0.0, 0.0], [0.0, 0.0]]])
+    stacks = []
+    for scale in 10.0 ** np.arange(-12, 4):
+        A = (rng.standard_normal((k, 2, 2))
+             + 1j * rng.standard_normal((k, 2, 2)))
+        stacks += [scale * (A + freq._conj_t(A)), scale * edges]
+    return np.concatenate(stacks)
+
+
+def test_closed_form_eigh_matches_lapack():
+    # measured: eigenvalues within 5.2 eps ||X||, the reconstruction
+    # within 3.7 eps ||X|| and U* U - I within 3.0 eps
+    X = _hermitian_stack(np.random.default_rng(11), 500)
+    w, U = freq._eigh(X)
+    ref = np.linalg.eigvalsh(X)
+    norm = np.max(np.abs(ref), axis=1)[:, None]
+    assert np.all(np.abs(w - ref) <= 16 * _EPS * norm)
+    assert np.all(np.diff(w, axis=1) >= 0.0)
+    Uh = freq._conj_t(U)
+    recon = freq._mm(U * w[:, None, :], Uh) - X
+    assert np.all(np.abs(recon) <= 16 * _EPS * norm[:, :, None])
+    assert np.all(np.abs(freq._mm(Uh, U) - np.eye(2)) <= 8 * _EPS)
+    assert np.array_equal(freq._eigh(X, vectors=False), w)
+    zero = np.zeros((1, 2, 2))
+    assert np.array_equal(freq._eigh(zero)[0], [[0.0, 0.0]])
+
+
+def test_closed_form_inverse_and_singular_values_match_lapack():
+    # random, nearly unitary (two singular values that nearly meet, as
+    # Delta~ in the 1/lambda tail) and nearly singular 2 x 2 stacks at
+    # each scale; measured: sigma_max and sigma_min within 3.8 eps
+    # sigma_max, the inverse within 1.9 eps cond ||X^-1||
+    rng = np.random.default_rng(12)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Q = np.linalg.qr(cplx(300, 2, 2))[0]
+    near_unitary = Q + 10.0 ** rng.uniform(-16, -6, (300, 1, 1)) * cplx(
+        300, 2, 2)
+    near_singular = cplx(300, 2, 1) * cplx(300, 1, 2) + 1e-10 * cplx(
+        300, 2, 2)
+    X = np.concatenate([scale * np.concatenate([cplx(300, 2, 2),
+                                                near_unitary, near_singular])
+                        for scale in 10.0 ** np.arange(-12, 4)])
+    smax, smin, inverse = freq._inv_sv(X)
+    sv = np.linalg.svd(X, compute_uv=False)
+    assert np.all(np.abs(smax - sv[:, 0]) <= 16 * _EPS * sv[:, 0])
+    assert np.all(np.abs(smin - sv[:, 1]) <= 16 * _EPS * sv[:, 0])
+    ref = np.linalg.inv(X)
+    bound = 16 * _EPS * (sv[:, 0] / sv[:, 1]) * np.max(np.abs(ref),
+                                                       axis=(1, 2))
+    assert np.all(np.abs(inverse() - ref) <= bound[:, None, None])
+    smax, smin, _ = freq._inv_sv(np.zeros((1, 2, 2), dtype=complex))
+    assert smax[0] == smin[0] == 0.0
+
+
+def test_small_factorizations_call_lapack_at_other_nu():
+    # at nu != 2 the helpers are np.linalg's own results, bit for bit
+    rng = np.random.default_rng(13)
+    for nu in (1, 3, 4):
+        A = (rng.standard_normal((40, nu, nu))
+             + 1j * rng.standard_normal((40, nu, nu)))
+        H = A + freq._conj_t(A)
+        w, U = freq._eigh(H)
+        ref_w, ref_U = np.linalg.eigh(H)
+        assert np.array_equal(w, ref_w) and np.array_equal(U, ref_U)
+        assert np.array_equal(freq._eigh(H, vectors=False),
+                              np.linalg.eigvalsh(H))
+        smax, smin, inverse = freq._inv_sv(A)
+        sv = np.linalg.svd(A, compute_uv=False)
+        assert np.array_equal(smax, sv[:, 0])
+        assert np.array_equal(smin, sv[:, -1])
+        assert np.array_equal(inverse(), np.linalg.inv(A))
+
+
+class _LapackCalled(Exception):
+    pass
+
+
+def test_square_loop_kernel_calls_no_small_lapack_factorization(
+        monkeypatch, cl_lqg):
+    # nu = 2: the growth rate, the certified check, theta_for_spec1 and
+    # the gradient take their eigensolves, inverses and singular values in
+    # closed form; nu = 3 still reaches np.linalg
+    _, _, cl = random_stable_instance(np.random.default_rng(0))
+    grids = {}
+    for loop in (cl, cl_lqg):
+        # caches the loop's one modal factorization (`_factor` inverts V)
+        grids[loop.nu] = growth_rate_grid(loop, 0.05)
+
+    def raise_called(*args, **kwargs):
+        raise _LapackCalled
+    for name in ("eigh", "eigvalsh", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, raise_called)
+
+    rep = check_admissible(cl, theta_for_spec1(cl, 0.4))
+    assert _certified_report(rep) and rep.spec1_sup < 0.95
+    qef_growth_rate(cl, 0.05, grid=grids[2])
+    frechet_derivatives(cl, 0.05, grid=grids[2])
+    assert cl.nu == 2 and cl_lqg.nu == 3
+    for call in (lambda: theta_for_spec1(cl_lqg, 0.4),
+                 lambda: check_admissible(cl_lqg, 0.05).psi_ok,
+                 lambda: qef_growth_rate(cl_lqg, 0.05, grid=grids[3]),
+                 lambda: frechet_derivatives(cl_lqg, 0.05, grid=grids[3])):
+        with pytest.raises(_LapackCalled):
+            call()
+
+
 @pytest.fixture(scope="module")
 def cl_multimode():
     """n = 4, m = 4, d = 2, r = 2 plant with S = I_4, K = [0; I_2] and its
