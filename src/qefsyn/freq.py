@@ -33,8 +33,9 @@ for the gradient); any other nu calls `np.linalg`.
 Since tanhc lies in (0, 1], theta mu is at most theta sigma_max(F)^2, so
 `check_admissible` first tries to certify the condition at every
 frequency with one Hamiltonian eigenvalue test of the H-infinity bound
-theta ||F||_inf^2 < 1 - margin (`_certified`); only a loop it cannot
-certify has its supremum sampled before the report is returned.
+theta ||F||_inf^2 < 1 - margin (`_certified`); a certified loop is
+admissible with no sweep at all, and only a loop it cannot certify has
+its supremum sampled before the report is returned.
 
 The integrand is conjugate-even in lambda, so the half-line is integrated,
 mapped onto t in [0, 2] with a 1/lambda tail (`integrate_half_line`), as
@@ -626,12 +627,6 @@ def _transfer(cl, lams):
     return F, residual, resolvent
 
 
-def _skew_psi(cl, F, Fh):
-    """Psi = F J F* per node, made exactly skew-Hermitian."""
-    Psi = _mm((F.reshape(-1, F.shape[-1]) @ cl.J).reshape(F.shape), Fh)
-    return 0.5 * (Psi - _conj_t(Psi))
-
-
 def spectral_sweep(cl, lams):
     """The SpectralSweep of a closed loop at the frequencies `lams`.
 
@@ -648,7 +643,8 @@ def spectral_sweep(cl, lams):
     Phi = _mm(F, Fh)
     # enforce the exact symmetry classes against round-off
     Phi = 0.5 * (Phi + _conj_t(Phi))
-    Psi = _skew_psi(cl, F, Fh)
+    Psi = _mm((F.reshape(-1, F.shape[-1]) @ cl.J).reshape(F.shape), Fh)
+    Psi = 0.5 * (Psi - _conj_t(Psi))
     d0, U = _eigh(1j * Psi)
     W = _mm(_mm(_conj_t(U), Phi), U)
     return SpectralSweep(lams=lams, F=F, Phi=Phi, Psi=Psi, d0=d0, U=U, W=W,
@@ -682,36 +678,26 @@ class _Supremum:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Spectral-condition and Psi-invertibility samples of a Hurwitz loop.
+    """The spectral condition of a Hurwitz loop: admissible where it holds.
 
     `spec1_sup` is the sampled supremum of the spectral condition.  Where
     `check_admissible` certified the condition it is summed only when
-    read, and `spec1_ok` holds without reading it; a value set in the
-    constructor (or by `dataclasses.replace`) is read as given.
+    read, and `admissible` holds without reading it; a value set in the
+    constructor (or by `dataclasses.replace`) is read as given.  The cost
+    and its gradient need nothing more: both are analytic in Psi wherever
+    Delta is invertible, so a singular Psi (rank at most m < nu with
+    stacked weights) is admissible like any other.
     """
 
     spec1_sup: float = _Supremum()
-    psi_min_rel_sigma: float
 
     #: safety margin on the spectral supremum
     margin: ClassVar[float] = 0.05
-    #: relative singular-value floor for det Psi != 0, which the gradient
-    #: weights apply too: Psi counts as invertible where min|d0| / max|d0|
-    #: exceeds it
-    sigma_threshold: ClassVar[float] = 1e-8
-
-    @property
-    def spec1_ok(self):
-        return (isinstance(vars(self)["spec1_sup"], _Deferred)
-                or self.spec1_sup < 1.0 - self.margin)
-
-    @property
-    def psi_ok(self):
-        return self.psi_min_rel_sigma > self.sigma_threshold
 
     @property
     def admissible(self):
-        return self.spec1_ok and self.psi_ok
+        return (isinstance(vars(self)["spec1_sup"], _Deferred)
+                or self.spec1_sup < 1.0 - self.margin)
 
 
 def _admissibility_grid(cl):
@@ -735,18 +721,22 @@ def _spec1_sup(cl, grid, sweep, theta):
     return max(float(np.max(vals)), float(np.max(vals_fine)))
 
 
+def _sampled_sup(cl, theta):
+    """`_spec1_sup` on one sweep of the loop's base grid."""
+    grid = _admissibility_grid(cl)
+    return _spec1_sup(cl, grid, spectral_sweep(cl, grid), theta)
+
+
 @dataclass(frozen=True, eq=False)
 class _Deferred:
-    """`_spec1_sup` of a certified loop, summed when first read."""
+    """`_sampled_sup` of a certified loop, summed when first read."""
 
     cl: object
-    grid: np.ndarray
     theta: float
 
     @cached_property
     def value(self):
-        sweep = spectral_sweep(self.cl, self.grid)
-        return _spec1_sup(self.cl, self.grid, sweep, self.theta)
+        return _sampled_sup(self.cl, self.theta)
 
 
 #: an eigenvalue of the Hamiltonian test whose real part is within this
@@ -781,35 +771,20 @@ def _certified(cl, theta):
 def check_admissible(cl, theta):
     """Admissibility report for a stabilizing controller.
 
-    A loop that is not Hurwitz raises (`check_loop`).  `spec1_sup` is the
-    sampled supremum of the spectral condition (`_spec1_sup`) on a base
-    grid of at most 361 frequencies; a narrower peak can be missed.  At
-    theta > 0 one Hamiltonian eigenvalue test (`_certified`) first bounds
-    the true supremum below 1 - margin; where it does, the sampled value
-    (which lies below that bound) is summed only when `spec1_sup` is read,
-    so a failed resolvent among its 90 resampled points raises only then.
-    The Psi-invertibility check reports the worst relative singular-value
-    ratio of Psi over the base grid; i Psi is Hermitian, so that ratio is
-    min|d0| / max|d0|.  A failed resolvent on the base grid raises
-    NumericalError.
+    A loop that is not Hurwitz raises (`check_loop`).  Admissibility is
+    the spectral condition alone.  At theta > 0 one Hamiltonian eigenvalue
+    test (`_certified`) first bounds the true supremum below 1 - margin;
+    where it does, the loop is admissible with no sweep, and the sampled
+    supremum (which lies below that bound) is summed only when `spec1_sup`
+    is read, so a failed resolvent on its grid raises only then.  Any
+    other loop has `spec1_sup` sampled now (`_spec1_sup`) on a base grid
+    of at most 361 frequencies, where a narrower peak can be missed; a
+    failed resolvent there raises NumericalError.
     """
     check_loop(cl, theta)
-    grid = _admissibility_grid(cl)
     if theta > 0.0 and _certified(cl, theta):
-        F, residual, _ = _transfer(cl, grid)
-        failed = ~(residual <= _RESOLVENT_TOL)
-        if failed.any():
-            raise _near_singular(grid, residual, int(np.argmax(failed)))
-        d0 = _eigh(1j * _skew_psi(cl, F, _conj_t(F)), vectors=False)
-        sup = _Deferred(cl, grid, theta)
-    else:
-        sweep = spectral_sweep(cl, grid)
-        d0 = sweep.d0
-        sup = _spec1_sup(cl, grid, sweep, theta)
-    sigma = np.abs(d0)      # an all-zero Psi gives the ratio 0
-    min_rel = float(np.min(np.min(sigma, axis=1) / np.maximum(
-        np.max(sigma, axis=1), np.finfo(float).tiny)))
-    return AdmissibilityReport(spec1_sup=sup, psi_min_rel_sigma=min_rel)
+        return AdmissibilityReport(spec1_sup=_Deferred(cl, theta))
+    return AdmissibilityReport(spec1_sup=_sampled_sup(cl, theta))
 
 
 #: relative tolerance of theta_for_spec1's root (Brent's rtol)

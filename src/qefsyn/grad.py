@@ -2,22 +2,26 @@
 
 The per-frequency weight functions are
     phi = sinc(theta Psi) Delta^{-1},
-    psi = sin'(theta Psi)[X] - cos'(theta Psi)[Delta^{-1}] - sinc(theta Psi) X,
-with X = Delta^{-1} Phi Psi^{-1} and f'(A)[E] the Gateaux derivative of f
-at A along E.  They are formed in closed form in the eigenbasis the
-spectral sweep already holds: with i Psi = U diag(d0) U*, W = U* Phi U and
-x = theta d0, theta Psi has the eigenvalues -i x, and by Daleckii-Krein
-(Higham, Functions of Matrices, SIAM 2008, Thm 3.11)
-f'(theta Psi)[E] = U (L_f o U* E U) U*, where L_f holds the first divided
-differences of f on -i x.  In product form, which stays accurate as
-d_j -> d_k,
-    L_sin[j,k] = cosh((x_j + x_k)/2) sinhc((x_j - x_k)/2),
-    L_cos[j,k] = i sinh((x_j + x_k)/2) sinhc((x_j - x_k)/2).
-With Delta~ = U* Delta U = diag(cosh x) - theta W diag(sinhc x),
-    phi = U diag(sinhc x) Delta~^{-1} U*,
-    X~  = U* X U = Delta~^{-1} W diag(i / d0),
-    psi = U (L_sin o X~ - L_cos o Delta~^{-1} - diag(sinhc x) X~) U*,
-all stacked over the nodes of a quadrature panel.  The gradient matrix is
+    psi = -kappa'(theta Psi)[phi] - c(theta Psi),
+with kappa(Z) = Z cot Z, c(Z) = cot Z - Z^{-1} and f'(A)[E] the Gateaux
+derivative of f at A along E.  Both kappa and c are analytic at Z = 0, so
+psi is defined for every Psi, singular or zero; it equals the form
+    sin'(theta Psi)[X] - cos'(theta Psi)[Delta^{-1}] - sinc(theta Psi) X,
+X = Delta^{-1} Phi Psi^{-1}, wherever Psi is invertible.  They are formed
+in closed form in the eigenbasis the spectral sweep already holds: with
+i Psi = U diag(d0) U*, W = U* Phi U and x = theta d0, theta Psi has the
+eigenvalues -i x, and by Daleckii-Krein (Higham, Functions of Matrices,
+SIAM 2008, Thm 3.11) f'(theta Psi)[E] = U (L_f o U* E U) U*, where L_f
+holds the first divided differences of f on -i x.  With
+Delta~ = U* Delta U = diag(cosh x) - theta W diag(sinhc x),
+    phi = U diag(sinhc x) Delta~^{-1} U* = U phi~ U*,
+    psi = -i U (L o phi~ + diag(c)) U*,
+where L[j,k] = (kappa(x_j) - kappa(x_k)) / (x_j - x_k) are the real
+divided differences of kappa(x) = x coth x (kappa'(x_j) where x_j = x_k)
+and c_j = (kappa(x_j) - 1) / x_j is the one at (x_j, 0) (`_coth_dd`).  The
+Psi^{-1} form turns into this one on substituting
+theta W = (diag(cosh x) - Delta~) diag(1 / sinhc x) into U* X U.  Both
+are stacked over the nodes of a quadrature panel.  The gradient matrix is
 the projected real frequency integral
     chi = (1/(4 pi)) Re int fP([[G calB], [I_m]]
               (F^*(phi + phi^*) + J F^*(psi - psi^*)) [calC G, I_nu]) dlam,
@@ -31,6 +35,7 @@ nu output rows and w its m field columns, those blocks are
     d/dc: E^T chi^T[x, xi] + K^T chi^T[z, xi].
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 
@@ -38,7 +43,6 @@ import numpy as np
 
 from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import (
-    AdmissibilityReport,
     _conj_t,
     _inv_sv,
     _loop_integral,
@@ -61,43 +65,116 @@ __all__ = [
     "optimality_residual",
 ]
 
-#: condition-number ceilings for Psi^{-1} and Delta^{-1} products
-_PSI_COND_MAX = 1.0 / AdmissibilityReport.sigma_threshold
+#: condition-number ceiling for Delta^{-1}
 _DELTA_COND_MAX = 1e12
+
+
+#: the Taylor coefficients k_n of x coth x = sum k_n x^(2n), that is
+#: 2^(2n) B_2n / (2n)! with B_2n the Bernoulli numbers, rounded once
+_COTH = (
+    1.0, 0.3333333333333333, -0.022222222222222223,
+    0.0021164021164021165, -0.00021164021164021165, 2.1377799155576935e-05,
+    -2.1644042808063972e-06, 2.1925947851873778e-07, -2.2214608789979678e-08,
+    2.2507846516808994e-09, -2.2805151204592183e-10, 2.3106432599002624e-11,
+    -2.3411706819824882e-12, 2.3721017400233653e-13, -2.4034415333307705e-14,
+    2.4351954029183367e-15, -2.4673688045172075e-16, 2.499967277122081e-17,
+    -2.532996435740635e-18, 2.566461970282629e-19,
+)
+#: _SERIES_LIMIT[N - 2] is the largest r = max(a^2, b^2) <= 1 at which
+#: k_1 ... k_(N-1) give the divided difference to a relative 2^-55: the
+#: terms left out sum to at most 1.2 |k_N| N r^(N - 1) (|k_n| falls by
+#: about 1/pi^2 a step), against a value of at least 1/4
+_SERIES_LIMIT = tuple(
+    min(1.0, (2.0**-55 / (4.8 * abs(_COTH[N]) * N)) ** (1.0 / (N - 1)))
+    for N in range(2, len(_COTH)))
+#: ||a| - |b|| from which a pair off the series takes the direct quotient
+_FAR = 0.5
+
+
+def _coth_dd(a, b):
+    """Divided differences (kappa(a) - kappa(b)) / (a - b) of
+    kappa(x) = x coth x, elementwise for real arrays of one shape, with the
+    confluent value kappa'(a) where a = b.
+
+    kappa is even with kappa(x) = K(x^2), so the quotient is
+    (a + b) K[a^2, b^2], and where max(|a|, |b|) <= 1 K[p, q] is the
+    divided difference of K's Taylor polynomial, by Horner's rule for the
+    quotient (K(p) - K(q)) / (p - q): no difference of nearby values is
+    taken, and the polynomial's degree follows max(p, q) (`_SERIES_LIMIT`).
+    Any other pair, with u = |a| >= v = |b|, is
+    (a + b) / (u + v) times its value at (u, v): the direct quotient where
+    u - v >= 1/2 (at least kappa(1) - kappa(1/2) = 0.23 apart), else
+    s (sinhc(2s) - sinhc(2h)) / (sinh u sinh v) with s, h = (u +/- v) / 2,
+    whose difference is at least sinhc(3/2) - sinhc(1/2) = 0.38.
+    """
+    p, q = a * a, b * b
+    r = np.maximum(p, q)
+    series = r <= 1.0
+    if series.all():
+        return (a + b) * _coth_poly_dd(p, q, float(r.max(initial=0.0)))
+    out = np.empty(a.shape)
+    if series.any():
+        ps, qs = p[series], q[series]
+        out[series] = (a[series] + b[series]) * _coth_poly_dd(
+            ps, qs, float(r[series].max()))
+    a, b = a[~series], b[~series]
+    u, v = np.maximum(np.abs(a), np.abs(b)), np.minimum(np.abs(a), np.abs(b))
+    far = u - v >= _FAR
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = (u / np.tanh(u) - np.where(v == 0.0, 1.0, v / np.tanh(v))
+                  ) / (u - v)
+        s, h = 0.5 * (u + v), 0.5 * (u - v)
+        near = s * (sinhc(2.0 * s) - sinhc(2.0 * h)) / (np.sinh(u)
+                                                          * np.sinh(v))
+    out[~series] = (a + b) / (u + v) * np.where(far, direct, near)
+    return out
+
+
+def _coth_poly_dd(p, q, r):
+    """K[p, q] for p, q in [0, r], r <= 1, from the Taylor polynomial of
+    K(u) = sqrt(u) coth(sqrt(u)) of degree `_SERIES_LIMIT` asks at r:
+    synthetic division by (u - p) gives the quotient's coefficients b_n,
+    which Horner's rule sums at q."""
+    n = bisect_left(_SERIES_LIMIT, r) + 1
+    coef = _COTH[n]
+    b = np.full(p.shape, coef)
+    d = b.copy()
+    for coef in _COTH[n - 1:0:-1]:
+        b = coef + p * b
+        d = b + q * d
+    return d
 
 
 def _weights(sweep, theta):
     """phi and psi at every node of a sweep, theta > 0, stacked by node.
 
-    A failed resolvent, cond(Psi) > 1e8 (one over check_admissible's floor)
-    or cond(Delta) > 1e12 raises for the first failing node in node order,
-    before any inverse is formed.  i Psi is Hermitian, so cond(Psi) is
-    max|d0| / min|d0|; Delta and Delta~ = U* Delta U share their singular
-    values.  The extreme singular values and the inverse of Delta~ come
-    from `_inv_sv`: closed forms at nu = 2 (adj/det for the inverse),
-    `np.linalg.svd` and `inv` at any other nu.
+    A failed resolvent or cond(Delta) > 1e12 raises for the first failing
+    node in node order, before the inverse is formed; Delta and
+    Delta~ = U* Delta U share their singular values.  The extreme
+    singular values and the inverse of Delta~ come from `_inv_sv`: closed
+    forms at nu = 2 (adj/det for the inverse), `np.linalg.svd` and `inv`
+    at any other nu.  psi~ takes the divided differences of x coth x at
+    every pair (x_j, x_k) and at (x_j, 0) from one `_coth_dd` (module doc).
     """
     d0, U, W = sweep.d0, sweep.U, sweep.W
+    k, nu = d0.shape
     x = theta * d0
     sx = sinhc(x)
-    Dt = (np.cosh(x)[:, :, None] * np.eye(d0.shape[1])
-          - theta * W * sx[:, None, :])
-    absd = np.abs(d0)
-    dmin, dmax = absd.min(axis=1), absd.max(axis=1)
+    Dt = np.cosh(x)[:, :, None] * np.eye(nu) - theta * W * sx[:, None, :]
     smax, smin, inverse = _inv_sv(Dt)
-    singular = ((dmin == 0.0) | (dmax > _PSI_COND_MAX * dmin)
-                | ~(smax <= _DELTA_COND_MAX * smin))
-    sweep.raise_first(singular, reason="Psi or Delta is numerically "
-                      "singular at a quadrature node (the gradient needs "
-                      "det Psi != 0)")
-    Dinv = inverse()
-    Xt = _mm(Dinv, W) * (1j / d0)[:, None, :]      # U* Delta^-1 Phi Psi^-1 U
-    # first divided differences of sin and cos on the eigenvalues -i x
-    half_sum = 0.5 * (x[:, :, None] + x[:, None, :])
-    dd = sinhc(0.5 * (x[:, :, None] - x[:, None, :]))
-    phit = sx[:, :, None] * Dinv
-    psit = (np.cosh(half_sum) * dd * Xt - 1j * np.sinh(half_sum) * dd * Dinv
-            - sx[:, :, None] * Xt)
+    sweep.raise_first(~(smax <= _DELTA_COND_MAX * smin),
+                      reason="Delta is numerically singular at a "
+                             "quadrature node")
+    phit = sx[:, :, None] * inverse()
+    # the pairs (x_j, x_k) in the first nu columns, (x_j, 0) in the last
+    pairs = np.zeros((2, k, nu, nu + 1))
+    pairs[0] = x[:, :, None]
+    pairs[1, :, :, :nu] = x[:, None, :]
+    L = _coth_dd(pairs[0], pairs[1])
+    psit = L[:, :, :nu] * phit
+    diag = np.arange(nu)
+    psit[:, diag, diag] += L[:, :, nu]
+    psit *= -1j
     Uh = _conj_t(U)
     return _mm(_mm(U, phit), Uh), _mm(_mm(U, psit), Uh)
 

@@ -97,7 +97,7 @@ def random_admissible_instance(rng, theta_fraction=0.25, perturb=0.05):
     (so the gradient is not already near zero); theta is the one at which
     `check_admissible`'s spectral supremum reads ``theta_fraction``
     (`theta_for_spec1`), which keeps the integrands well conditioned.
-    Instances whose Psi is near-singular on the frequency grid are redrawn.
+    Instances that fail `check_admissible` at that theta are redrawn.
     """
     weights = canonical_weights_square()
     for _ in range(_MAX_TRIES):

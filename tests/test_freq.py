@@ -316,7 +316,7 @@ def test_square_loop_kernel_calls_no_small_lapack_factorization(
     frechet_derivatives(cl, 0.05, grid=grids[2])
     assert cl.nu == 2 and cl_lqg.nu == 3
     for call in (lambda: theta_for_spec1(cl_lqg, 0.4),
-                 lambda: check_admissible(cl_lqg, 0.05).psi_ok,
+                 lambda: check_admissible(cl_lqg, 0.05).spec1_sup,
                  lambda: qef_growth_rate(cl_lqg, 0.05, grid=grids[3]),
                  lambda: frechet_derivatives(cl_lqg, 0.05, grid=grids[3])):
         with pytest.raises(_LapackCalled):
@@ -641,7 +641,7 @@ def test_adaptive_growth_rate_meets_its_tolerance(seed, spec1):
 
 def test_check_admissible_canonical(cl_square):
     rep = check_admissible(cl_square, 0.05)
-    assert rep.spec1_ok and rep.psi_ok and rep.admissible
+    assert rep.admissible
     assert 0 < rep.spec1_sup < 1
 
 
@@ -757,21 +757,44 @@ def test_certified_supremum_is_summed_when_read(monkeypatch):
         assert rep.spec1_sup == eager and sups == [theta]   # summed once
         # a value set in its place is read as given
         assert not dataclasses.replace(rep, spec1_sup=1.0).admissible
-        assert AdmissibilityReport(1.0, rep.psi_min_rel_sigma).spec1_sup == 1.0
+        assert AdmissibilityReport(1.0).spec1_sup == 1.0
     # theta = 0 skips the certificate and samples a zero supremum
     rep = check_admissible(cl, 0.0)
     assert rep.spec1_sup == 0.0 and not _certified_report(rep)
 
 
+class _Swept(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certified_check_makes_no_sweep(monkeypatch, seed):
+    # a certified loop is admissible on its Hamiltonian test alone; only
+    # reading spec1_sup forms a transfer function or sweeps
+    _, _, cl = random_stable_instance(np.random.default_rng(seed))
+    theta = theta_for_spec1(cl, 0.4)
+
+    def swept(*args, **kwargs):
+        raise _Swept
+    for name in ("_transfer", "spectral_sweep"):
+        monkeypatch.setattr(freq, name, swept)
+    rep = check_admissible(cl, theta)
+    assert _certified_report(rep) and rep.admissible
+    with pytest.raises(_Swept):
+        rep.spec1_sup
+
+
 def test_certified_loop_raises_for_a_failed_base_resolvent(monkeypatch):
-    # a certified loop samples only Psi on the base grid, and a failed
-    # resolvent there is still a NumericalError
+    # a certified loop takes no sample to be admissible, so a failed
+    # resolvent on the base grid is a NumericalError when spec1_sup is read
     _, _, cl = random_stable_instance(np.random.default_rng(0))
     theta = theta_for_spec1(cl, 0.4)
     assert freq._certified(cl, theta)
     monkeypatch.setattr(freq, "_RESOLVENT_TOL", -1.0)
+    rep = check_admissible(cl, theta)
+    assert rep.admissible
     with pytest.raises(NumericalError, match="near-singular shift"):
-        check_admissible(cl, theta)
+        rep.spec1_sup
 
 
 def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,

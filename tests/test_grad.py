@@ -1,10 +1,15 @@
 """Gradient matrix: closed-form weights against the block-triangular
-reference, dual-route limit, finite differences, similarity invariance."""
+reference and high-precision evaluations, dual-route limit, finite
+differences, similarity invariance, the classical limit."""
 
 import dataclasses
+from fractions import Fraction
+from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qefsyn import grad
 from qefsyn.errors import InadmissibleError
@@ -20,19 +25,28 @@ from qefsyn.freq import (
 )
 from qefsyn.grad import (
     _chi_integrand,
+    _coth_dd,
     _weights,
     chi_matrix,
     frechet_derivatives,
+    gradient_check,
+    optimality_residual,
     sandwich_blocks,
 )
 from qefsyn.gramians import chi0
 from qefsyn.instances import (
+    canonical_weights_lqg,
     random_admissible_instance,
     random_plant_spec,
     random_stable_instance,
 )
 from qefsyn.matfun import gateaux_cos, gateaux_sin
-from qefsyn.model import ControllerParams, assemble_closed_loop, derive_plant
+from qefsyn.model import (
+    ClosedLoop,
+    ControllerParams,
+    assemble_closed_loop,
+    derive_plant,
+)
 
 
 def _reference_weights(Phi, Psi, theta):
@@ -93,12 +107,194 @@ def test_phi_reduces_to_delta_inverse_when_psi_zero():
     assert np.allclose(phi[0], np.linalg.inv(Delta), rtol=0, atol=1e-14)
 
 
-def test_psi_fn_rejects_singular_psi(cl_lqg, quad_fast):
-    # with stacked nu=3 weights Psi has rank <= 2 and is singular
-    with pytest.raises(InadmissibleError, match="singular"):
-        _chi_integrand(cl_lqg, 0.05, [0.5])
-    with pytest.raises(InadmissibleError, match="singular"):
-        chi_matrix(cl_lqg, 0.05, quad_fast)
+def _mp_coth_dd(a, b):
+    """(kappa(a) - kappa(b)) / (a - b) for kappa(x) = x coth x, kappa'(a)
+    where a = b, in arithmetic of 60 digits plus twice the decades by
+    which max(|a|, |b|) lies below 1 (kappa - 1 is about x^2 / 3)."""
+    size = max(abs(a), abs(b))
+    with mpmath.workdps(60 + 2 * max(0, int(-np.log10(size or 1.0)))):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def kappa(x):
+            return x * mpmath.coth(x) if x else mpmath.mpf(1)
+        if a != b:
+            return float((kappa(a) - kappa(b)) / (a - b))
+        return float(mpmath.coth(a) - a / mpmath.sinh(a)**2) if a else 0.0
+
+
+def test_coth_coefficients_are_the_rounded_taylor_coefficients():
+    # (x coth x) sinhc(x) = cosh(x): k_n = 1/(2n)! - sum over i < n of
+    # k_i / (2(n - i) + 1)!, in exact rational arithmetic
+    k = []
+    for n in range(len(grad._COTH)):
+        k.append(Fraction(1, factorial(2 * n))
+                 - sum(ki / factorial(2 * (n - i) + 1)
+                       for i, ki in enumerate(k)))
+    assert grad._COTH == tuple(float(kn) for kn in k)
+    # the degrees reach every |x| <= 1, and grow with it
+    assert grad._SERIES_LIMIT[-1] == 1.0
+    assert list(grad._SERIES_LIMIT) == sorted(grad._SERIES_LIMIT)
+
+
+#: pairs (a, b) for the divided differences of x coth x
+_COTH_PAIRS = {
+    "confluent": [(x, x) for x in (1e-300, 1e-8, 0.03, 0.7, 1.0, 2.5, 30.0)],
+    "zero": [(0.0, 0.0), (0.0, 1e-9), (0.2, 0.0), (0.0, -3.0), (-1.0, 0.0)],
+    "opposite": [(0.3, -0.3), (0.3, -0.30000003), (-0.9, 0.1), (-2.0, 1.5),
+                 (5.0, -5.1), (-1.2, 1.2)],
+    "near-tie": [(0.1, 0.1 + 1e-12), (1e-5, 2e-5), (-0.5, -0.5 - 1e-9),
+                 (0.99, 1.01), (1.0, 1.4999), (1.0, 1.5001)],
+    "large": [(12.0, 12.2), (-20.0, -19.7), (40.0, 3.0), (8.0, 8.0 + 1e-9),
+              (-35.0, 0.25), (3.0, 3.75)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COTH_PAIRS))
+def test_coth_divided_differences_match_high_precision(case):
+    # within 3.5e-16 relative where |a|, |b| <= 1 and 7.3e-15 up to 40 when
+    # measured on a scan of 6000 pairs; a = -b gives exactly 0
+    a, b = np.array(_COTH_PAIRS[case]).T
+    got = _coth_dd(a, b)
+    for ai, bi, g in zip(a, b, got):
+        ref = _mp_coth_dd(ai, bi)
+        tol = 1e-15 if max(abs(ai), abs(bi)) <= 1.0 else 3e-14
+        assert abs(g - ref) <= tol * abs(ref), (ai, bi, g, ref)
+
+
+def _mp_weights(d0, W, theta, form):
+    """phi~ = U* phi U and psi~ = U* psi U at one node in 60-digit
+    arithmetic, from its d0 and W taken as exact.  `form` "inverse" is
+    L_sin o X~ - L_cos o Delta~^-1 - diag(sinhc x) X~ with
+    X~ = Delta~^-1 W diag(i / d0), the Psi^-1 form; "sinc" is
+    theta L_sinc o (Delta~^-1 W) - L_cos o Delta~^-1, which needs no Psi^-1.
+    L_f holds the divided differences of f on the eigenvalues -i x."""
+    with mpmath.workdps(60):
+        nu, th = len(d0), mpmath.mpf(theta)
+        z = [-1j * th * mpmath.mpf(v) for v in d0]
+
+        def sinc(w):
+            return mpmath.sin(w) / w if w else mpmath.mpf(1)
+
+        def dsinc(w):
+            return (w * mpmath.cos(w) - mpmath.sin(w)) / w**2 if w else 0
+
+        def dd(f, df, j, k):
+            if z[j] == z[k]:
+                return df(z[j])
+            return (f(z[j]) - f(z[k])) / (z[j] - z[k])
+        Wm = mpmath.matrix([[complex(w) for w in row] for row in W])
+        Dt = mpmath.matrix(nu, nu)
+        for j in range(nu):
+            for k in range(nu):
+                Dt[j, k] = ((mpmath.cos(z[j]) if j == k else 0)
+                            - th * Wm[j, k] * sinc(z[k]))
+        Di = Dt**-1
+        Yt = Di * Wm
+        phi = np.empty((nu, nu), complex)
+        psi = np.empty((nu, nu), complex)
+        for j in range(nu):
+            for k in range(nu):
+                l_cos = dd(mpmath.cos, lambda w: -mpmath.sin(w), j, k)
+                if form == "sinc":
+                    val = th * dd(sinc, dsinc, j, k) * Yt[j, k]
+                else:
+                    xt = Yt[j, k] * 1j / mpmath.mpf(d0[k])
+                    val = (dd(mpmath.sin, mpmath.cos, j, k) - sinc(z[j])) * xt
+                psi[j, k] = complex(val - l_cos * Di[j, k])
+                phi[j, k] = complex(sinc(z[j]) * Di[j, k])
+        return phi, psi
+
+
+def _rotated_weights(sweep, theta):
+    """_weights in the eigenbasis: U* phi U and U* psi U."""
+    Uh = sweep.U.conj().swapaxes(1, 2)
+    return tuple(Uh @ w @ sweep.U for w in _weights(sweep, theta))
+
+
+def _node_rel(new, ref):
+    return float(np.linalg.norm(new - ref) / np.linalg.norm(ref))
+
+
+#: frequencies from near 0 far into the 1/lambda tail
+_LAMS = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 28)])
+
+
+def test_weights_match_the_psi_inverse_form_in_high_precision():
+    # nu = 2, criterion 1's loops: the form with Psi^-1, summed in 60
+    # digits, agrees to 9.9e-16 per node when measured; in double
+    # precision that form lost up to 1e-5 relative in the tail
+    rng = np.random.default_rng(2024)
+    for _ in range(2):
+        _, _, cl, theta = random_admissible_instance(rng, perturb=0.2)
+        sweep = spectral_sweep(cl, _LAMS)
+        phit, psit = _rotated_weights(sweep, theta)
+        for k in range(len(_LAMS)):
+            phi, psi = _mp_weights(sweep.d0[k], sweep.W[k], theta, "inverse")
+            assert _node_rel(phit[k], phi) <= 1e-14
+            assert _node_rel(psit[k], psi) <= 1e-14
+
+
+@pytest.mark.parametrize("loop", ["canonical", "seed0"])
+def test_weights_at_a_singular_psi_match_the_sinc_form(loop, cl_lqg):
+    # nu = 3 stacked weights: Psi = F J F* has rank 2, one x is zero to
+    # rounding, and the Psi^-1 form is undefined; the sinc form
+    # theta L_sinc o Delta~^-1 W - L_cos o Delta~^-1 agrees to 1.8e-15 per
+    # node when measured
+    if loop == "canonical":
+        cl, theta = cl_lqg, 0.05
+    else:
+        _, _, cl = random_stable_instance(np.random.default_rng(0),
+                                          canonical_weights_lqg())
+        theta = theta_for_spec1(cl, 0.4)
+    sweep = spectral_sweep(cl, _LAMS)
+    assert np.all(np.min(np.abs(sweep.d0), axis=1)
+                  <= 1e-15 * np.max(np.abs(sweep.d0), axis=1))
+    phit, psit = _rotated_weights(sweep, theta)
+    for k in range(len(_LAMS)):
+        phi, psi = _mp_weights(sweep.d0[k], sweep.W[k], theta, "sinc")
+        assert _node_rel(phit[k], phi) <= 1e-14
+        assert _node_rel(psit[k], psi) <= 1e-14
+
+
+def _psi_inverse_weights(sweep, theta):
+    """phi and psi by the Psi^-1 product form in double precision:
+    L_sin o X~ - L_cos o Delta~^-1 - diag(sinhc x) X~,
+    X~ = Delta~^-1 W diag(i / d0), with L_sin and L_cos in product form."""
+    d0, U, W = sweep.d0, sweep.U, sweep.W
+    x = theta * d0
+    sx = sinhc(x)
+    Dinv = np.linalg.inv(np.cosh(x)[:, :, None] * np.eye(d0.shape[1])
+                         - theta * W * sx[:, None, :])
+    Xt = (Dinv @ W) * (1j / d0)[:, None, :]
+    half_sum = 0.5 * (x[:, :, None] + x[:, None, :])
+    dd = sinhc(0.5 * (x[:, :, None] - x[:, None, :]))
+    psit = (np.cosh(half_sum) * dd * Xt - 1j * np.sinh(half_sum) * dd * Dinv
+            - sx[:, :, None] * Xt)
+    Uh = U.conj().swapaxes(1, 2)
+    return U @ (sx[:, :, None] * Dinv) @ Uh, U @ psit @ Uh
+
+
+def _flat_grad(report):
+    return np.concatenate([report.dUps_da.ravel(), report.dUps_db.ravel(),
+                           report.dUps_dc.ravel()])
+
+
+def test_gradient_matches_the_psi_inverse_form(monkeypatch):
+    # nu = 2, criterion 1's loops, one frozen grid each: within 5.0e-15 of
+    # the largest entry when measured on these and the 20 synthesis-pool
+    # plants at spec1 0.4
+    rng = np.random.default_rng(2024)
+    quad = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
+    for _ in range(4):
+        _, _, cl, theta = random_admissible_instance(rng, perturb=0.2)
+        grid = growth_rate_grid(cl, theta, quad)
+        new = _flat_grad(frechet_derivatives(cl, theta, quad,
+                                                    grid=grid))
+        with monkeypatch.context() as m:
+            m.setattr(grad, "_weights", _psi_inverse_weights)
+            old = _flat_grad(frechet_derivatives(cl, theta, quad,
+                                                        grid=grid))
+        assert np.max(np.abs(new - old)) <= 5e-14 * np.max(np.abs(old))
 
 
 def test_psi_fn_finite_difference():
@@ -376,3 +572,105 @@ def test_gradient_ignores_a_sweep_of_other_nodes(monkeypatch, cl_square,
     assert len(calls) == 1 and calls[0] > 2
     assert np.array_equal(chi, chi_matrix(cl_square, theta, quad_fast,
                                           grid=grid)[0])
+
+
+def _perturbed_stacked_loop(seed):
+    """The stacked-weight (nu = 3) loop of a seed's plant, with its LQG
+    controller moved by 0.05 times a standard normal draw of the same
+    generator."""
+    rng = np.random.default_rng(seed)
+    weights = canonical_weights_lqg()
+    plant, ctrl, _ = random_stable_instance(rng, weights)
+    ctrl = ctrl + ControllerParams(
+        **{f: 0.05 * rng.standard_normal(getattr(ctrl, f).shape)
+           for f in "abc"})
+    return assemble_closed_loop(plant, weights, ctrl)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gradient_check_on_stacked_weights(seed):
+    # Psi has rank 2 at nu = 3; max_rel_err read 5.1e-12 to 2.9e-11 and
+    # the invariance residual at most 6.2e-15 on seeds 0-5 when measured
+    cl = _perturbed_stacked_loop(seed)
+    assert cl.nu == 3
+    check = gradient_check(cl, theta_for_spec1(cl, 0.4),
+                           QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10))
+    assert check.max_rel_err <= 3e-10
+    assert check.invariance_residual <= 1e-13
+
+
+# The classical limit.  With J = 0, Psi = F J F* vanishes and
+# Delta = I - theta Phi: the cost is the risk-sensitive (LEQG) cost of the
+# equivalent classical system, in closed form by Riccati equations.  J
+# enters only Psi and the gradient's J F*, so patching ClosedLoop.J to 0
+# gives that system exactly.
+
+
+@pytest.fixture()
+def classical(monkeypatch):
+    monkeypatch.setattr(ClosedLoop, "J", property(
+        lambda cl: np.zeros((cl.m, cl.m))))
+
+
+def _central_controller(plant, weights, theta):
+    """The central H-infinity controller at gamma^-2 = theta, the minimizer
+    of the classical cost (Zhou, Doyle & Glover, Robust and Optimal
+    Control, 1996): X and Y solve the control and filter Riccati
+    equations with the extra terms theta X B B^T X and theta Y S^T S Y."""
+    S, K = weights
+    A, B, E, C, D = plant.A, plant.B, plant.E, plant.C, plant.D
+    n, w, z = A.shape[0], B.shape[1], S.shape[0]
+    X = scipy.linalg.solve_continuous_are(
+        A, np.hstack([E, B]), S.T @ S,
+        scipy.linalg.block_diag(K.T @ K, -np.eye(w) / theta),
+        s=np.hstack([S.T @ K, np.zeros((n, w))]))
+    Y = scipy.linalg.solve_continuous_are(
+        A.T, np.hstack([C.T, S.T]), B @ B.T,
+        scipy.linalg.block_diag(D @ D.T, -np.eye(z) / theta),
+        s=np.hstack([B @ D.T, np.zeros((n, z))]))
+    F = -np.linalg.solve(K.T @ K, E.T @ X + K.T @ S)
+    L = -np.linalg.solve(D @ D.T, C @ Y + D @ B.T).T
+    Z = np.linalg.inv(np.eye(n) - theta * Y @ X)
+    return ControllerParams(
+        a=A + theta * B @ B.T @ X + E @ F + Z @ L @ (C + theta * D @ B.T @ X),
+        b=-Z @ L, c=F)
+
+
+_WEIGHTS = {"square": None, "stacked": canonical_weights_lqg()}
+
+
+@pytest.mark.parametrize("weights", sorted(_WEIGHTS))
+@pytest.mark.parametrize("seed", range(4))
+def test_classical_growth_rate_is_a_riccati_trace(classical, seed, weights):
+    # (theta / 2) tr(calB^T X calB), X the stabilizing solution of
+    # calA^T X + X calA + theta X calB calB^T X + calC^T calC = 0; within
+    # 2.1e-14 relative at spec1 0.9 when measured
+    _, _, cl = random_stable_instance(np.random.default_rng(seed),
+                                      _WEIGHTS[weights])
+    theta = theta_for_spec1(cl, 0.9)
+    X = scipy.linalg.solve_continuous_are(
+        cl.calA, cl.calB, cl.calC.T @ cl.calC,
+        -np.eye(cl.calB.shape[1]) / theta)
+    ref = 0.5 * theta * np.trace(cl.calB.T @ X @ cl.calB)
+    ups = qef_growth_rate(cl, theta,
+                          QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11))
+    assert abs(ups - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("weights", sorted(_WEIGHTS))
+@pytest.mark.parametrize("seed", range(4))
+def test_classical_gradient_vanishes_at_the_central_controller(
+        classical, seed, weights):
+    # Psi = 0 at every node; the residual read at most 8.7e-15 at the
+    # central controller and 1.3e-2 to 6.9e-2 at the LQG one when measured
+    plant, _, cl_lqg = random_stable_instance(np.random.default_rng(seed),
+                                              _WEIGHTS[weights])
+    theta = theta_for_spec1(cl_lqg, 0.4)
+    cl = assemble_closed_loop(plant, (cl_lqg.S, cl_lqg.K),
+                              _central_controller(plant, (cl_lqg.S, cl_lqg.K),
+                                                  theta))
+    assert not np.any(spectral_sweep(cl, [0.0, 1.0]).d0)
+    quad = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
+    assert optimality_residual(frechet_derivatives(cl, theta, quad)) <= 1e-13
+    assert optimality_residual(frechet_derivatives(cl_lqg, theta,
+                                                   quad)) >= 1e-2
