@@ -10,9 +10,11 @@ All per-frequency work is one batched sweep over an array of frequencies
 (`spectral_sweep`).  calA = V diag(s) V^{-1} is factored once per loop, so
 F(i lambda) = (calC V) diag(1 / (i lambda - s)) (V^{-1} calB) at every node
 is one matrix product; a residual bound certifies each node, and the nodes
-it cannot certify are solved directly.  Phi, Psi and the stacked
-eigendecomposition i Psi = U diag(d0) U* (`_eigh`) follow.  None of it
-depends on theta: i theta Psi has eigenvalues theta d0 and the same U.
+it cannot certify are solved directly.  The gradient's G calB and calC G
+are two more such products (`SpectralSweep.resolvent`).  Phi, Psi and the
+stacked eigendecomposition i Psi = U diag(d0) U* (`_eigh`) follow.  None
+of it depends on theta: i theta Psi has eigenvalues theta d0 and the same
+U.
 
 ln det Delta is real on the admissible set: with T = tanc(theta Psi) > 0,
     det Delta = det(cos(theta Psi)) * det(I - theta Phi T),
@@ -25,10 +27,9 @@ condition at every quadrature node.  The spectral condition itself
 (`spec1`) and a root-find over theta need the largest mu: one stacked
 Hermitian eigensolve per theta.  The nu x nu products of the sweep are
 broadcast sums (`_mm`), not one BLAS call per matrix.  At nu = 2 the
-small factorizations are closed forms, not one LAPACK call per matrix:
-one Jacobi rotation diagonalizes a 2 x 2 Hermitian matrix (`_eigh`), and
-a 2 x 2 matrix has a closed-form inverse and singular values (`_inv_sv`,
-for the gradient); any other nu calls `np.linalg`.
+small eigensolves are closed forms, not one LAPACK call per matrix: one
+Jacobi rotation diagonalizes a 2 x 2 Hermitian matrix (`_eigh`); any
+other nu calls `np.linalg`.
 
 Since tanhc lies in (0, 1], theta mu is at most theta sigma_max(F)^2, so
 `check_admissible` first tries to certify the condition at every
@@ -376,35 +377,6 @@ def _eigh(X, vectors=True):
     return w, U
 
 
-def _inv_sv(X):
-    """sigma_max and sigma_min of each matrix of a square stack X, and a
-    function forming the stacked inverse, so a caller can test the
-    conditioning before it inverts.
-
-    At nu = 2 these are closed forms.  sigma_max^2 is the larger
-    eigenvalue of X* X (`_eigh`), whose hypot keeps it accurate also where
-    the two singular values nearly meet, which a difference of ||X||_F^2
-    and 2 |det X| would not; sigma_min is |det X| / sigma_max (0 for
-    X = 0), and the inverse is adj(X) / det X.  Any other nu calls
-    `np.linalg`.
-    """
-    if X.shape[-1] != 2:
-        sv = np.linalg.svd(X, compute_uv=False)
-        return sv[..., 0], sv[..., -1], lambda: np.linalg.inv(X)
-    p, q, r, s = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
-    det = p * s - q * r
-    smax = np.sqrt(_eigh(_mm(_conj_t(X), X), vectors=False)[..., 1])
-    smin = np.abs(det) / np.where(smax > 0.0, smax, 1.0)
-
-    def inverse():
-        adj = np.empty_like(X)
-        adj[..., 0, 0], adj[..., 0, 1] = s, -q
-        adj[..., 1, 0], adj[..., 1, 1] = -r, p
-        return adj / det[..., None, None]
-
-    return smax, smin, inverse
-
-
 def _log_det_eye_minus(X):
     """ln det(I - X) per node of a stack of Hermitian X; not finite where
     I - X is not positive definite.
@@ -436,9 +408,10 @@ class SpectralSweep:
     `residual` bounds the largest entry of (i lambda I - calA) G - I: the
     modal bound where it certifies the node, else the exact residual of a
     direct solve.  A node whose residual misses the tolerance is a
-    near-singular shift and holds zeros in place of its F and G.  The
-    resolvent G = (i lambda I - calA)^{-1} is formed only when read, by
-    `resolvent`, which the gradient alone needs.
+    near-singular shift and holds zeros in place of its F and G.
+    `resolvent(left, right)` forms left G right, G = (i lambda I - calA)^{-1},
+    at every node in the modal basis; the gradient reads G calB and calC G
+    from it, and no production path forms the stacked G itself.
     """
 
     lams: np.ndarray
@@ -453,7 +426,8 @@ class SpectralSweep:
 
     @cached_property
     def G(self):
-        """The resolvents (i lambda I - calA)^{-1}, stacked by node."""
+        """The resolvents (i lambda I - calA)^{-1}, stacked by node: the
+        reference the tests check the residual bound against."""
         return self.resolvent()
 
     @property
@@ -603,28 +577,31 @@ def _near_singular(lams, residual, k):
 
 def _transfer(cl, lams):
     """F at the frequencies `lams`, each node's residual, and a function
-    forming the resolvents G (`spectral_sweep`)."""
+    forming products with the resolvents G (`spectral_sweep`)."""
     modes = _modes(cl.calA)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = 1.0 / (1j * lams[:, None] - modes.s)
         residual = modes.bound(lams, r)
     direct = np.flatnonzero(~(residual <= _RESOLVENT_TOL))
     r[direct] = 0.0
-    F = _modal_product(r, cl.calC @ modes.V, modes.Vinv @ cl.calB)
     G_direct = None
     if len(direct):
         G_direct, residual[direct] = _solve(cl.calA, lams[direct])
         # zeros keep the eigensolves finite; the methods raise for these
         G_direct[~(residual[direct] <= _RESOLVENT_TOL)] = 0.0
-        F[direct] = cl.calC @ G_direct @ cl.calB
 
-    def resolvent():
-        G = _modal_product(r, modes.V, modes.Vinv)
+    def resolvent(left=None, right=None):
+        """left G right at every node, None standing for the identity: in
+        the modal basis (left V) diag(r) (V^{-1} right), one product."""
+        out = _modal_product(r, modes.V if left is None else left @ modes.V,
+                             modes.Vinv if right is None
+                             else modes.Vinv @ right)
         if G_direct is not None:
-            G[direct] = G_direct
-        return G
+            G = G_direct if left is None else left @ G_direct
+            out[direct] = G if right is None else G @ right
+        return out
 
-    return F, residual, resolvent
+    return resolvent(cl.calC, cl.calB), residual, resolvent
 
 
 def spectral_sweep(cl, lams):

@@ -13,18 +13,26 @@ i Psi = U diag(d0) U*, W = U* Phi U and x = theta d0, theta Psi has the
 eigenvalues -i x, and by Daleckii-Krein (Higham, Functions of Matrices,
 SIAM 2008, Thm 3.11) f'(theta Psi)[E] = U (L_f o U* E U) U*, where L_f
 holds the first divided differences of f on -i x.  With
-Delta~ = U* Delta U = diag(cosh x) - theta W diag(sinhc x),
-    phi = U diag(sinhc x) Delta~^{-1} U* = U phi~ U*,
-    psi = -i U (L o phi~ + diag(c)) U*,
+Delta~ = U* Delta U = diag(cosh x) - theta W diag(sinhc x) = H diag(sinhc x)
+with the Hermitian H = diag(x coth x) - theta W, so
+    phi = U diag(sinhc x) Delta~^{-1} U* = U H^{-1} U* = U phi~ U*,
+    psi = -i U (L o phi~ + diag(c)) U* = U psi~ U*,
 where L[j,k] = (kappa(x_j) - kappa(x_k)) / (x_j - x_k) are the real
 divided differences of kappa(x) = x coth x (kappa'(x_j) where x_j = x_k)
-and c_j = (kappa(x_j) - 1) / x_j is the one at (x_j, 0) (`_coth_dd`).  The
-Psi^{-1} form turns into this one on substituting
-theta W = (diag(cosh x) - Delta~) diag(1 / sinhc x) into U* X U.  Both
-are stacked over the nodes of a quadrature panel.  The gradient matrix is
-the projected real frequency integral
-    chi = (1/(4 pi)) Re int fP([[G calB], [I_m]]
-              (F^*(phi + phi^*) + J F^*(psi - psi^*)) [calC G, I_nu]) dlam,
+and c_j = (kappa(x_j) - 1) / x_j is the one at (x_j, 0) (`_coth_dd`), so
+kappa(x_j) = 1 + x_j c_j.  The Psi^{-1} form turns into this one on
+substituting theta W = (diag(cosh x) - Delta~) diag(1 / sinhc x) into
+U* X U.  With T = diag(tanhc x), H = T^{-1/2} (I - theta sqrt(T) W sqrt(T))
+T^{-1/2} is congruent to the matrix whose factorization gives ln det Delta,
+so H is positive definite exactly where the cost's spectral condition
+holds.  Both weights are stacked over the nodes of a quadrature panel.
+The gradient matrix is the projected real frequency integral
+    chi = (1/(4 pi)) Re int fP([[G calB], [I_m]] M [calC G, I_nu]) dlam,
+    M = F^*(phi + phi^*) + J F^*(psi - psi^*)
+      = ((F^* U)(phi~ + phi~^*) + J (F^* U)(psi~ - psi~^*)) U^*,
+whose blocks are G calB M calC G, G calB M and M calC G; G calB and
+calC G are modal products of the sweep (`SpectralSweep.resolvent`), so G
+itself is never formed.
 and the derivatives in (a, b, c) are theta times the three nontrivial
 blocks of K1^T chi^T K2^T, where K1 and K2 are the constant selection
 matrices relating (a, b, c) variations to variations of (calA, calB,
@@ -44,7 +52,7 @@ import numpy as np
 from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import (
     _conj_t,
-    _inv_sv,
+    _eigh,
     _loop_integral,
     _mm,
     check_loop,
@@ -64,10 +72,6 @@ __all__ = [
     "gradient_check",
     "optimality_residual",
 ]
-
-#: condition-number ceiling for Delta^{-1}
-_DELTA_COND_MAX = 1e12
-
 
 #: the Taylor coefficients k_n of x coth x = sum k_n x^(2n), that is
 #: 2^(2n) B_2n / (2n)! with B_2n the Bernoulli numbers, rounded once
@@ -146,37 +150,46 @@ def _coth_poly_dd(p, q, r):
 
 
 def _weights(sweep, theta):
-    """phi and psi at every node of a sweep, theta > 0, stacked by node.
+    """phi~ = U* phi U and psi~ = U* psi U at every node of a sweep,
+    theta > 0, stacked by node (module doc).
 
-    A failed resolvent or cond(Delta) > 1e12 raises for the first failing
-    node in node order, before the inverse is formed; Delta and
-    Delta~ = U* Delta U share their singular values.  The extreme
-    singular values and the inverse of Delta~ come from `_inv_sv`: closed
-    forms at nu = 2 (adj/det for the inverse), `np.linalg.svd` and `inv`
-    at any other nu.  psi~ takes the divided differences of x coth x at
-    every pair (x_j, x_k) and at (x_j, 0) from one `_coth_dd` (module doc).
+    phi~ = H^{-1}, H = diag(1 + x c) - theta W, where c and the divided
+    differences L of psi~ come from one `_coth_dd` over every pair
+    (x_j, x_k) and (x_j, 0).  A node where H is not positive definite
+    raises the cost's InadmissibleError, and a failed resolvent its
+    NumericalError, for the first failing node in node order, before the
+    inverse is formed.  At nu = 2, H = [[a, b*], [b, d]] is positive
+    definite where a > 0 and det = a d - |b|^2 > 0, and its inverse is
+    adj(H) / det; any other nu tests the smallest eigenvalue (`_eigh`) and
+    calls `np.linalg.inv`.
     """
-    d0, U, W = sweep.d0, sweep.U, sweep.W
+    d0, W = sweep.d0, sweep.W
     k, nu = d0.shape
     x = theta * d0
-    sx = sinhc(x)
-    Dt = np.cosh(x)[:, :, None] * np.eye(nu) - theta * W * sx[:, None, :]
-    smax, smin, inverse = _inv_sv(Dt)
-    sweep.raise_first(~(smax <= _DELTA_COND_MAX * smin),
-                      reason="Delta is numerically singular at a "
-                             "quadrature node")
-    phit = sx[:, :, None] * inverse()
     # the pairs (x_j, x_k) in the first nu columns, (x_j, 0) in the last
     pairs = np.zeros((2, k, nu, nu + 1))
     pairs[0] = x[:, :, None]
     pairs[1, :, :, :nu] = x[:, None, :]
     L = _coth_dd(pairs[0], pairs[1])
-    psit = L[:, :, :nu] * phit
+    c = L[:, :, nu]
     diag = np.arange(nu)
-    psit[:, diag, diag] += L[:, :, nu]
+    H = -theta * W
+    H[:, diag, diag] += 1.0 + x * c
+    if nu == 2:
+        a, d, b = H[:, 0, 0].real, H[:, 1, 1].real, H[:, 1, 0]
+        det = a * d - (b.real * b.real + b.imag * b.imag)
+        sweep.raise_first(~((a > 0.0) & (det > 0.0)))
+        phit = np.empty_like(H)
+        phit[:, 0, 0], phit[:, 0, 1] = d, -b.conj()
+        phit[:, 1, 0], phit[:, 1, 1] = -b, a
+        phit /= det[:, None, None]
+    else:
+        sweep.raise_first(~(_eigh(H, vectors=False)[:, 0] > 0.0))
+        phit = np.linalg.inv(H)
+    psit = L[:, :, :nu] * phit
+    psit[:, diag, diag] += c
     psit *= -1j
-    Uh = _conj_t(U)
-    return _mm(_mm(U, phit), Uh), _mm(_mm(U, psit), Uh)
+    return phit, psit
 
 
 def _chi_integrand(cl, theta, lams, sweep=None):
@@ -189,24 +202,25 @@ def _chi_integrand(cl, theta, lams, sweep=None):
     if sweep is None or not np.array_equal(sweep.lams, lams):
         sweep = spectral_sweep(cl, lams)
     Fh = _conj_t(sweep.F)
-    k, nu = len(sweep.lams), cl.nu
     if theta == 0.0:
         sweep.raise_first()
         mid = 2.0 * Fh
     else:
-        phi, psi = _weights(sweep, theta)
-        mid = (_mm(Fh, phi + _conj_t(phi))
-               + _mm(_mm(cl.J, Fh), psi - _conj_t(psi)))
-    left = np.concatenate(
-        [sweep.G @ cl.calB, np.broadcast_to(np.eye(cl.m), (k, cl.m, cl.m))],
-        axis=1)
-    right = np.concatenate(
-        [cl.calC @ sweep.G, np.broadcast_to(np.eye(nu), (k, nu, nu))],
-        axis=2)
-    out = left @ mid @ right
-    # the bottom-right m x nu block is discarded by the projection; zero it
-    # here so it does not participate in the quadrature error control
-    out[:, -cl.m:, -nu:] = 0.0
+        phit, psit = _weights(sweep, theta)
+        FhU = _mm(Fh, sweep.U)
+        mid = _mm(_mm(FhU, phit + _conj_t(phit))
+                  + _mm(cl.J, _mm(FhU, psit - _conj_t(psit))),
+                  _conj_t(sweep.U))
+    GB = sweep.resolvent(right=cl.calB)
+    CG = sweep.resolvent(left=cl.calC)
+    GBM = _mm(GB, mid)
+    two_n = GB.shape[1]
+    # the bottom-right m x nu block is discarded by the projection; it
+    # stays zero so it does not participate in the quadrature error control
+    out = np.zeros((len(lams), two_n + cl.m, two_n + cl.nu), dtype=complex)
+    out[:, :two_n, :two_n] = _mm(GBM, CG)
+    out[:, :two_n, two_n:] = GBM
+    out[:, two_n:, :two_n] = _mm(mid, CG)
     return out
 
 

@@ -105,6 +105,11 @@ def lqg_controller(plant, weights):
     (B B^T, D D^T, cross B D^T); feedback gain from the control Riccati
     equation with weights (S^T S, S^T K, K^T K).
     """
+    return _lqg(plant, weights)[0]
+
+
+def _lqg(plant, weights):
+    """`lqg_controller` and the closed loop it was checked Hurwitz on."""
     S, K = check_weights(plant, weights)
     A, B, E, C, D = plant.A, plant.B, plant.E, plant.C, plant.D
     R2 = K.T @ K
@@ -122,7 +127,7 @@ def lqg_controller(plant, weights):
     cl = assemble_closed_loop(plant, (S, K), ctrl)
     if not is_hurwitz(cl.calA):
         raise NumericalError("LQG controller failed to stabilize the plant")
-    return ctrl
+    return ctrl, cl
 
 
 def _closed_loop(plant, weights, ctrl):
@@ -266,9 +271,9 @@ def synthesize(plant, weights, cfg):
     """
     if cfg.theta == 0.0:
         raise ValidationError("synthesize needs theta > 0")
-    ctrl = lqg_controller(plant, weights)
-    start = _admissible(plant, weights, ctrl, cfg.theta)
-    if start[1] is not None and start[1].admissible:
+    ctrl, cl = _lqg(plant, weights)
+    start = cl, check_admissible(cl, cfg.theta)
+    if start[1].admissible:
         stages = [cfg.theta]
     else:
         stages, start = [cfg.theta / k for k in _CONTINUATION], None

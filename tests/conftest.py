@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical plant, weight sets, LQG-stabilized loops."""
+"""Shared fixtures: canonical plant, weight sets, LQG-stabilized loops
+and the n = 4 multimode loop."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qefsyn.instances import (
     canonical_plant_spec,
     canonical_weights_lqg,
     canonical_weights_square,
+    random_plant_spec,
 )
 from qefsyn.model import assemble_closed_loop, derive_plant
 from qefsyn.synth import lqg_controller
@@ -45,6 +47,17 @@ def cl_lqg(canonical_plant, weights_lqg):
     """Canonical plant, stacked state/control weights, LQG controller."""
     ctrl = lqg_controller(canonical_plant, weights_lqg)
     return assemble_closed_loop(canonical_plant, weights_lqg, ctrl)
+
+
+@pytest.fixture(scope="session")
+def cl_multimode():
+    """n = 4, m = 4, d = 2, r = 2 plant with S = I_4, K = [0; I_2] and its
+    LQG controller."""
+    plant = derive_plant(random_plant_spec(np.random.default_rng(0), n=4,
+                                           m=4, d=2, r=2))
+    weights = (np.eye(4), np.vstack([np.zeros((2, 2)), np.eye(2)]))
+    return assemble_closed_loop(plant, weights,
+                                lqg_controller(plant, weights))
 
 
 @pytest.fixture(scope="session")

@@ -31,8 +31,8 @@ from qefsyn.freq import (
 )
 from qefsyn.grad import chi_matrix, frechet_derivatives, gradient_check
 from qefsyn.gramians import chi0, lqg_cost
-from qefsyn.instances import random_plant_spec, random_stable_instance
-from qefsyn.model import ControllerParams, assemble_closed_loop, derive_plant
+from qefsyn.instances import random_stable_instance
+from qefsyn.model import ControllerParams, assemble_closed_loop
 from qefsyn.oracle import build_operators
 from qefsyn.synth import lqg_controller
 
@@ -242,37 +242,8 @@ def test_closed_form_eigh_matches_lapack():
     assert np.array_equal(freq._eigh(zero)[0], [[0.0, 0.0]])
 
 
-def test_closed_form_inverse_and_singular_values_match_lapack():
-    # random, nearly unitary (two singular values that nearly meet, as
-    # Delta~ in the 1/lambda tail) and nearly singular 2 x 2 stacks at
-    # each scale; measured: sigma_max and sigma_min within 3.8 eps
-    # sigma_max, the inverse within 1.9 eps cond ||X^-1||
-    rng = np.random.default_rng(12)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    Q = np.linalg.qr(cplx(300, 2, 2))[0]
-    near_unitary = Q + 10.0 ** rng.uniform(-16, -6, (300, 1, 1)) * cplx(
-        300, 2, 2)
-    near_singular = cplx(300, 2, 1) * cplx(300, 1, 2) + 1e-10 * cplx(
-        300, 2, 2)
-    X = np.concatenate([scale * np.concatenate([cplx(300, 2, 2),
-                                                near_unitary, near_singular])
-                        for scale in 10.0 ** np.arange(-12, 4)])
-    smax, smin, inverse = freq._inv_sv(X)
-    sv = np.linalg.svd(X, compute_uv=False)
-    assert np.all(np.abs(smax - sv[:, 0]) <= 16 * _EPS * sv[:, 0])
-    assert np.all(np.abs(smin - sv[:, 1]) <= 16 * _EPS * sv[:, 0])
-    ref = np.linalg.inv(X)
-    bound = 16 * _EPS * (sv[:, 0] / sv[:, 1]) * np.max(np.abs(ref),
-                                                       axis=(1, 2))
-    assert np.all(np.abs(inverse() - ref) <= bound[:, None, None])
-    smax, smin, _ = freq._inv_sv(np.zeros((1, 2, 2), dtype=complex))
-    assert smax[0] == smin[0] == 0.0
-
-
 def test_small_factorizations_call_lapack_at_other_nu():
-    # at nu != 2 the helpers are np.linalg's own results, bit for bit
+    # at nu != 2 `_eigh` is np.linalg's own result, bit for bit
     rng = np.random.default_rng(13)
     for nu in (1, 3, 4):
         A = (rng.standard_normal((40, nu, nu))
@@ -283,11 +254,6 @@ def test_small_factorizations_call_lapack_at_other_nu():
         assert np.array_equal(w, ref_w) and np.array_equal(U, ref_U)
         assert np.array_equal(freq._eigh(H, vectors=False),
                               np.linalg.eigvalsh(H))
-        smax, smin, inverse = freq._inv_sv(A)
-        sv = np.linalg.svd(A, compute_uv=False)
-        assert np.array_equal(smax, sv[:, 0])
-        assert np.array_equal(smin, sv[:, -1])
-        assert np.array_equal(inverse(), np.linalg.inv(A))
 
 
 class _LapackCalled(Exception):
@@ -297,8 +263,8 @@ class _LapackCalled(Exception):
 def test_square_loop_kernel_calls_no_small_lapack_factorization(
         monkeypatch, cl_lqg):
     # nu = 2: the growth rate, the certified check, theta_for_spec1 and
-    # the gradient take their eigensolves, inverses and singular values in
-    # closed form; nu = 3 still reaches np.linalg
+    # the gradient take their eigensolves and inverses in closed form;
+    # nu = 3 still reaches np.linalg
     _, _, cl = random_stable_instance(np.random.default_rng(0))
     grids = {}
     for loop in (cl, cl_lqg):
@@ -321,17 +287,6 @@ def test_square_loop_kernel_calls_no_small_lapack_factorization(
                  lambda: frechet_derivatives(cl_lqg, 0.05, grid=grids[3])):
         with pytest.raises(_LapackCalled):
             call()
-
-
-@pytest.fixture(scope="module")
-def cl_multimode():
-    """n = 4, m = 4, d = 2, r = 2 plant with S = I_4, K = [0; I_2] and its
-    LQG controller."""
-    plant = derive_plant(random_plant_spec(np.random.default_rng(0), n=4,
-                                           m=4, d=2, r=2))
-    weights = (np.eye(4), np.vstack([np.zeros((2, 2)), np.eye(2)]))
-    return assemble_closed_loop(plant, weights,
-                                lqg_controller(plant, weights))
 
 
 @pytest.mark.parametrize("loop", ["cl_square", "cl_multimode"])

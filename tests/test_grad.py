@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qefsyn import grad
-from qefsyn.errors import InadmissibleError
+from qefsyn import freq, grad
+from qefsyn.errors import InadmissibleError, NumericalError
 from qefsyn.freq import (
     QuadratureConfig,
     SpectralSweep,
+    default_lambda_max,
     delta_matrix,
     growth_rate_grid,
     qef_growth_rate,
@@ -77,7 +78,9 @@ def _reference_integrand(cl, theta, lams):
 
 
 def _synthetic_sweep(d0, Phi_scale=0.3, seed=7):
-    """A sweep with prescribed eigenvalues d0 of i Psi, one node per row."""
+    """A sweep with prescribed eigenvalues d0 of i Psi, one node per row,
+    and a random Phi whose largest eigenvalue is Phi_scale at every node:
+    admissible at every theta < 1 / Phi_scale, as tanhc <= 1."""
     d0 = np.asarray(d0, dtype=float)
     k, nu = d0.shape
     rng = np.random.default_rng(seed)
@@ -86,7 +89,8 @@ def _synthetic_sweep(d0, Phi_scale=0.3, seed=7):
     Uh = U.conj().swapaxes(1, 2)
     Psi = -1j * (U * d0[:, None, :]) @ Uh
     B = rng.standard_normal((k, nu, nu)) + 1j * rng.standard_normal((k, nu, nu))
-    Phi = Phi_scale * B @ B.conj().swapaxes(1, 2) / nu
+    Phi = B @ B.conj().swapaxes(1, 2)
+    Phi *= Phi_scale / np.linalg.eigvalsh(Phi)[:, -1:, None]
     return SpectralSweep(lams=np.arange(k, dtype=float), F=None,
                          Phi=Phi, Psi=Psi, d0=d0, U=U, W=Uh @ Phi @ U,
                          residual=np.zeros(k))
@@ -98,11 +102,17 @@ def _max_rel(new, ref):
                         / np.linalg.norm(ref, axis=(1, 2))))
 
 
+def _full_weights(sweep, theta):
+    """phi = U phi~ U* and psi = U psi~ U* from _weights' eigenbasis ones."""
+    Uh = sweep.U.conj().swapaxes(1, 2)
+    return tuple(sweep.U @ w @ Uh for w in _weights(sweep, theta))
+
+
 def test_phi_reduces_to_delta_inverse_when_psi_zero():
     # as Psi -> 0 (kept invertible), sinc(theta Psi) -> I and phi -> Delta^-1
     sweep = _synthetic_sweep([[1e-10, -2e-10, 3e-10]])
     theta = 0.3
-    phi, _ = _weights(sweep, theta)
+    phi, _ = _full_weights(sweep, theta)
     Delta = delta_matrix(sweep.Phi[0], sweep.Psi[0], theta)
     assert np.allclose(phi[0], np.linalg.inv(Delta), rtol=0, atol=1e-14)
 
@@ -205,12 +215,6 @@ def _mp_weights(d0, W, theta, form):
         return phi, psi
 
 
-def _rotated_weights(sweep, theta):
-    """_weights in the eigenbasis: U* phi U and U* psi U."""
-    Uh = sweep.U.conj().swapaxes(1, 2)
-    return tuple(Uh @ w @ sweep.U for w in _weights(sweep, theta))
-
-
 def _node_rel(new, ref):
     return float(np.linalg.norm(new - ref) / np.linalg.norm(ref))
 
@@ -227,7 +231,7 @@ def test_weights_match_the_psi_inverse_form_in_high_precision():
     for _ in range(2):
         _, _, cl, theta = random_admissible_instance(rng, perturb=0.2)
         sweep = spectral_sweep(cl, _LAMS)
-        phit, psit = _rotated_weights(sweep, theta)
+        phit, psit = _weights(sweep, theta)
         for k in range(len(_LAMS)):
             phi, psi = _mp_weights(sweep.d0[k], sweep.W[k], theta, "inverse")
             assert _node_rel(phit[k], phi) <= 1e-14
@@ -249,7 +253,7 @@ def test_weights_at_a_singular_psi_match_the_sinc_form(loop, cl_lqg):
     sweep = spectral_sweep(cl, _LAMS)
     assert np.all(np.min(np.abs(sweep.d0), axis=1)
                   <= 1e-15 * np.max(np.abs(sweep.d0), axis=1))
-    phit, psit = _rotated_weights(sweep, theta)
+    phit, psit = _weights(sweep, theta)
     for k in range(len(_LAMS)):
         phi, psi = _mp_weights(sweep.d0[k], sweep.W[k], theta, "sinc")
         assert _node_rel(phit[k], phi) <= 1e-14
@@ -257,10 +261,10 @@ def test_weights_at_a_singular_psi_match_the_sinc_form(loop, cl_lqg):
 
 
 def _psi_inverse_weights(sweep, theta):
-    """phi and psi by the Psi^-1 product form in double precision:
+    """phi~ and psi~ by the Psi^-1 product form in double precision:
     L_sin o X~ - L_cos o Delta~^-1 - diag(sinhc x) X~,
     X~ = Delta~^-1 W diag(i / d0), with L_sin and L_cos in product form."""
-    d0, U, W = sweep.d0, sweep.U, sweep.W
+    d0, W = sweep.d0, sweep.W
     x = theta * d0
     sx = sinhc(x)
     Dinv = np.linalg.inv(np.cosh(x)[:, :, None] * np.eye(d0.shape[1])
@@ -270,8 +274,7 @@ def _psi_inverse_weights(sweep, theta):
     dd = sinhc(0.5 * (x[:, :, None] - x[:, None, :]))
     psit = (np.cosh(half_sum) * dd * Xt - 1j * np.sinh(half_sum) * dd * Dinv
             - sx[:, :, None] * Xt)
-    Uh = U.conj().swapaxes(1, 2)
-    return U @ (sx[:, :, None] * Dinv) @ Uh, U @ psit @ Uh
+    return sx[:, :, None] * Dinv, psit
 
 
 def _flat_grad(report):
@@ -306,7 +309,7 @@ def test_psi_fn_finite_difference():
     sweep = SpectralSweep(lams=np.zeros(1), F=None, Phi=Phi, Psi=Psi,
                           d0=np.array([[-0.4]]), U=np.ones((1, 1, 1)),
                           W=Phi, residual=np.zeros(1))
-    _, psi = _weights(sweep, theta)
+    _, psi = _full_weights(sweep, theta)
     tp = complex(theta * Psi[0, 0, 0])
     dinv = 1.0 / complex(delta_matrix(Phi[0], Psi[0], theta)[0, 0])
     X = dinv * complex(Phi[0, 0, 0]) / complex(Psi[0, 0, 0])
@@ -324,7 +327,7 @@ def test_psi_fn_finite_difference():
 def test_weights_match_block_triangular_reference(d0):
     sweep = _synthetic_sweep(d0)
     theta = 0.8
-    phi, psi = _weights(sweep, theta)
+    phi, psi = _full_weights(sweep, theta)
     ref = [_reference_weights(sweep.Phi[k], sweep.Psi[k], theta)
            for k in range(len(sweep.d0))]
     assert _max_rel(phi, np.array([r[0] for r in ref])) <= 1e-12
@@ -342,6 +345,126 @@ def test_chi_integrand_matches_block_triangular_reference(loop, request):
                            np.geomspace(5.0, 1e5, 12)])
     assert _max_rel(_chi_integrand(cl, theta, lams),
                     _reference_integrand(cl, theta, lams)) <= 1e-12
+
+
+def test_chi_integrand_matches_the_reference_at_direct_solve_nodes(
+        monkeypatch, cl_multimode):
+    # the n = 4 multimode loop: cond(V) is 6.6e4, so the residual bound
+    # sends the nodes near its eigenvalues through the stacked solve, whose
+    # G calB and calC G come from the solved G; nu = 4 takes the np.linalg
+    # branch of the weights; 5.3e-13 when measured
+    cl = cl_multimode
+    theta = theta_for_spec1(cl, 0.4)
+    solved = []
+    solve = freq._solve
+
+    def spy(calA, lams):
+        solved.extend(lams)
+        return solve(calA, lams)
+    monkeypatch.setattr(freq, "_solve", spy)
+    lams = np.concatenate([np.linspace(0.0, 5.0, 41)[1:],
+                           np.geomspace(5.0, 1e5, 12)])
+    got = _chi_integrand(cl, theta, lams)
+    assert 0 < len(solved) < len(lams)
+    assert _max_rel(got, _reference_integrand(cl, theta, lams)) <= 1e-12
+
+
+def _mp_resolvent_products(cl, lam):
+    """G calB and calC G at one frequency in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        shifted = (1j * mpmath.mpf(lam) * mpmath.eye(cl.calA.shape[0])
+                   - mpmath.matrix(cl.calA.tolist()))
+        G = shifted**-1
+        return (np.array((G * mpmath.matrix(cl.calB.tolist())).tolist(),
+                         dtype=complex),
+                np.array((mpmath.matrix(cl.calC.tolist()) * G).tolist(),
+                         dtype=complex))
+
+
+@pytest.mark.parametrize("seed", [21, 41])
+def test_resolvent_products_match_high_precision(seed):
+    # the synthesis-pool plants with the worst-conditioned eigenvectors
+    # (cond(V) 6.4e3 and 1.6e4), on their growth-rate grid at spec1 0.4:
+    # the modal G calB and calC G are as accurate as G @ calB and
+    # calC @ G (worst 4.3e-13 and 2.8e-13 against 4.3e-13 and 2.9e-13
+    # when measured)
+    _, _, cl = random_stable_instance(np.random.default_rng(seed))
+    theta = theta_for_spec1(cl, 0.4)
+    quad = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
+    sweep = qef_growth_rate(cl, theta, quad,
+                            grid=growth_rate_grid(cl, theta, quad)).sweep
+    new = (sweep.resolvent(right=cl.calB), sweep.resolvent(left=cl.calC))
+    old = (sweep.G @ cl.calB, cl.calC @ sweep.G)
+    refs = [_mp_resolvent_products(cl, lam) for lam in sweep.lams]
+    for side in range(2):
+        ref = np.array([r[side] for r in refs])
+        worst_new, worst_old = _max_rel(new[side], ref), _max_rel(old[side],
+                                                                  ref)
+        assert worst_new <= min(1e-12, 1.1 * worst_old)
+
+
+@pytest.mark.parametrize("loop", ["seed0", "stacked", "multimode"])
+def test_phi_is_the_inverse_of_the_hermitian_h(loop, cl_multimode):
+    # phi~ = diag(sinhc x) Delta~^-1 = H^-1 at nu = 2 (adj/det), 3 and 4
+    # (np.linalg.inv), at spec1 0.9; within 2.2e-15 when measured
+    if loop == "multimode":
+        cl = cl_multimode
+    else:
+        _, _, cl = random_stable_instance(
+            np.random.default_rng(0),
+            canonical_weights_lqg() if loop == "stacked" else None)
+    theta = theta_for_spec1(cl, 0.9)
+    lam_max = default_lambda_max(cl.calA)
+    sweep = spectral_sweep(cl, np.concatenate([
+        np.linspace(0.0, lam_max, 200), lam_max * np.geomspace(1.0, 1e4, 20)]))
+    x = theta * sweep.d0
+    Dt = (np.cosh(x)[:, :, None] * np.eye(cl.nu)
+          - theta * sweep.W * sinhc(x)[:, None, :])
+    assert cl.nu == {"seed0": 2, "stacked": 3, "multimode": 4}[loop]
+    assert _max_rel(_weights(sweep, theta)[0],
+                    sinhc(x)[:, :, None] * np.linalg.inv(Dt)) <= 1e-14
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_weights_raise_at_the_first_failing_node(nu):
+    # H = diag(x coth x) - theta W is positive definite exactly where the
+    # cost's factorization succeeds; node 2 of 4 is pushed out of the
+    # admissible set, and a failed resolvent decides only where it comes
+    # first in node order
+    d0 = np.tile([0.4, -0.3, 0.2][:nu], (4, 1))
+    theta = 0.8
+    sweep = _synthetic_sweep(d0)
+    W = sweep.W.copy()
+    W[2] *= 10.0
+    bad = dataclasses.replace(sweep, W=W)
+    with pytest.raises(InadmissibleError, match="spectral admissibility"):
+        bad.log_det_delta(theta)
+    with pytest.raises(InadmissibleError, match="spectral admissibility"):
+        _weights(bad, theta)
+    for failed, error, match in ((3, InadmissibleError, "spectral"),
+                                 (1, NumericalError, "lambda=1.0")):
+        residual = np.zeros(4)
+        residual[failed] = 1.0
+        with pytest.raises(error, match=match):
+            _weights(dataclasses.replace(bad, residual=residual), theta)
+    _weights(sweep, theta)
+
+
+def test_gradient_forms_no_stacked_resolvent(monkeypatch, cl_square,
+                                             quad_fast):
+    # G calB and calC G are modal products: the k x 2n x 2n G is never read
+    theta = 0.05
+    grid = growth_rate_grid(cl_square, theta, quad_fast)
+    cost = qef_growth_rate(cl_square, theta, quad_fast, grid=grid)
+    want = frechet_derivatives(cl_square, theta, quad_fast, grid=grid)
+
+    def formed(sweep):
+        raise AssertionError("the stacked resolvent was formed")
+    monkeypatch.setattr(SpectralSweep, "G", property(formed))
+    for sweep in (None, cost.sweep):
+        got = frechet_derivatives(cl_square, theta, quad_fast, grid=grid,
+                                  sweep=sweep)
+        assert np.array_equal(_flat_grad(got), _flat_grad(want))
 
 
 def test_chi_zero_theta_matches_gramian_route(cl_square, quad_fast):

@@ -228,6 +228,27 @@ def test_admissible_start_checks_once_plus_accepted_steps(monkeypatch):
     assert len(checks) == 1 + accepted
 
 
+def test_lqg_start_is_assembled_once(monkeypatch):
+    # the loop lqg_controller checks Hurwitz is the one the first
+    # admissibility check reads
+    plant, weights, cfg = _pool_descent(21)
+    cfg = dataclasses.replace(cfg, max_iters=1)
+    loops, checked = [], []
+
+    def assemble(*args):
+        loops.append(assemble_closed_loop(*args))
+        return loops[-1]
+
+    def check(cl, theta):
+        checked.append(cl)
+        return check_admissible(cl, theta)
+
+    monkeypatch.setattr(synth, "assemble_closed_loop", assemble)
+    monkeypatch.setattr(synth, "check_admissible", check)
+    synthesize(plant, weights, cfg)
+    assert checked[0] is loops[0]
+
+
 def test_trials_are_costed_on_the_current_iterate_grid(monkeypatch):
     plant, weights, cfg = _pool_descent(21)
     log = []
