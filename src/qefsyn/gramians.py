@@ -1,7 +1,9 @@
 """Lyapunov solver, the mean-square (LQG) cost and its gradient matrix chi0.
 
-The solver is dense Bartels-Stewart (Schur-based) via scipy; solutions are
-symmetrized to remove asymmetric round-off before any definiteness check.
+The solver writes A X + X A^T = -W as one dense linear system in the
+entries of X, (I (x) A + A (x) I) vec X = -vec W (at most 64 x 64 for the
+closed loops here, 2n <= 8); solutions are symmetrized to remove
+asymmetric round-off before any definiteness check.
 For a stabilized closed loop, the controllability Gramian Sigma (equal to
 the steady covariance) and the observability Gramian Q solve
     calA Sigma + Sigma calA^T + calB calB^T = 0,
@@ -12,7 +14,6 @@ Q Sigma being the Hankelian.
 """
 
 import numpy as np
-import scipy.linalg
 
 from qefsyn.errors import NumericalError, ValidationError
 from qefsyn.freq import is_hurwitz
@@ -33,7 +34,10 @@ def solve_lyapunov(A, W):
 
 def _solve(A, W):
     """solve_lyapunov past its checks: A is known Hurwitz, W symmetric."""
-    X = scipy.linalg.solve_continuous_lyapunov(A, -W)
+    n = A.shape[0]
+    I = np.eye(n)
+    X = np.linalg.solve(np.kron(I, A) + np.kron(A, I),
+                        -W.ravel()).reshape(n, n)
     X = 0.5 * (X + X.T)
     res = np.max(np.abs(A @ X + X @ A.T + W))
     if res > 1e-10 * (1.0 + np.max(np.abs(W))):

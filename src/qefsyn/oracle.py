@@ -19,7 +19,12 @@ eigenproblem.  With x = theta d, K_T = V diag(tanhc(x)) V^T and
 where K_T^{-1} - theta P_T is positive definite exactly when the
 admissibility condition theta lambda_max(P_T K_T) < 1 holds.  One Cholesky
 factor R of K_T^{-1} - theta P_T therefore decides admissibility and gives
-the log-determinant, and since ln cosh + ln tanhc = ln sinhc,
+the log-determinant.  A factor whose smallest squared pivot is at most
+N nu eps times the largest diagonal entry of K_T^{-1} (the order of the
+matrix times the unit round-off, times the size of the terms whose
+difference it is) is taken as no factor: K_T^{-1} - theta P_T is then zero
+to rounding, and whether the Cholesky completes turns on the last bits of
+Sigma.  Since ln cosh + ln tanhc = ln sinhc,
 
     ln Xi_T = -(1/2) (sum ln sinhc(x) + 2 sum ln diag R).
 
@@ -33,12 +38,14 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, NumericalError
 from qefsyn.freq import (_modes, check_loop, check_number, check_theta,
                          sinhc, tanhc)
 from qefsyn.gramians import solve_lyapunov
+
+# scipy.linalg is imported by the functions that call it, so importing
+# qefsyn, the CLI included, loads no scipy
 
 __all__ = [
     "CCRKernel",
@@ -70,6 +77,7 @@ class CCRKernel:
 
 def ccr_kernel(cl, tau_grid):
     """Lambda(tau) = e^{tau calA} Gamma for tau >= 0, Gamma e^{-tau calA^T} else."""
+    import scipy.linalg
     tau_grid = np.asarray(tau_grid, dtype=float)
     vals = np.empty((len(tau_grid), *cl.Gamma.shape))
     for k, tau in enumerate(tau_grid):
@@ -103,6 +111,7 @@ class OracleGrid:
 
 def _kernel_tables(cl, times):
     """mho(k h) and P(k h) for nonnegative lags on a uniform grid."""
+    import scipy.linalg
     h = times[1] - times[0]
     Sigma = solve_lyapunov(cl.calA, cl.calB @ cl.calB.T)
     Eh = scipy.linalg.expm(h * cl.calA)
@@ -180,19 +189,25 @@ def finite_horizon_qef(grid, theta=None):
         check_theta(theta)
     if theta == 0.0:
         return 0.0
+    import scipy.linalg
     x = theta * grid.d
     # K^{-1} - theta P = G G^T - theta P by one syrk into the upper triangle,
     # the one the Cholesky reads; the transposes hand BLAS Fortran order.
-    # The factor exists iff theta lambda_max(P K) < 1.
+    # The factor exists iff theta lambda_max(P K) < 1; a pivot at the
+    # rounding floor (module doc) counts as a factor that does not exist.
     G = grid.V / np.sqrt(tanhc(x))
     A = scipy.linalg.blas.dsyrk(1.0, G.T, beta=1.0, c=(-theta * grid.P).T,
                                 trans=1, overwrite_c=1)
+    floor = (A.shape[0] * np.finfo(float).eps
+             * np.max(np.diag(A) + theta * np.diag(grid.P)))
     try:
         R = scipy.linalg.cholesky(A, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
+        R = None
+    if R is None or not np.min(np.diag(R)) ** 2 > floor:
         raise InadmissibleError(
             "theta * lambda_max(P_T K_T) >= 1: finite-horizon formula invalid"
-        ) from None
+        )
     return -0.5 * (float(np.sum(np.log(sinhc(x))))
                    + 2.0 * float(np.sum(np.log(np.diag(R)))))
 

@@ -16,6 +16,12 @@ d is -g and the step starts at _INITIAL_STEP / (1 + |g|).  The step is
 multiplied by _BACKTRACK until a trial passes the Armijo bound
 ups + _ARMIJO_C * step * g^T d; the search gives up below _MIN_STEP.
 
+Both Riccati equations of the LQG controller are solved by the Hamiltonian
+method (`_care`): the stabilizing solution is X = U2 U1^{-1}, with
+[U1; U2] the eigenvectors of the 2n x 2n Hamiltonian matrix that belong to
+its n eigenvalues left of the imaginary axis (Potter, SIAM J. Appl. Math.
+14, 1966; Laub, IEEE Trans. Autom. Control 24(6), 1979).
+
 Each iterate has one FrequencyGrid: the grid its cost, a GrowthRate, was
 summed on.  Its gradient is summed on that grid too, so it is the exact
 derivative of the sums that the line search compares; where the cost was
@@ -42,7 +48,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import (
@@ -68,6 +73,12 @@ _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-14
 #: (s, y) pairs the L-BFGS direction keeps
 _MEMORY = 8
+#: Hamiltonian eigenvalues with |Re| at most this times its 1-norm count as
+#: on the imaginary axis (rounding moves a defective one there by about
+#: sqrt(eps) times the norm)
+_AXIS_GAP = 1e-7
+#: bound on a Riccati residual relative to 1 + its largest term
+_RICCATI_RTOL = 1e-6
 
 
 @dataclass
@@ -115,12 +126,8 @@ def _lqg(plant, weights):
     R2 = K.T @ K
     if np.min(np.linalg.eigvalsh(R2)) <= 0:
         raise ValidationError("control weight K^T K must be positive definite")
-    try:
-        X = scipy.linalg.solve_continuous_are(A, E, S.T @ S, R2, s=S.T @ K)
-        Y = scipy.linalg.solve_continuous_are(A.T, C.T, B @ B.T, D @ D.T,
-                                              s=B @ D.T)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Riccati solve failed: {exc}") from exc
+    X = _care(A, E, S.T @ S, R2, S.T @ K)
+    Y = _care(A.T, C.T, B @ B.T, D @ D.T, B @ D.T)
     F = np.linalg.solve(R2, E.T @ X + (S.T @ K).T)      # feedback gain
     Lg = np.linalg.solve(D @ D.T, C @ Y + D @ B.T).T    # filter gain
     ctrl = ControllerParams(a=A - E @ F - Lg @ C, b=Lg, c=-F)
@@ -128,6 +135,43 @@ def _lqg(plant, weights):
     if not is_hurwitz(cl.calA):
         raise NumericalError("LQG controller failed to stabilize the plant")
     return ctrl, cl
+
+
+def _care(A, B, Q, R, S):
+    """Stabilizing X of A^T X + X A - (X B + S) R^{-1} (B^T X + S^T) + Q = 0
+    for symmetric invertible R, by the Hamiltonian method (module doc).
+
+    The Hamiltonian is [[F, -B R^{-1} B^T], [S R^{-1} S^T - Q, -F^T]] with
+    F = A - B R^{-1} S^T.  Exactly n of its eigenvalues must lie left of
+    the imaginary axis by more than _AXIS_GAP times its 1-norm, and X must
+    pass the residual test at _RICCATI_RTOL; else a NumericalError.
+    """
+    n = A.shape[0]
+    try:
+        RB, RS = np.split(np.linalg.solve(R, np.hstack([B.T, S.T])), [n],
+                          axis=1)
+        F = A - B @ RS
+        H = np.block([[F, -B @ RB], [S @ RS - Q, -F.T]])
+        w, V = np.linalg.eig(H)
+        stable = w.real < -_AXIS_GAP * np.linalg.norm(H, 1)
+        k = np.count_nonzero(stable)
+        if k != n:
+            raise NumericalError(
+                f"Riccati solve failed: {k} of the Hamiltonian's {2 * n} "
+                f"eigenvalues lie clearly left of the imaginary axis, not {n}")
+        U = V[:, stable]
+        X = np.linalg.solve(U[:n].T, U[n:].T).T.real     # U2 U1^{-1}
+        X = 0.5 * (X + X.T)
+        G = X @ B + S
+        terms = (A.T @ X, G @ np.linalg.solve(R, G.T), Q)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Riccati solve failed: {exc}") from exc
+    res = np.max(np.abs(terms[0] + terms[0].T - terms[1] + Q))
+    if not res <= _RICCATI_RTOL * (1.0 + max(np.max(np.abs(t))
+                                             for t in terms)):
+        raise NumericalError(f"Riccati solve failed: residual {res:.2e} "
+                             "above tolerance")
+    return X
 
 
 def _closed_loop(plant, weights, ctrl):

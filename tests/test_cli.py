@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from qefsyn import cli, grad, synth
+from qefsyn import cli, grad, oracle, synth
 from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import check_admissible, theta_for_spec1
 from qefsyn.instances import (
@@ -268,15 +269,16 @@ def test_grad_check_exits_3_when_every_step_is_inadmissible(
     assert captured.out == ""
 
 
-def test_riccati_failure_exits_4_without_a_controller(tmp_path, capsys,
-                                                      monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("failed to find a finite solution")
-
-    monkeypatch.setattr(synth.scipy.linalg, "solve_continuous_are", fail)
-    assert (cli.main(["evaluate", _write(tmp_path, _canonical_doc())])
+def test_riccati_failure_exits_4_without_a_controller(tmp_path, capsys):
+    # with no field coupling (M = 0) the plant is the undamped oscillator
+    # A = 2 Theta R and C = 0, so the filter Hamiltonian [[A^T, 0], [0, -A]]
+    # keeps its eigenvalues +-2i on the imaginary axis
+    doc = _canonical_doc()
+    doc["plant"]["M"] = [0.0] * 4
+    assert (cli.main(["evaluate", _write(tmp_path, doc)])
             == cli.EXIT_NUMERICAL)
-    assert ("Riccati solve failed: failed to find a finite solution"
+    assert ("numerical error: Riccati solve failed: 0 of the Hamiltonian's "
+            "4 eigenvalues lie clearly left of the imaginary axis, not 2"
             in capsys.readouterr().err)
 
 
@@ -638,6 +640,25 @@ def test_oracle_grid_too_coarse_is_numerical(tmp_path, capsys, monkeypatch,
         assert "inadmissible: theta * lambda_max(P_T K_T) >= 1" in err
 
 
+def test_oracle_grid_too_coarse_with_scipys_gramian(tmp_path, capsys,
+                                                    monkeypatch):
+    # at T = 1e4 and N = 10, K_T^{-1} - theta P_T is zero to rounding
+    # (eigenvalues near 1e-15 against diagonal terms near 56), so whether
+    # its Cholesky completes turns on the last bits of Sigma.  The pivot
+    # floor rejects it for scipy's Sigma as for the library's (the 1e4
+    # cases above).
+    monkeypatch.setattr(oracle, "solve_lyapunov", lambda A, W:
+                        scipy.linalg.solve_continuous_lyapunov(A, -W))
+    out = tmp_path / "oracle.csv"
+    code = cli.main(["oracle-compare",
+                     _write(tmp_path, _canonical_doc(with_controller=True)),
+                     "--oracle-T", "1e4", "--oracle-N", "10",
+                     "--output", str(out)])
+    assert code == cli.EXIT_NUMERICAL
+    assert "oracle grid too coarse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     pytest.param(["--stacked-weights", "--with-controller"], id="canonical"),
     pytest.param(["--seed", "0", "--spec1", "0.4"], id="seed0-spec1"),
@@ -723,17 +744,42 @@ def test_write_instance_exit_codes(tmp_path, name, flags, code, message):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize adds about 0.3 s to a fresh interpreter; only
-    # freq.theta_for_spec1 needs it, and it imports it when called
+#: prints the scipy modules loaded so far, one list
+_PRINT_SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'scipy'))")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg alone took 0.14 of 0.22 s of this import in a fresh
+    # interpreter (2-core VM, warm file cache); only the oracle and
+    # freq.theta_for_spec1 need scipy, and they import it when called
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qefsyn.cli, qefsyn.instances; "
-         "print('scipy.optimize' in sys.modules)"],
+         "import sys, qefsyn.cli, qefsyn.instances; " + _PRINT_SCIPY_MODULES],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")})
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_but_the_oracle_leave_scipy_unloaded(tmp_path):
+    # with no controller in the instance, every command solves the LQG
+    # Riccati equations first
+    root = Path(__file__).resolve().parents[1]
+    path = _write(tmp_path, _canonical_doc())
+    commands = ["validate", "evaluate", "grad-check", "synthesize"]
+    script = ("import sys\n"
+              "from qefsyn import cli\n"
+              "path, out = sys.argv[1:]\n"
+              f"for command in {commands!r}:\n"
+              "    assert cli.main([command, path, '--output', out + '.csv',\n"
+              "                     '--controller-out', out + '.json']) == 0\n"
+              + _PRINT_SCIPY_MODULES)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, path, str(tmp_path / "out")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_seed_flag_is_rejected(tmp_path):

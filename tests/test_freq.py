@@ -809,8 +809,10 @@ def test_one_factorization_per_loop(monkeypatch):
     # a loop's calA is factored once, by freq._factor, and its Hurwitz
     # test, lambda_max and resonance breakpoints read that factorization;
     # lqg_controller and lqg_cost each used to take their own eigvals, and
-    # chi0 used to factor calA^T for its adjoint solve.  The one other
-    # spectrum is the 4n x 4n Hamiltonian of check_admissible's certificate
+    # chi0 used to factor calA^T for its adjoint solve.  The other spectra
+    # are the two 2n x 2n Riccati Hamiltonians of lqg_controller (n the
+    # plant order) and the 4n x 4n Hamiltonian of check_admissible's
+    # certificate (2n the loop order)
     plant, _, cl = random_stable_instance(np.random.default_rng(7))
     calls = {"eig": [], "eigvals": []}
     for name in calls:
@@ -828,7 +830,8 @@ def test_one_factorization_per_loop(monkeypatch):
     rate = qef_growth_rate(cl, theta, quad)
     chi_matrix(cl, theta, quad, grid=rate.grid)
     two_n = cl.calA.shape[0]
-    assert calls == {"eig": [(two_n, two_n)],
+    riccati = (2 * plant.n, 2 * plant.n)
+    assert calls == {"eig": [riccati, riccati, (two_n, two_n)],
                      "eigvals": [(2 * two_n, 2 * two_n)]}
 
 

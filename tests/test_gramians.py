@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qefsyn.errors import NumericalError, ValidationError
 from qefsyn.gramians import chi0, lqg_cost, solve_lyapunov
+from qefsyn.instances import random_plant_spec
+from qefsyn.model import assemble_closed_loop, derive_plant
+from qefsyn.synth import lqg_controller
 
 
 def test_solve_lyapunov_scalar():
@@ -20,6 +24,25 @@ def test_solve_lyapunov_residual(rng):
     X = solve_lyapunov(A, W)
     assert np.max(np.abs(A @ X + X @ A.T + W)) <= 1e-10 * (1 + np.max(np.abs(W)))
     assert np.min(np.linalg.eigvalsh(X)) >= -1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_solve_lyapunov_matches_scipy(n):
+    # both Gramians of the LQG loops of seeded plants of order n with
+    # seeded nu = 3 weights; over seeds 0-9 the largest difference relative
+    # to scipy's largest entry measured 9.1e-11 (n = 4, seed 3,
+    # cond(calA) 2.4e5)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        plant = derive_plant(random_plant_spec(rng, n=n))
+        weights = rng.standard_normal((3, n)), rng.standard_normal((3, 1))
+        cl = assemble_closed_loop(plant, weights,
+                                  lqg_controller(plant, weights))
+        for A, W in ((cl.calA, cl.calB @ cl.calB.T),
+                     (cl.calA.T, cl.calC.T @ cl.calC)):
+            X = solve_lyapunov(A, W)
+            ref = scipy.linalg.solve_continuous_lyapunov(A, -W)
+            assert np.max(np.abs(X - ref)) <= 3e-10 * np.max(np.abs(ref))
 
 
 def test_solve_lyapunov_rejects_unstable():
