@@ -30,15 +30,14 @@ The gradient matrix is the projected real frequency integral
     chi = (1/(4 pi)) Re int fP([[G calB], [I_m]] M [calC G, I_nu]) dlam,
     M = F^*(phi + phi^*) + J F^*(psi - psi^*)
       = ((F^* U)(phi~ + phi~^*) + J (F^* U)(psi~ - psi~^*)) U^*,
-whose blocks are G calB M calC G, G calB M and M calC G; at nu = 2,
-phi~ = adj(H) / det is Hermitian bit for bit, so phi~ + phi~^* is taken as
-2 phi~.  G calB and calC G are modal products of the sweep
-(`SpectralSweep.resolvent`), so G itself is never formed.  The
-derivatives in (a, b, c) are theta times the three nontrivial
-blocks of K1^T chi^T K2^T, where K1 and K2 are the constant selection
-matrices relating (a, b, c) variations to variations of (calA, calB,
-calC).  With x the plant rows/columns of chi^T, xi the controller's, z its
-nu output rows and w its m field columns, those blocks are
+whose blocks are G calB M calC G, G calB M and M calC G; G calB and
+calC G are modal products of the sweep (`SpectralSweep.resolvent`), so G
+itself is never formed.  The derivatives in (a, b, c) are theta times the
+three nontrivial blocks of K1^T chi^T K2^T, where K1 and K2 are the
+constant selection matrices relating (a, b, c) variations to variations of
+(calA, calB, calC).  With x the plant rows/columns of chi^T, xi the
+controller's, z its nu output rows and w its m field columns, those blocks
+are
     d/da: chi^T[xi, xi],
     d/db: chi^T[xi, x] C^T + chi^T[xi, w] D^T,
     d/dc: E^T chi^T[x, xi] + K^T chi^T[z, xi].
@@ -208,9 +207,8 @@ def _chi_integrand(cl, theta, lams, sweep=None):
         mid = 2.0 * Fh
     else:
         phit, psit = _weights(sweep, theta)
-        herm = 2.0 * phit if cl.nu == 2 else phit + _conj_t(phit)
         FhU = _mm(Fh, sweep.U)
-        mid = _mm(_mm(FhU, herm)
+        mid = _mm(_mm(FhU, phit + _conj_t(phit))
                   + _mm(cl.J, _mm(FhU, psit - _conj_t(psit))),
                   _conj_t(sweep.U))
     GB = sweep.resolvent(right=cl.calB)

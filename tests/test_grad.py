@@ -467,46 +467,6 @@ def test_gradient_forms_no_stacked_resolvent(monkeypatch, cl_square,
         assert np.array_equal(_flat_grad(got), _flat_grad(want))
 
 
-def _summed_phi_integrand(cl, theta, lams, sweep=None):
-    """`_chi_integrand` at theta > 0 with phi~ + phi~* summed at every nu."""
-    if sweep is None or not np.array_equal(sweep.lams, lams):
-        sweep = spectral_sweep(cl, lams)
-    phit, psit = _weights(sweep, theta)
-    FhU = grad._mm(grad._conj_t(sweep.F), sweep.U)
-    mid = grad._mm(
-        grad._mm(FhU, phit + grad._conj_t(phit))
-        + grad._mm(cl.J, grad._mm(FhU, psit - grad._conj_t(psit))),
-        grad._conj_t(sweep.U))
-    GBM = grad._mm(sweep.resolvent(right=cl.calB), mid)
-    CG = sweep.resolvent(left=cl.calC)
-    two_n = GBM.shape[1]
-    out = np.zeros((len(lams), two_n + cl.m, two_n + cl.nu), dtype=complex)
-    out[:, :two_n, :two_n] = grad._mm(GBM, CG)
-    out[:, :two_n, two_n:] = GBM
-    out[:, two_n:, :two_n] = grad._mm(mid, CG)
-    return out
-
-
-@pytest.mark.parametrize("seed", [16, 21])
-def test_doubled_phi_gives_the_summed_gradient_bit_for_bit(monkeypatch,
-                                                           seed):
-    # at nu = 2 phi~ = adj(H) / det is Hermitian bit for bit, so the
-    # integrand takes 2 phi~ for phi~ + phi~*; pool plants at spec1 0.4
-    _, _, cl = random_stable_instance(np.random.default_rng(seed))
-    theta = theta_for_spec1(cl, 0.4)
-    quad = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
-    cost = qef_growth_rate(cl, theta, quad, grid=growth_rate_grid(
-        cl, theta, quad))
-    phit, _ = _weights(cost.sweep, theta)
-    assert cl.nu == 2 and np.array_equal(phit, grad._conj_t(phit))
-    doubled = frechet_derivatives(cl, theta, quad, grid=cost.grid,
-                                  sweep=cost.sweep)
-    monkeypatch.setattr(grad, "_chi_integrand", _summed_phi_integrand)
-    summed = frechet_derivatives(cl, theta, quad, grid=cost.grid,
-                                 sweep=cost.sweep)
-    assert np.array_equal(_flat_grad(doubled), _flat_grad(summed))
-
-
 def test_chi_zero_theta_matches_gramian_route(cl_square, quad_fast):
     chi_q, err = chi_matrix(cl_square, 0.0, quad_fast)
     chi_g = chi0(cl_square)

@@ -63,16 +63,32 @@ def _riccati_equations(seed, n):
             (p.A.T, p.C.T, p.B @ p.B.T, p.D @ p.D.T, p.B @ p.D.T))
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_riccati_solutions_match_scipy(n):
+def _weakly_controllable(c):
+    """(A, B, Q, R, S) with A = [[1, c], [0, -1]], B = [0; 1]: the
+    unstable mode is uncontrollable at c = 0 and X grows like 1 / c^2."""
+    return (np.array([[1.0, c], [0.0, -1.0]]), np.array([[0.0], [1.0]]),
+            np.eye(2), np.eye(1), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("equations", [
+    pytest.param([eq for seed in range(20)
+                  for eq in _riccati_equations(seed, n)], id=str(n))
+    for n in (2, 4)
+] + [
+    pytest.param([_weakly_controllable(c)], id=f"weak-{c:g}")
+    for c in (1e-4, 1e-5, 1e-6, 1e-7)
+])
+def test_riccati_solutions_match_scipy(equations):
     # over seeds 0-19 the largest difference relative to scipy's largest
-    # entry measured 3.6e-11 (n = 4, seed 16, entries up to 2.9e5)
-    for seed in range(20):
-        for A, B, Q, R, S in _riccati_equations(seed, n):
-            X = synth._care(A, B, Q, R, S)
-            ref = scipy.linalg.solve_continuous_are(A, B, Q, R, s=S)
-            assert np.max(np.abs(X - ref)) <= 1e-10 * np.max(np.abs(ref))
-            assert np.array_equal(X, X.T)
+    # entry measured 3.6e-11 (n = 4, seed 16, entries up to 2.9e5).  The
+    # weakly controllable ones fail the residual test without Newton steps
+    # (8.6e-6 at c = 1e-5) and measured at most 7.5e-11 with them (c = 1e-5,
+    # X about 1e11)
+    for A, B, Q, R, S in equations:
+        X = synth._care(A, B, Q, R, S)
+        ref = scipy.linalg.solve_continuous_are(A, B, Q, R, s=S)
+        assert np.max(np.abs(X - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.array_equal(X, X.T)
 
 
 @pytest.mark.parametrize("A, B, Q, message", [
@@ -82,7 +98,9 @@ def test_riccati_solutions_match_scipy(n):
      "0 of the Hamiltonian's 4 eigenvalues lie clearly left of the "
      "imaginary axis, not 2"),
     # the unstable mode of A = [[1, c], [0, -1]] is uncontrollable at c = 0
-    # and so weakly controllable at c = 1e-8 that X is about 1e17
+    # and so weakly controllable at c = 1e-8 that X is about 1e17; scipy's
+    # ordered Schur solve still returns it, but Newton steps from the
+    # eigenvector solution do not converge to it
     (np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[0.0], [1.0]]),
      np.eye(2), "Singular matrix"),
     (np.array([[1.0, 1e-8], [0.0, -1.0]]), np.array([[0.0], [1.0]]),
