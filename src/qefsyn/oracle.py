@@ -29,12 +29,17 @@ Sigma.  Since ln cosh + ln tanhc = ln sinhc,
     ln Xi_T = -(1/2) (sum ln sinhc(x) + 2 sum ln diag R).
 
 Each horizon costs one eigensolve (in `build_operators`) and one Cholesky
-(in `finite_horizon_qef`).  Apart from the scalar sinhc/tanhc helpers and
-the input checks it shares (`check_theta`, `check_loop`), this path never
-touches the frequency-domain machinery and serves as its validation oracle.
+(in `finite_horizon_qef`).  The horizons of a ladder share nothing, so
+under a single-threaded BLAS `growth_rate_estimate` runs each on a thread
+of its own and holds all their operators at once; it returns the rows in
+T order, bit for bit as one horizon after another gives them.  Apart from
+the scalar sinhc/tanhc helpers and the input checks it shares
+(`check_theta`, `check_loop`), this path never touches the frequency-domain
+machinery and serves as its validation oracle.
 """
 
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,14 +136,18 @@ def _toeplitz_operator(table, sign, sw):
     """Dense operator with block (i, j) = sw_i sw_j K(t_i - t_j).
 
     `table` holds K at the nonnegative lags and K(-tau) = sign K(tau)^T.
+    Each block row is copied straight into place, so the operator is the
+    one full-size array made here.
     """
     N, nu, _ = table.shape
-    # by_lag[k] is K at lag k - (N - 1), for lags -(N - 1) ... N - 1
-    by_lag = np.concatenate((sign * table[:0:-1].transpose(0, 2, 1), table))
-    idx = np.arange(N)
-    blocks = by_lag[(N - 1) + idx[:, None] - idx[None, :]]
-    blocks *= (sw[:, None] * sw[None, :])[:, :, None, None]
-    return blocks.transpose(0, 2, 1, 3).reshape(N * nu, N * nu)
+    # by_lag[:, k] is K at lag (N - 1) - k, for lags N - 1 ... -(N - 1)
+    by_lag = np.concatenate(
+        (table[::-1], sign * table[1:].transpose(0, 2, 1))).transpose(1, 0, 2)
+    op = np.empty((N, nu, N, nu))
+    for i in range(N):
+        op[i] = by_lag[:, N - 1 - i:2 * N - 1 - i]
+    op *= (sw[:, None] * sw[None, :])[:, None, :, None]
+    return op.reshape(N * nu, N * nu)
 
 
 def check_horizon(T):
@@ -164,17 +173,22 @@ def build_operators(cl, theta, T, N):
     w[0] = w[-1] = 0.5 * h
     sw = np.sqrt(w)
 
-    mho, pk = _kernel_tables(cl, times)
-    L = _toeplitz_operator(mho, -1.0, sw)
-    P = _toeplitz_operator(pk, 1.0, sw)
-    L = 0.5 * (L - L.T)
-    P = 0.5 * (P + P.T)
-    if not (np.isfinite(L).all() and np.isfinite(P).all()):
-        raise NumericalError(f"oracle operators are not finite at horizon "
-                             f"T={T:g} with N={N} grid points")
+    def operator(table, sign):
+        M = _toeplitz_operator(table, sign, sw)
+        # M <- 0.5 (M + sign M^T) in place; numpy buffers the overlapping M^T
+        (np.subtract if sign < 0 else np.add)(M, M.T, out=M)
+        M *= 0.5
+        if not np.isfinite(M).all():
+            raise NumericalError(f"oracle operators are not finite at "
+                                 f"horizon T={T:g} with N={N} grid points")
+        return M
 
+    mho, pk = _kernel_tables(cl, times)
+    L = operator(mho, -1.0)
     # each nonzero d appears twice (+-d), and an odd N nu adds an exact zero
     d2, V = np.linalg.eigh(L.T @ L)
+    # P is formed after the eigensolve, so it adds nothing to its peak
+    P = operator(pk, 1.0)
     return OracleGrid(T=T, N=N, theta=theta, times=times, weights=w,
                       L=L, P=P, d=np.sqrt(np.clip(d2, 0.0, None)), V=V)
 
@@ -222,10 +236,43 @@ def default_horizon(calA):
     return _HORIZON_DECAYS / decay
 
 
+def _blas_threads():
+    """The BLAS thread count that OpenBLAS, numpy's BLAS, takes from the
+    environment: the first positive setting in its order, else one thread
+    per CPU; never more threads than CPUs."""
+    cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return min(n, cpus)
+    return cpus
+
+
 def growth_rate_estimate(cl, theta, T_list, N):
-    """(T, ln Xi_T / T) for each horizon; approaches the growth rate."""
-    out = []
-    for T in T_list:
+    """(T, ln Xi_T / T) for each horizon; approaches the growth rate.
+
+    The horizons share nothing, and their eigensolves and Cholesky
+    factorizations release the GIL, so under a single-threaded BLAS each
+    horizon runs on a thread of its own, with all their operators held at
+    once.  A threaded BLAS already spreads each horizon over the CPUs, and
+    its callers queue for its one pool of threads, so there the horizons
+    run one after another on one worker.  Either way the rows come back in
+    T order, bit for bit as a loop over T_list gives them, and the first
+    failing horizon in T order raises its error.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    T_list = list(T_list)
+    if not T_list:
+        return []
+
+    def row(T):
         grid = build_operators(cl, theta, T, N)
-        out.append((float(T), finite_horizon_qef(grid) / T))
-    return out
+        return float(T), finite_horizon_qef(grid) / T
+
+    workers = len(T_list) if _blas_threads() == 1 else 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(row, T_list))

@@ -762,6 +762,20 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # the oracle imports its thread pool when called; concurrent.futures
+    # took 2.0-3.2 ms to import after qefsyn (python -X importtime)
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qefsyn.cli, qefsyn.instances; "
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'concurrent'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.stdout.strip() == "[]"
+
+
 def test_commands_but_the_oracle_leave_scipy_unloaded(tmp_path):
     # with no controller in the instance, every command solves the LQG
     # Riccati equations first

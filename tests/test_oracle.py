@@ -1,6 +1,8 @@
 """Time-domain kernels and discretized operators of the finite-horizon cost."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.linalg
 
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import tanhc, theta_for_spec1
+from qefsyn import freq, oracle
 from qefsyn.model import ControllerParams, assemble_closed_loop
 from qefsyn.oracle import (
     build_operators,
@@ -237,3 +240,162 @@ def test_growth_rate_estimate_returns_rows(cl_square):
     assert len(rows) == 2
     assert rows[0][0] == 5.0 and rows[1][0] == 10.0
     assert all(np.isfinite(r) for _, r in rows)
+
+
+def _serial_rows(cl, theta, T_list, N):
+    """The ladder one horizon after another, growth_rate_estimate's
+    reference."""
+    rows = []
+    for T in T_list:
+        grid = build_operators(cl, theta, T, N)
+        rows.append((float(T), finite_horizon_qef(grid) / T))
+    return rows
+
+
+@pytest.fixture()
+def blas_threads(monkeypatch):
+    """Sets the BLAS thread count growth_rate_estimate sizes its pool by."""
+    return lambda n: monkeypatch.setattr(oracle, "_blas_threads", lambda: n)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("loop", ["square", "perturbed"])
+def test_growth_rate_estimate_is_the_serial_loop_bit_for_bit(
+        cl_square, canonical_plant, weights_lqg, blas_threads, loop,
+        threads):
+    # the perturbed loop and theta are criterion 2's, at a small N
+    blas_threads(threads)
+    if loop == "square":
+        cl, theta, N = cl_square, 0.05, 40
+    else:
+        cl = _perturbed_loop(canonical_plant, weights_lqg)
+        theta, N = theta_for_spec1(cl, 0.25), 61
+    T = default_horizon(cl.calA)
+    T_list = [T / 4, T / 2, T]
+    rows = growth_rate_estimate(cl, theta, T_list, N)
+    assert rows == _serial_rows(cl, theta, T_list, N)
+    assert [T for T, _ in rows] == T_list
+
+
+def test_horizons_sharing_a_cold_factor_cache_match_the_serial_loop(
+        cl_square, blas_threads):
+    # the threads share only freq's cache of calA factorizations; six
+    # horizons (more than the cores) race to fill it from empty, with a
+    # short switch interval
+    blas_threads(1)
+    T_list = [2.0 + k for k in range(6)]
+    serial = _serial_rows(cl_square, 0.05, T_list, 30)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            freq._factor.cache_clear()
+            assert growth_rate_estimate(cl_square, 0.05, T_list, 30) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_growth_rate_estimate_of_no_horizons_is_empty(cl_square,
+                                                      blas_threads):
+    for threads in (1, 2):
+        blas_threads(threads)
+        assert growth_rate_estimate(cl_square, 0.05, [], 40) == []
+
+
+def _recording_builds(monkeypatch, wait=None):
+    """Patches build_operators to record (thread, T) per call, first
+    calling `wait`; returns the record."""
+    calls = []
+    build = oracle.build_operators
+
+    def recording(cl, theta, T, N):
+        calls.append((threading.get_ident(), T))
+        if wait is not None:
+            wait()
+        return build(cl, theta, T, N)
+
+    monkeypatch.setattr(oracle, "build_operators", recording)
+    return calls
+
+
+def test_single_threaded_blas_runs_the_horizons_at_once(
+        cl_square, monkeypatch, blas_threads):
+    # the barrier breaks unless all three horizons are under way together
+    blas_threads(1)
+    calls = _recording_builds(monkeypatch,
+                              threading.Barrier(3, timeout=30.0).wait)
+    growth_rate_estimate(cl_square, 0.05, [5.0, 10.0, 20.0], 40)
+    threads = {thread for thread, _ in calls}
+    assert len(threads) == 3 and threading.get_ident() not in threads
+
+
+def test_threaded_blas_runs_the_horizons_in_turn(cl_square, monkeypatch,
+                                                 blas_threads):
+    # concurrent callers of a threaded OpenBLAS spin while they queue for
+    # its threads: on 2 CPUs with 2 BLAS threads, criterion 2's ladder
+    # took 9.9 s at once against 5.2 s in turn
+    blas_threads(2)
+    calls = _recording_builds(monkeypatch)
+    growth_rate_estimate(cl_square, 0.05, [5.0, 10.0, 20.0], 40)
+    assert [T for _, T in calls] == [5.0, 10.0, 20.0]
+    assert len({thread for thread, _ in calls}) == 1
+
+
+@pytest.mark.parametrize("env, cpus, expected", [
+    ({}, 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4, 1),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+    ({"OMP_NUM_THREADS": "1"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 1),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 4, 4),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 2, 2),
+    ({}, None, 1),
+])
+def test_blas_threads_reads_the_environment_as_openblas_does(
+        monkeypatch, env, cpus, expected):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    assert oracle._blas_threads() == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("T_list", [
+    [5.0, 1e4, 1e40],       # too coarse (InadmissibleError), then non-finite
+    [5.0, 1e40, 1e4],       # non-finite (NumericalError), then too coarse
+])
+def test_growth_rate_estimate_raises_the_first_failing_horizon(
+        cl_square, blas_threads, T_list, threads):
+    blas_threads(threads)
+    with pytest.raises((InadmissibleError, NumericalError)) as serial:
+        _serial_rows(cl_square, 0.05, T_list, 10)
+    with pytest.raises(type(serial.value), match=re.escape(
+            str(serial.value))):
+        growth_rate_estimate(cl_square, 0.05, T_list, 10)
+
+
+def test_first_failing_horizon_wins_when_a_later_one_fails_first(
+        cl_square, monkeypatch, blas_threads):
+    # the T = 1e4 horizon waits until the T = 1e40 one has raised, so the
+    # later horizon in T order is the first to fail in time
+    blas_threads(1)
+    later_failed = threading.Event()
+    build = oracle.build_operators
+
+    def ordered(cl, theta, T, N):
+        if T == 1e4:
+            assert later_failed.wait(timeout=30.0)
+        try:
+            return build(cl, theta, T, N)
+        except NumericalError:
+            later_failed.set()
+            raise
+
+    monkeypatch.setattr(oracle, "build_operators", ordered)
+    with pytest.raises(InadmissibleError,
+                       match=re.escape("theta * lambda_max(P_T K_T) >= 1")):
+        growth_rate_estimate(cl_square, 0.05, [5.0, 1e4, 1e40], 10)
+    assert later_failed.is_set()
