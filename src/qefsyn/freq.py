@@ -11,21 +11,26 @@ All per-frequency work is one batched sweep over an array of frequencies
 F(i lambda) = (calC V) diag(1 / (i lambda - s)) (V^{-1} calB) at every node
 is one matrix product; a residual bound certifies each node, and the nodes
 it cannot certify are solved directly.  The gradient's G calB and calC G
-are two more such products (`SpectralSweep.resolvent`).  Phi, Psi and the
-stacked eigendecomposition i Psi = U diag(d0) U* (`_eigh`) follow.  None
-of it depends on theta: i theta Psi has eigenvalues theta d0 and the same
-U.
+are two more such products (`SpectralSweep.resolvent`).  Phi and Psi
+follow, and the stacked eigendecomposition i Psi = U diag(d0) U*
+(`_eigh`) is formed from them when first read.  None of it depends on
+theta: i theta Psi has eigenvalues theta d0 and the same U.
 
 ln det Delta is real on the admissible set: with T = tanc(theta Psi) > 0,
     det Delta = det(cos(theta Psi)) * det(I - theta Phi T),
 and the second factor is det(I - theta s W s), with s = sqrt(tanhc(theta
 d0)) and the theta-free W = U* Phi U; this Hermitian matrix has the
 eigenvalues 1 - theta mu_j.  It is positive definite exactly where the
-admissibility condition theta*mu < 1 holds, so one stacked Cholesky
-factorization (`_log_det_eye_minus`) gives ln det Delta and checks that
-condition at every quadrature node.  The spectral condition itself
-(`spec1`) and a root-find over theta need the largest mu: one stacked
-Hermitian eigensolve per theta.  The nu x nu products of the sweep are
+admissibility condition theta*mu < 1 holds, so ln det Delta checks that
+condition at every quadrature node.  At nu = 2 the 2 x 2 determinant is
+a closed form in d0 and three theta-free scalars per node, det Phi and
+the diagonal of W, which the spectral projectors of i Psi give without U
+(`SpectralSweep.log_det_delta`): the cost reads neither U nor W, so a
+sweep that only sums the cost never forms them.  Any other nu takes one
+stacked Cholesky factorization (`_log_det_eye_minus`).  The gradient,
+the spectral condition itself (`spec1`) and a root-find over theta read
+U and W; the last two need the largest mu, one stacked Hermitian
+eigensolve per theta.  The nu x nu products of the sweep are
 broadcast sums (`_mm`), not one BLAS call per matrix.  At nu = 2 the
 small eigensolves are closed forms, not one LAPACK call per matrix: one
 Jacobi rotation diagonalizes a 2 x 2 Hermitian matrix (`_eigh`); any
@@ -49,6 +54,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -360,21 +366,33 @@ def _eigh(X, vectors=True):
     """
     if X.shape[-1] != 2:
         return np.linalg.eigh(X) if vectors else np.linalg.eigvalsh(X)
+    w, h, bc, _ = _jacobi(X)
+    return (w, _rotation(h, bc)) if vectors else w
+
+
+def _jacobi(X):
+    """The ascending eigenvalues w = m -/+ r of a stack of 2 x 2 Hermitian
+    X = [[a, b], [b*, c]] (`_eigh`), with the data of their rotation:
+    h = (a - c)/2, the lower entry b* and r = hypot(h, |b|)."""
     a, c, bc = X[..., 0, 0].real, X[..., 1, 1].real, X[..., 1, 0]
-    m, h, ab = 0.5 * (a + c), 0.5 * (a - c), np.abs(bc)
-    r = np.hypot(h, ab)
+    m, h = 0.5 * (a + c), 0.5 * (a - c)
+    r = np.hypot(h, np.abs(bc))
     w = np.empty(X.shape[:-1])
     w[..., 0], w[..., 1] = m - r, m + r
-    if not vectors:
-        return w
+    return w, h, bc, r
+
+
+def _rotation(h, bc):
+    """The unitary U of `_eigh` at nu = 2 from `_jacobi`'s h and b*."""
+    ab = np.abs(bc)
     t = 0.5 * np.arctan2(ab, h)
     cos, sin = np.cos(t), np.sin(t)
     nz = ab > 0.0
     p = np.where(nz, bc / np.where(nz, ab, 1.0), 1.0)
-    U = np.empty(X.shape, dtype=complex)
+    U = np.empty(h.shape + (2, 2), dtype=complex)
     U[..., 0, 0], U[..., 0, 1] = -sin, cos
     U[..., 1, 0], U[..., 1, 1] = p * cos, p * sin
-    return w, U
+    return U
 
 
 def _log_det_eye_minus(X):
@@ -404,7 +422,11 @@ def _log_det_eye_minus(X):
 class SpectralSweep:
     """Theta-free per-frequency quantities, stacked one node per `lams` entry.
 
-    F = calC G calB, (Phi, Psi), i Psi = U diag(d0) U* and W = U* Phi U.
+    The sweep holds F = calC G calB and the spectral pair (Phi, Psi); the
+    eigenvalues d0 of i Psi, the U of i Psi = U diag(d0) U*, W = U* Phi U
+    and G are formed once, on first read.  At nu = 2 ln det Delta reads d0
+    and three scalars per node (`log_det_delta`), so a sweep that only sums
+    the cost never forms U or W; the gradient and `spec1` read them.
     `residual` bounds the largest entry of (i lambda I - calA) G - I: the
     modal bound where it certifies the node, else the exact residual of a
     direct solve.  A node whose residual misses the tolerance is a
@@ -418,9 +440,6 @@ class SpectralSweep:
     F: np.ndarray
     Phi: np.ndarray
     Psi: np.ndarray
-    d0: np.ndarray
-    U: np.ndarray
-    W: np.ndarray
     residual: np.ndarray
     resolvent: Callable = field(default=None, repr=False, compare=False)
 
@@ -429,6 +448,55 @@ class SpectralSweep:
         """The resolvents (i lambda I - calA)^{-1}, stacked by node: the
         reference the tests check the residual bound against."""
         return self.resolvent()
+
+    @cached_property
+    def _spectrum(self):
+        """d0 with, at nu = 2, its rotation's h, b* and r (`_jacobi`), and
+        at any other nu the U of the one `_eigh` that gives d0."""
+        X = 1j * self.Psi
+        return _jacobi(X) if X.shape[-1] == 2 else _eigh(X)
+
+    @property
+    def d0(self):
+        """The ascending eigenvalues of i Psi, stacked by node."""
+        return self._spectrum[0]
+
+    @cached_property
+    def U(self):
+        """The unitaries U of i Psi = U diag(d0) U*, stacked by node."""
+        if self.Psi.shape[-1] == 2:
+            _, h, bc, _ = self._spectrum
+            return _rotation(h, bc)
+        return self._spectrum[1]
+
+    @cached_property
+    def W(self):
+        """W = U* Phi U, stacked by node."""
+        return _mm(_mm(_conj_t(self.U), self.Phi), self.U)
+
+    @cached_property
+    def _scalars(self):
+        """The diagonal W_-- and W_++ of W = U* Phi U, formed without U,
+        and det Phi, per node of a nu = 2 sweep.
+
+        With d0 = m -/+ r and h, b* as in `_jacobi`, the spectral
+        projectors of i Psi = [[a, b], [b*, c]] are (I -/+ (i Psi - m I) / r)
+        / 2, so W_-/+ = (tr Phi -/+ g / r) / 2 with g = tr((i Psi - m I) Phi)
+        = h (Phi_00 - Phi_11) + 2 Re(b Phi_10); |g| <= 2 r ||Phi||, and
+        g = 0 where r = 0.  det Phi = det(F F*) is the Cauchy-Binet sum of
+        the |2 x 2 minors of F|^2, never negative.
+        """
+        _, h, bc, r = self._spectrum
+        Phi, F = self.Phi, self.F
+        p00, p11 = Phi[:, 0, 0].real, Phi[:, 1, 1].real
+        g = h * (p00 - p11) + 2.0 * (bc.conj() * Phi[:, 1, 0]).real
+        half_g = 0.5 * g / np.where(r > 0.0, r, 1.0)
+        half_tr = 0.5 * (p00 + p11)
+        det = np.zeros(len(F))
+        for j, k in combinations(range(F.shape[-1]), 2):
+            minor = F[:, 0, j] * F[:, 1, k] - F[:, 0, k] * F[:, 1, j]
+            det += (minor * minor.conj()).real
+        return half_tr - half_g, half_tr + half_g, det
 
     @property
     def failed(self):
@@ -469,17 +537,45 @@ class SpectralSweep:
         self.raise_first()
         return theta * self.mu(theta)[:, -1]
 
+    def _log_det_2x2(self, theta):
+        """ln det(I - X) per node of a nu = 2 sweep, X = theta s W s; not
+        finite where I - X is not positive definite (`log_det_delta`).
+
+        With t = theta tanhc(theta d0), finite for any theta,
+        det(I - X) = 1 - tr X + det X, where det X = t- t+ det Phi and
+        tr X = t- W_-- + t+ W_++ (`_scalars`), that is
+        ((t+ + t-) tr Phi + (t+ - t-) g / r) / 2.  The 2 x 2 Hermitian
+        I - X is positive definite where det(I - X) > 0 and tr X < 2, and
+        ln det(I - X) = log1p(det X - tr X) keeps its digits where X is
+        small.
+        """
+        w_minus, w_plus, det_phi = self._scalars
+        t = theta * tanhc(theta * self.d0)
+        tm, tp = t[:, 0], t[:, 1]
+        tr = tm * w_minus + tp * w_plus
+        arg = tm * tp * det_phi - tr
+        ok = (arg > -1.0) & (tr < 2.0)
+        return np.log1p(arg, out=np.full_like(arg, np.nan), where=ok)
+
     def log_det_delta(self, theta):
         """ln det Delta per node, checking theta mu < 1 at every node.
 
-        ln det(I - theta s W s) comes from one stacked factorization
-        (`_log_det_eye_minus`), which is finite exactly where theta mu < 1;
-        a failed resolvent's node holds W = 0 and a finite 0.  The first
-        node in node order that fails either way raises (`raise_first`).
-        ln cosh x is log1p(2 sinh^2(x/2)), exact to the last digits also
-        where x is small, as in the 1/lambda tail.
+        ln det Delta = sum ln cosh(theta d0) + ln det(I - X), with the
+        Hermitian X = theta s W s, s = sqrt(tanhc(theta d0)), positive
+        semidefinite with the eigenvalues theta mu: finite exactly where
+        I - X is positive definite, that is where theta mu < 1.  At nu = 2
+        ln det(I - X) is a closed form in d0 and theta-free scalars
+        (`_log_det_2x2`), and U and W are not formed; any other nu factors
+        I - X (`_log_det_eye_minus`).  A failed resolvent's node holds
+        F = 0 and a finite 0.  The first node in node order that fails
+        either way raises (`raise_first`).  ln cosh x is
+        log1p(2 sinh^2(x/2)), exact to the last digits also where x is
+        small, as in the 1/lambda tail.
         """
-        ld = _log_det_eye_minus(theta * self._scaled_W(theta))
+        if self.Psi.shape[-1] == 2:
+            ld = self._log_det_2x2(theta)
+        else:
+            ld = _log_det_eye_minus(theta * self._scaled_W(theta))
         self.raise_first(~np.isfinite(ld))
         half = np.sinh(0.5 * theta * self.d0)
         return np.sum(np.log1p(2.0 * half * half), axis=1) + ld
@@ -622,10 +718,8 @@ def spectral_sweep(cl, lams):
     Phi = 0.5 * (Phi + _conj_t(Phi))
     Psi = _mm((F.reshape(-1, F.shape[-1]) @ cl.J).reshape(F.shape), Fh)
     Psi = 0.5 * (Psi - _conj_t(Psi))
-    d0, U = _eigh(1j * Psi)
-    W = _mm(_mm(_conj_t(U), Phi), U)
-    return SpectralSweep(lams=lams, F=F, Phi=Phi, Psi=Psi, d0=d0, U=U, W=W,
-                         residual=residual, resolvent=resolvent)
+    return SpectralSweep(lams=lams, F=F, Phi=Phi, Psi=Psi, residual=residual,
+                         resolvent=resolvent)
 
 
 def delta_matrix(Phi, Psi, theta):
@@ -686,16 +780,20 @@ def _admissibility_grid(cl):
     return np.unique(np.concatenate([head, tail]))
 
 
-def _spec1_sup(cl, grid, sweep, theta):
+def _spec1_sup(cl, grid, sweep, theta, fine=None):
     """The sampled spectral-condition supremum at theta: the larger of the
     maximum over `grid` (`sweep` is its spectral sweep) and the maximum
-    over 90 points between the grid neighbours of its argmax."""
+    over 90 points between the grid neighbours of its argmax.  The sweeps
+    of those 90 points are theta-free: `fine`, a dict, keeps them by
+    argmax node for later calls on the same grid."""
     vals = sweep.spec1(theta)
     k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    vals_fine = spectral_sweep(cl, np.linspace(lo, hi, 90)).spec1(theta)
-    return max(float(np.max(vals)), float(np.max(vals_fine)))
+    fine = {} if fine is None else fine
+    if k not in fine:
+        lo = grid[max(k - 1, 0)]
+        hi = grid[min(k + 1, len(grid) - 1)]
+        fine[k] = spectral_sweep(cl, np.linspace(lo, hi, 90))
+    return max(float(np.max(vals)), float(np.max(fine[k].spec1(theta))))
 
 
 def _sampled_sup(cl, theta):
@@ -776,11 +874,11 @@ def theta_for_spec1(cl, target):
     meaningful way to pin a risk level to this plant.  theta doubles from
     1 until the target is bracketed; Brent's method then roots
     `check_admissible`'s supremum (`_spec1_sup`, on one sweep of its base
-    grid) minus the target, and returns a theta within a relative
-    `_THETA_TOL` of the root, on either side.  A target outside (0, 1) is
-    a ValidationError, a loop that is not Hurwitz an InadmissibleError, and
-    a target that 80 doublings of theta do not reach a ValidationError
-    naming the supremum reached.
+    grid and one fine sweep per argmax node) minus the target, and
+    returns a theta within a relative `_THETA_TOL` of the root, on either
+    side.  A target outside (0, 1) is a ValidationError, a loop that is not
+    Hurwitz an InadmissibleError, and a target that 80 doublings of theta
+    do not reach a ValidationError naming the supremum reached.
     """
     # scipy.optimize costs a fresh interpreter 0.3 s; only this needs it
     from scipy.optimize import brentq
@@ -789,9 +887,10 @@ def theta_for_spec1(cl, target):
     check_loop(cl)
     grid = _admissibility_grid(cl)
     sweep = spectral_sweep(cl, grid)
+    fine = {}
 
     def excess(theta):
-        return _spec1_sup(cl, grid, sweep, theta) - target
+        return _spec1_sup(cl, grid, sweep, theta, fine) - target
 
     lo, hi = 0.0, 1.0
     for _ in range(80):
@@ -801,7 +900,7 @@ def theta_for_spec1(cl, target):
         lo, hi = hi, 2.0 * hi
     raise ValidationError(
         f"spec1 target {target:g} is not reached: the supremum is "
-        f"{_spec1_sup(cl, grid, sweep, lo):.6g} at theta={lo:.6g}"
+        f"{_spec1_sup(cl, grid, sweep, lo, fine):.6g} at theta={lo:.6g}"
     )
 
 

@@ -31,8 +31,8 @@ from qefsyn.freq import (
 )
 from qefsyn.grad import chi_matrix, frechet_derivatives, gradient_check
 from qefsyn.gramians import chi0, lqg_cost
-from qefsyn.instances import random_stable_instance
-from qefsyn.model import ControllerParams, assemble_closed_loop
+from qefsyn.instances import random_plant_spec, random_stable_instance
+from qefsyn.model import ControllerParams, assemble_closed_loop, derive_plant
 from qefsyn.oracle import build_operators
 from qefsyn.synth import lqg_controller
 
@@ -345,6 +345,210 @@ def test_log_det_eye_minus(nu):
     assert list(np.isfinite(freq._log_det_eye_minus(X))) == [True, False] * 10
 
 
+def _ldl_log_det(sweep, theta):
+    """ln det(I - theta s W s) by the factorization, from U and W."""
+    return freq._log_det_eye_minus(theta * sweep._scaled_W(theta))
+
+
+def _body_and_tail(cl, n_body=120, n_tail=60):
+    """Body nodes up to the truncation frequency and 1/lambda-tail nodes
+    beyond it, up to lambda = 1e7."""
+    lam_max = default_lambda_max(cl.calA)
+    return np.concatenate([np.linspace(0.0, lam_max, n_body),
+                           np.geomspace(lam_max, 1e7, n_tail)])
+
+
+def _nu2_m4_loop(seed):
+    """A nu = 2 loop of an n = 4, m = 4, d = r = 2 plant: F is 2 x 4, so
+    det Phi is a sum of six squared minors, not |det F|^2."""
+    plant = derive_plant(random_plant_spec(np.random.default_rng(seed), n=4,
+                                           m=4, d=2, r=2))
+    weights = (np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
+               np.eye(2))
+    return assemble_closed_loop(plant, weights,
+                                lqg_controller(plant, weights))
+
+
+@pytest.mark.parametrize("loop", ["seed0", "seed1", "seed2", "m4"])
+def test_nu2_log_det_matches_the_factorization(loop):
+    # ln det(I - X) from theta-free scalars against the factorization of
+    # I - theta s W s, at theta for spec1 0.4, 0.9 and 0.99 and at 1.5 and
+    # 3 times that: the same finite/non-finite verdict at every node, and
+    # ln det Delta within 1.1e-15 relative at the nodes with spec1 below
+    # 0.95 and 7.3e-15 nearer the boundary when measured (3.7e-15 and
+    # 2.1e-14 over 40 plants)
+    if loop == "m4":
+        cl = _nu2_m4_loop(0)
+        assert (cl.nu, cl.m) == (2, 4)
+    else:
+        _, _, cl = random_stable_instance(
+            np.random.default_rng(int(loop[-1])))
+    sweep = spectral_sweep(cl, _body_and_tail(cl))
+    verdicts = set()
+    for target in (0.4, 0.9, 0.99):
+        theta0 = theta_for_spec1(cl, target)
+        for theta in (theta0, 1.5 * theta0, 3.0 * theta0):
+            new, ref = sweep._log_det_2x2(theta), _ldl_log_det(sweep, theta)
+            assert np.array_equal(np.isfinite(new), np.isfinite(ref))
+            verdicts.update(np.isfinite(ref))
+            half = np.sinh(0.5 * theta * sweep.d0)
+            cosh = np.sum(np.log1p(2.0 * half * half), axis=1)
+            spec1 = sweep.spec1(theta)
+            for inside, bound in ((spec1 < 0.95, 1e-14), (spec1 < 1.0, 1e-13)):
+                gap = np.abs((cosh + new) - (cosh + ref))[inside]
+                assert np.all(gap <= bound * np.abs(cosh + ref)[inside])
+    assert verdicts == {True, False}
+
+
+def test_nu2_log_det_delta_matches_slogdet():
+    # against ln det Delta formed directly, body and tail nodes and the
+    # m = 4 loop: within 1.1e-15 (1 + |ln det|) when measured
+    for cl in (random_stable_instance(np.random.default_rng(3))[2],
+               _nu2_m4_loop(1)):
+        theta = theta_for_spec1(cl, 0.9)
+        sweep = spectral_sweep(cl, _body_and_tail(cl, 40, 20))
+        ld = sweep.log_det_delta(theta)
+        for k in range(len(ld)):
+            sign, direct = np.linalg.slogdet(
+                delta_matrix(sweep.Phi[k], sweep.Psi[k], theta))
+            assert sign.real > 0
+            assert abs(ld[k] - direct) <= 1e-14 * (1.0 + abs(direct))
+
+
+def test_nu2_det_phi_is_the_cauchy_binet_sum():
+    # at m = 4 det Phi = sum over the six column pairs j < k of the squared
+    # 2 x 2 minors of F, and it is never negative; at m = 2 it is |det F|^2
+    # (within 3.1e-14 of det Phi by LU and 5.1e-15 of |det F|^2 when
+    # measured)
+    cl = _nu2_m4_loop(2)
+    sweep = spectral_sweep(cl, _body_and_tail(cl, 40, 20))
+    det_phi = sweep._scalars[2]
+    assert np.all(det_phi >= 0.0)
+    assert np.allclose(det_phi, np.linalg.det(sweep.Phi).real, rtol=1e-12,
+                       atol=0)
+    assert not np.allclose(det_phi, np.abs(np.linalg.det(sweep.F[:, :, :2]))
+                           ** 2, rtol=1e-3, atol=0)
+    _, _, cl = random_stable_instance(np.random.default_rng(4))
+    sweep = spectral_sweep(cl, _body_and_tail(cl, 40, 20))
+    assert np.allclose(sweep._scalars[2], np.abs(np.linalg.det(sweep.F)) ** 2,
+                       rtol=1e-13, atol=0)
+
+
+def test_nu2_W_diagonal_from_the_projectors():
+    # the diagonal of W = U* Phi U, formed without U (within 2.2e-16 of
+    # its scale when measured), and the zero Psi of a classical loop
+    # (r = 0): g / r contributes nothing there, and ln det Delta is within
+    # 3.5e-16 of the factorization's
+    _, _, cl = random_stable_instance(np.random.default_rng(5))
+    sweep = spectral_sweep(cl, _body_and_tail(cl, 40, 20))
+    w_minus, w_plus, _ = sweep._scalars
+    W = sweep.W
+    scale = np.abs(W[:, 0, 0]) + np.abs(W[:, 1, 1])
+    assert np.all(np.abs(w_minus - W[:, 0, 0].real) <= 2e-15 * scale)
+    assert np.all(np.abs(w_plus - W[:, 1, 1].real) <= 2e-15 * scale)
+    classical = SimpleNamespace(calA=cl.calA, calB=cl.calB, calC=cl.calC,
+                                J=np.zeros((2, 2)))
+    sweep = spectral_sweep(classical, _body_and_tail(cl, 40, 20))
+    assert not np.any(sweep.Psi) and not np.any(sweep.d0)
+    theta = 0.5 / np.max(np.linalg.eigvalsh(sweep.Phi))
+    ld = sweep.log_det_delta(theta)
+    assert np.allclose(ld, _ldl_log_det(sweep, theta), rtol=1e-14, atol=0)
+    body = np.linalg.slogdet(np.eye(2) - theta * sweep.Phi[:40])[1]
+    assert np.all(np.abs(ld[:40] - body) <= 1e-14 * (1.0 + np.abs(body)))
+
+
+def test_nu2_log_det_delta_raises_at_the_same_first_node():
+    # an inadmissible theta raises the factorization's InadmissibleError
+    # at its first non-finite node, the nodes running down from the tail:
+    # every node before it sums, and that node, or a failed resolvent
+    # ahead of it, raises
+    _, _, cl = random_stable_instance(np.random.default_rng(6))
+    lams = _body_and_tail(cl)[::-1]
+    theta = 3.0 * theta_for_spec1(cl, 0.99)
+    first = int(np.argmin(np.isfinite(_ldl_log_det(spectral_sweep(cl, lams),
+                                                   theta))))
+    assert first > 0
+    assert np.all(np.isfinite(
+        spectral_sweep(cl, lams[:first]).log_det_delta(theta)))
+    with pytest.raises(InadmissibleError, match="spectral admissibility "
+                       "violated"):
+        spectral_sweep(cl, lams[:first + 1]).log_det_delta(theta)
+    # two classical lags (Psi = 0, r = 0, theta mu = theta / (1 + lambda^2)
+    # and theta / (4 + lambda^2)): at theta = 10 both pass 1 below
+    # lambda = 2.4, where det(I - X) > 0 all the same, and one does up to
+    # lambda = 3
+    lags = SimpleNamespace(calA=np.diag([-1.0, -2.0]), calB=np.eye(2),
+                           calC=np.eye(2), J=np.zeros((2, 2)))
+    lams = np.linspace(0.05, 4.05, 41)
+    sweep = spectral_sweep(lags, lams)
+    ld = sweep._log_det_2x2(10.0)
+    assert np.array_equal(np.isfinite(ld), lams > 3.0)
+    assert np.array_equal(np.isfinite(ld),
+                          np.isfinite(_ldl_log_det(sweep, 10.0)))
+    with pytest.raises(InadmissibleError):
+        spectral_sweep(lags, [0.0]).log_det_delta(10.0)
+    # a nu = 2 lag next to an undamped mode (Psi = 0, r = 0): the first
+    # failing node decides, whichever way it fails
+    loop = SimpleNamespace(
+        calA=scipy.linalg.block_diag([[-1.0]], [[0.0, 7.0], [-7.0, 0.0]]),
+        calB=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        calC=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        J=np.zeros((2, 2)))
+    theta, ok, inadmissible, singular = 4.0, 3.0, 0.5, 7.0
+    with pytest.raises(InadmissibleError):
+        spectral_sweep(loop, [ok, inadmissible, singular]).log_det_delta(theta)
+    with pytest.raises(NumericalError):
+        spectral_sweep(loop, [ok, singular, inadmissible]).log_det_delta(theta)
+    assert np.allclose(spectral_sweep(loop, [ok]).log_det_delta(theta),
+                       np.log1p(-theta / (1.0 + ok**2)))
+
+
+@pytest.mark.parametrize("loop", ["cl_lqg", "cl_multimode"])
+def test_log_det_delta_factors_at_other_nu(request, loop):
+    # nu = 3 and 4 keep the factorization of I - theta s W s, bit for bit
+    cl = request.getfixturevalue(loop)
+    theta = theta_for_spec1(cl, 0.4)
+    sweep = spectral_sweep(cl, _body_and_tail(cl))
+    half = np.sinh(0.5 * theta * sweep.d0)
+    assert np.array_equal(sweep.log_det_delta(theta),
+                          np.sum(np.log1p(2.0 * half * half), axis=1)
+                          + _ldl_log_det(sweep, theta))
+
+
+def test_nu2_cost_forms_no_eigenvectors(monkeypatch, cl_square, quad_fast):
+    # a frozen-grid and an adaptive nu = 2 cost read neither U nor W; the
+    # gradient on the kept grid forms them from the cost's sweep, and
+    # reusing that sweep gives the gradient of a fresh one bit for bit
+    theta = theta_for_spec1(cl_square, 0.4)
+    grid = growth_rate_grid(cl_square, theta, quad_fast)
+    eigh = freq._eigh
+
+    def values_only(X, vectors=True):
+        assert not vectors, "eigenvectors formed"
+        return eigh(X, vectors)
+
+    with monkeypatch.context() as m:
+        m.setattr(freq, "_eigh", values_only)
+        m.setattr(freq, "_rotation", values_only)
+        ups = qef_growth_rate(cl_square, theta, quad_fast, grid=grid)
+        qef_growth_rate(cl_square, theta, quad_fast)
+    assert "U" not in vars(ups.sweep) and "W" not in vars(ups.sweep)
+    reused = frechet_derivatives(cl_square, theta, quad_fast, grid=ups.grid,
+                                 sweep=ups.sweep)
+    assert "U" in vars(ups.sweep) and "W" in vars(ups.sweep)
+    fresh = frechet_derivatives(cl_square, theta, quad_fast, grid=ups.grid)
+    for f in ("dUps_da", "dUps_db", "dUps_dc"):
+        assert np.array_equal(getattr(reused, f), getattr(fresh, f))
+
+
+@pytest.mark.parametrize("theta", [1e-300, 5e-324])
+def test_nu2_growth_rate_at_an_underflowing_theta(cl_square, theta):
+    # theta^2 det Phi underflows to 0: the rate is theta times the
+    # theta -> 0 slope, finite and positive down to the least subnormal
+    rate = qef_growth_rate(cl_square, theta)
+    assert np.isfinite(rate) and rate > 0.0
+
+
 def _norm_inf(X):
     return np.linalg.norm(X, ord=np.inf)
 
@@ -631,7 +835,7 @@ def test_theta_for_spec1_evaluates_few_suprema(monkeypatch, target):
     sup = freq._spec1_sup
 
     def counted(*args):
-        calls.append(args[-1])          # theta
+        calls.append(args[3])           # theta
         return sup(*args)
     monkeypatch.setattr(freq, "_spec1_sup", counted)
     for seed in range(50, 60):
@@ -639,6 +843,49 @@ def test_theta_for_spec1_evaluates_few_suprema(monkeypatch, target):
         calls.clear()
         theta_for_spec1(cl, target)
         assert 0 < len(calls) <= 12
+
+
+#: the plants of the benchmark's synthesis pool
+_SYNTH_POOL = (13, 16, 17, 21, 41, 45, 47, 60, 72, 81, 91, 135, 156, 158,
+               167, 173, 174, 176, 180, 191)
+
+
+def test_theta_for_spec1_keeps_one_fine_sweep_per_argmax_node(monkeypatch,
+                                                              cl_square):
+    # the fine sweeps around the argmax node are theta-free: one per
+    # distinct node leaves theta bit for bit what a fresh sweep at every
+    # evaluation gives (6-8 evaluations on 1-3 nodes when measured)
+    sweep_of = freq.spectral_sweep
+    fine = []
+
+    def counted(cl, lams):
+        if len(lams) == 90:
+            fine.append((lams[0], lams[-1]))
+        return sweep_of(cl, lams)
+
+    def fresh_sup(cl, grid, sweep, theta, kept=None):
+        vals = sweep.spec1(theta)
+        k = int(np.argmax(vals))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        lams = np.linspace(lo, hi, 90)
+        return max(float(np.max(vals)),
+                   float(np.max(counted(cl, lams).spec1(theta))))
+
+    monkeypatch.setattr(freq, "spectral_sweep", counted)
+    evaluations = nodes = 0
+    pool = [random_stable_instance(np.random.default_rng(j))[2]
+            for j in _SYNTH_POOL]
+    for cl in [cl_square] + pool:
+        fine.clear()
+        with monkeypatch.context() as m:
+            m.setattr(freq, "_spec1_sup", fresh_sup)
+            theta = theta_for_spec1(cl, 0.4)
+        distinct, evaluations = set(fine), evaluations + len(fine)
+        fine.clear()
+        assert theta_for_spec1(cl, 0.4) == theta
+        assert sorted(fine) == sorted(distinct)
+        nodes += len(fine)
+    assert nodes < evaluations
 
 
 def _certified_report(rep):

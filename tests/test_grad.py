@@ -78,22 +78,28 @@ def _reference_integrand(cl, theta, lams):
 
 
 def _synthetic_sweep(d0, Phi_scale=0.3, seed=7):
-    """A sweep with prescribed eigenvalues d0 of i Psi, one node per row,
-    and a random Phi whose largest eigenvalue is Phi_scale at every node:
+    """A sweep with prescribed eigenvalues d0 of i Psi, one node per row
+    (the sweep holds them in ascending order), and a random square F whose
+    Phi = F F* has the largest eigenvalue Phi_scale at every node:
     admissible at every theta < 1 / Phi_scale, as tanhc <= 1."""
     d0 = np.asarray(d0, dtype=float)
     k, nu = d0.shape
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.standard_normal((k, nu, nu))
                         + 1j * rng.standard_normal((k, nu, nu)))
-    Uh = U.conj().swapaxes(1, 2)
-    Psi = -1j * (U * d0[:, None, :]) @ Uh
-    B = rng.standard_normal((k, nu, nu)) + 1j * rng.standard_normal((k, nu, nu))
-    Phi = B @ B.conj().swapaxes(1, 2)
-    Phi *= Phi_scale / np.linalg.eigvalsh(Phi)[:, -1:, None]
-    return SpectralSweep(lams=np.arange(k, dtype=float), F=None,
-                         Phi=Phi, Psi=Psi, d0=d0, U=U, W=Uh @ Phi @ U,
-                         residual=np.zeros(k))
+    Psi = -1j * (U * d0[:, None, :]) @ U.conj().swapaxes(1, 2)
+    F = (rng.standard_normal((k, nu, nu))
+         + 1j * rng.standard_normal((k, nu, nu)))
+    F *= np.sqrt(Phi_scale / np.linalg.eigvalsh(
+        F @ F.conj().swapaxes(1, 2))[:, -1:, None])
+    return _sweep_of(F, Psi)
+
+
+def _sweep_of(F, Psi):
+    """The SpectralSweep of prescribed F and Psi, Phi = F F*."""
+    return SpectralSweep(lams=np.arange(len(F), dtype=float), F=F,
+                         Phi=F @ F.conj().swapaxes(1, 2), Psi=Psi,
+                         residual=np.zeros(len(F)))
 
 
 def _max_rel(new, ref):
@@ -307,8 +313,7 @@ def test_psi_fn_finite_difference():
     Psi = np.array([[[0.4j]]], dtype=complex)
     theta = 0.3
     sweep = SpectralSweep(lams=np.zeros(1), F=None, Phi=Phi, Psi=Psi,
-                          d0=np.array([[-0.4]]), U=np.ones((1, 1, 1)),
-                          W=Phi, residual=np.zeros(1))
+                          residual=np.zeros(1))
     _, psi = _full_weights(sweep, theta)
     tp = complex(theta * Psi[0, 0, 0])
     dinv = 1.0 / complex(delta_matrix(Phi[0], Psi[0], theta)[0, 0])
@@ -434,9 +439,9 @@ def test_weights_raise_at_the_first_failing_node(nu):
     d0 = np.tile([0.4, -0.3, 0.2][:nu], (4, 1))
     theta = 0.8
     sweep = _synthetic_sweep(d0)
-    W = sweep.W.copy()
-    W[2] *= 10.0
-    bad = dataclasses.replace(sweep, W=W)
+    F = sweep.F.copy()
+    F[2] *= np.sqrt(10.0)
+    bad = _sweep_of(F, sweep.Psi)
     with pytest.raises(InadmissibleError, match="spectral admissibility"):
         bad.log_det_delta(theta)
     with pytest.raises(InadmissibleError, match="spectral admissibility"):
