@@ -12,9 +12,9 @@ F(i lambda) = (calC V) diag(1 / (i lambda - s)) (V^{-1} calB) at every node
 is one matrix product; a residual bound certifies each node, and the nodes
 it cannot certify are solved directly.  The gradient's G calB and calC G
 are two more such products (`SpectralSweep.resolvent`).  Phi and Psi
-follow, and the stacked eigendecomposition i Psi = U diag(d0) U*
-(`_eigh`) is formed from them when first read.  None of it depends on
-theta: i theta Psi has eigenvalues theta d0 and the same U.
+follow, and the stacked eigendecomposition i Psi = U diag(d0) U* is
+formed from them when first read.  None of it depends on theta:
+i theta Psi has eigenvalues theta d0 and the same U.
 
 ln det Delta is real on the admissible set: with T = tanc(theta Psi) > 0,
     det Delta = det(cos(theta Psi)) * det(I - theta Phi T),
@@ -33,15 +33,17 @@ U and W; the last two need the largest mu, one stacked Hermitian
 eigensolve per theta.  The nu x nu products of the sweep are
 broadcast sums (`_mm`), not one BLAS call per matrix.  At nu = 2 the
 small eigensolves are closed forms, not one LAPACK call per matrix: one
-Jacobi rotation diagonalizes a 2 x 2 Hermitian matrix (`_eigh`); any
-other nu calls `np.linalg`.
+Jacobi rotation diagonalizes a 2 x 2 Hermitian matrix (`_jacobi`,
+`_rotation`); any other nu calls `np.linalg`.
 
 Since tanhc lies in (0, 1], theta mu is at most theta sigma_max(F)^2, so
 `check_admissible` first tries to certify the condition at every
 frequency with one Hamiltonian eigenvalue test of the H-infinity bound
-theta ||F||_inf^2 < 1 - margin (`_certified`); a certified loop is
-admissible with no sweep at all, and only a loop it cannot certify has
-its supremum sampled before the report is returned.
+theta ||F||_inf^2 < 1 - margin (`_certified`).  Its AdmissibilityReport
+holds the loop, theta and that verdict, and samples the supremum
+`spec1_sup` on one sweep when first read: a certified loop is admissible
+with no sweep at all, and `check_admissible` reads the supremum of any
+other loop before it returns the report.
 
 The integrand is conjugate-even in lambda, so the half-line is integrated,
 mapped onto t in [0, 2] with a 1/lambda tail (`integrate_half_line`), as
@@ -310,6 +312,9 @@ def integrate_half_line(f, lam_max, quad, breakpoints=(), grid=None):
 
 #: resolvent residual above which a frequency is a near-singular shift
 _RESOLVENT_TOL = 1e-8
+#: the InadmissibleError of a node that breaks the spectral condition
+_VIOLATED = ("spectral admissibility violated: theta * "
+             "lambda_max(Phi tanc(theta Psi)) >= 1 at a quadrature node")
 #: the truncation frequency's multiple of the spectral radius
 _LAMBDA_MAX_MULTIPLE = 50.0
 
@@ -352,28 +357,21 @@ def _mm(A, B):
     return out
 
 
-def _eigh(X, vectors=True):
-    """Ascending eigenvalues of a stack of Hermitian X, and with `vectors`
-    the unitary U of X = U diag(w) U*, as `np.linalg.eigh` returns them.
-
-    At nu = 2 one Jacobi rotation diagonalizes X = [[a, b], [b*, c]]
-    exactly (Golub & Van Loan, Matrix Computations, Sec. 8.5): with
-    m = (a + c)/2 and h = (a - c)/2 the eigenvalues are m -/+ hypot(h, |b|),
-    and the rotation angle t = atan2(|b|, h)/2 and the phase p = b*/|b|
-    (1 where b = 0) give U = [[-sin t, cos t], [p cos t, p sin t]], unitary
-    to rounding also as b -> 0.  Like `np.linalg.eigh` it reads the lower
-    triangle, b* = X[1, 0].  Any other nu calls `np.linalg`.
-    """
-    if X.shape[-1] != 2:
-        return np.linalg.eigh(X) if vectors else np.linalg.eigvalsh(X)
-    w, h, bc, _ = _jacobi(X)
-    return (w, _rotation(h, bc)) if vectors else w
+def _eigvalsh(X):
+    """Ascending eigenvalues of a stack of Hermitian X: `_jacobi` at
+    nu = 2, `np.linalg.eigvalsh` at any other nu."""
+    return _jacobi(X)[0] if X.shape[-1] == 2 else np.linalg.eigvalsh(X)
 
 
 def _jacobi(X):
     """The ascending eigenvalues w = m -/+ r of a stack of 2 x 2 Hermitian
-    X = [[a, b], [b*, c]] (`_eigh`), with the data of their rotation:
-    h = (a - c)/2, the lower entry b* and r = hypot(h, |b|)."""
+    X = [[a, b], [b*, c]], with the data of their rotation: h = (a - c)/2,
+    the lower entry b* and r = hypot(h, |b|).
+
+    One Jacobi rotation diagonalizes X exactly (Golub & Van Loan, Matrix
+    Computations, Sec. 8.5), with m = (a + c)/2 and r as above.  Like
+    `np.linalg.eigh` it reads the lower triangle, b* = X[1, 0].
+    """
     a, c, bc = X[..., 0, 0].real, X[..., 1, 1].real, X[..., 1, 0]
     m, h = 0.5 * (a + c), 0.5 * (a - c)
     r = np.hypot(h, np.abs(bc))
@@ -383,7 +381,10 @@ def _jacobi(X):
 
 
 def _rotation(h, bc):
-    """The unitary U of `_eigh` at nu = 2 from `_jacobi`'s h and b*."""
+    """The unitary U of X = U diag(w) U* from `_jacobi`'s h and b*: the
+    rotation angle t = atan2(|b|, h)/2 and the phase p = b*/|b| (1 where
+    b = 0) give U = [[-sin t, cos t], [p cos t, p sin t]], unitary to
+    rounding also as b -> 0."""
     ab = np.abs(bc)
     t = 0.5 * np.arctan2(ab, h)
     cos, sin = np.cos(t), np.sin(t)
@@ -433,7 +434,8 @@ class SpectralSweep:
     near-singular shift and holds zeros in place of its F and G.
     `resolvent(left, right)` forms left G right, G = (i lambda I - calA)^{-1},
     at every node in the modal basis; the gradient reads G calB and calC G
-    from it, and no production path forms the stacked G itself.
+    from it, and no production path forms the stacked G itself.  `cl` is
+    the loop swept: the gradient reuses a sweep only of its own loop.
     """
 
     lams: np.ndarray
@@ -442,6 +444,7 @@ class SpectralSweep:
     Psi: np.ndarray
     residual: np.ndarray
     resolvent: Callable = field(default=None, repr=False, compare=False)
+    cl: object = field(default=None, repr=False, compare=False)
 
     @cached_property
     def G(self):
@@ -452,9 +455,9 @@ class SpectralSweep:
     @cached_property
     def _spectrum(self):
         """d0 with, at nu = 2, its rotation's h, b* and r (`_jacobi`), and
-        at any other nu the U of the one `_eigh` that gives d0."""
+        at any other nu the U of the one `np.linalg.eigh` that gives d0."""
         X = 1j * self.Psi
-        return _jacobi(X) if X.shape[-1] == 2 else _eigh(X)
+        return _jacobi(X) if X.shape[-1] == 2 else np.linalg.eigh(X)
 
     @property
     def d0(self):
@@ -503,15 +506,12 @@ class SpectralSweep:
         """Nodes whose resolvent missed the residual tolerance."""
         return ~(self.residual <= _RESOLVENT_TOL)
 
-    def raise_first(self, inadmissible=None,
-                    reason="spectral admissibility violated: theta * "
-                           "lambda_max(Phi tanc(theta Psi)) >= 1 at a "
-                           "quadrature node"):
+    def raise_first(self, inadmissible=None):
         """Raise for the first failing node in node order, if any.
 
         A failed resolvent is a NumericalError and a set `inadmissible`
-        entry an InadmissibleError with message `reason`; the resolvent
-        comes first at a node.
+        entry an InadmissibleError (`_VIOLATED`); the resolvent comes
+        first at a node.
         """
         failed = self.failed
         bad = failed if inadmissible is None else failed | inadmissible
@@ -520,7 +520,7 @@ class SpectralSweep:
         k = int(np.argmax(bad))
         if failed[k]:
             raise _near_singular(self.lams, self.residual, k)
-        raise InadmissibleError(reason)
+        raise InadmissibleError(_VIOLATED)
 
     def _scaled_W(self, theta):
         """s W s = U* sqrt(T) Phi sqrt(T) U, s = sqrt(tanhc(theta d0))."""
@@ -529,8 +529,8 @@ class SpectralSweep:
 
     def mu(self, theta):
         """Ascending eigenvalues of sqrt(T) Phi sqrt(T), T = tanc(theta Psi),
-        as those of the similar s W s (`_eigh`, closed form at nu = 2)."""
-        return _eigh(self._scaled_W(theta), vectors=False)
+        as those of the similar s W s (`_eigvalsh`)."""
+        return _eigvalsh(self._scaled_W(theta))
 
     def spec1(self, theta):
         """theta * lambda_max(Phi tanc(theta Psi)) per node."""
@@ -719,7 +719,7 @@ def spectral_sweep(cl, lams):
     Psi = _mm((F.reshape(-1, F.shape[-1]) @ cl.J).reshape(F.shape), Fh)
     Psi = 0.5 * (Psi - _conj_t(Psi))
     return SpectralSweep(lams=lams, F=F, Phi=Phi, Psi=Psi, residual=residual,
-                         resolvent=resolvent)
+                         resolvent=resolvent, cl=cl)
 
 
 def delta_matrix(Phi, Psi, theta):
@@ -733,42 +733,38 @@ def delta_matrix(Phi, Psi, theta):
     return cosm - theta * np.asarray(Phi) @ sincm
 
 
-class _Supremum:
-    """The `spec1_sup` field of AdmissibilityReport: a float as set, or
-    the value of a `_Deferred` set in its place, summed on first read."""
-
-    def __get__(self, report, owner=None):
-        if report is None:          # the field has no default
-            raise AttributeError("spec1_sup")
-        sup = vars(report)["spec1_sup"]
-        return sup.value if isinstance(sup, _Deferred) else sup
-
-    def __set__(self, report, value):
-        vars(report)["spec1_sup"] = value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmissibilityReport:
-    """The spectral condition of a Hurwitz loop: admissible where it holds.
+    """The spectral condition of a Hurwitz loop `cl` at `theta`:
+    admissible where it holds.
 
-    `spec1_sup` is the sampled supremum of the spectral condition.  Where
-    `check_admissible` certified the condition it is summed only when
-    read, and `admissible` holds without reading it; a value set in the
-    constructor (or by `dataclasses.replace`) is read as given.  The cost
+    `certified` is the verdict of the Hamiltonian test (`_certified`); a
+    certified loop is admissible without a sweep.  `spec1_sup`, the
+    sampled supremum of the spectral condition (`_spec1_sup` on one sweep
+    of the loop's base grid), is summed when first read and kept; any
+    other loop is admissible where it lies below 1 - margin.  The cost
     and its gradient need nothing more: both are analytic in Psi wherever
     Delta is invertible, so a singular Psi (rank at most m < nu with
-    stacked weights) is admissible like any other.
+    stacked weights) is admissible like any other.  Reports compare by
+    identity, since a loop's arrays do not compare to one truth value.
     """
 
-    spec1_sup: float = _Supremum()
+    cl: object = field(repr=False)
+    theta: float
+    certified: bool
 
     #: safety margin on the spectral supremum
     margin: ClassVar[float] = 0.05
 
+    @cached_property
+    def spec1_sup(self):
+        grid = _admissibility_grid(self.cl)
+        return _spec1_sup(self.cl, grid, spectral_sweep(self.cl, grid),
+                          self.theta)
+
     @property
     def admissible(self):
-        return (isinstance(vars(self)["spec1_sup"], _Deferred)
-                or self.spec1_sup < 1.0 - self.margin)
+        return self.certified or self.spec1_sup < 1.0 - self.margin
 
 
 def _admissibility_grid(cl):
@@ -794,24 +790,6 @@ def _spec1_sup(cl, grid, sweep, theta, fine=None):
         hi = grid[min(k + 1, len(grid) - 1)]
         fine[k] = spectral_sweep(cl, np.linspace(lo, hi, 90))
     return max(float(np.max(vals)), float(np.max(fine[k].spec1(theta))))
-
-
-def _sampled_sup(cl, theta):
-    """`_spec1_sup` on one sweep of the loop's base grid."""
-    grid = _admissibility_grid(cl)
-    return _spec1_sup(cl, grid, spectral_sweep(cl, grid), theta)
-
-
-@dataclass(frozen=True, eq=False)
-class _Deferred:
-    """`_sampled_sup` of a certified loop, summed when first read."""
-
-    cl: object
-    theta: float
-
-    @cached_property
-    def value(self):
-        return _sampled_sup(self.cl, self.theta)
 
 
 #: an eigenvalue of the Hamiltonian test whose real part is within this
@@ -849,17 +827,19 @@ def check_admissible(cl, theta):
     A loop that is not Hurwitz raises (`check_loop`).  Admissibility is
     the spectral condition alone.  At theta > 0 one Hamiltonian eigenvalue
     test (`_certified`) first bounds the true supremum below 1 - margin;
-    where it does, the loop is admissible with no sweep, and the sampled
-    supremum (which lies below that bound) is summed only when `spec1_sup`
-    is read, so a failed resolvent on its grid raises only then.  Any
-    other loop has `spec1_sup` sampled now (`_spec1_sup`) on a base grid
-    of at most 361 frequencies, where a narrower peak can be missed; a
-    failed resolvent there raises NumericalError.
+    where it does, the report is certified and the loop admissible with
+    no sweep, and the sampled supremum (which lies below that bound) is
+    summed only when `spec1_sup` is read, so a failed resolvent on its
+    grid raises only then.  Any other loop has `spec1_sup` read here, on
+    a base grid of at most 361 frequencies, where a narrower peak can be
+    missed; a failed resolvent there raises NumericalError from this call.
     """
     check_loop(cl, theta)
-    if theta > 0.0 and _certified(cl, theta):
-        return AdmissibilityReport(spec1_sup=_Deferred(cl, theta))
-    return AdmissibilityReport(spec1_sup=_sampled_sup(cl, theta))
+    report = AdmissibilityReport(cl, theta,
+                                 theta > 0.0 and _certified(cl, theta))
+    if not report.certified:
+        report.spec1_sup
+    return report
 
 
 #: relative tolerance of theta_for_spec1's root (Brent's rtol)

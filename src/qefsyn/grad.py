@@ -52,7 +52,7 @@ import numpy as np
 from qefsyn.errors import InadmissibleError, ValidationError
 from qefsyn.freq import (
     _conj_t,
-    _eigh,
+    _eigvalsh,
     _loop_integral,
     _mm,
     check_loop,
@@ -160,8 +160,8 @@ def _weights(sweep, theta):
     NumericalError, for the first failing node in node order, before the
     inverse is formed.  At nu = 2, H = [[a, b*], [b, d]] is positive
     definite where a > 0 and det = a d - |b|^2 > 0, and its inverse is
-    adj(H) / det; any other nu tests the smallest eigenvalue (`_eigh`) and
-    calls `np.linalg.inv`.
+    adj(H) / det; any other nu tests the smallest eigenvalue
+    (`_eigvalsh`) and calls `np.linalg.inv`.
     """
     d0, W = sweep.d0, sweep.W
     k, nu = d0.shape
@@ -184,7 +184,7 @@ def _weights(sweep, theta):
         phit[:, 1, 0], phit[:, 1, 1] = -b, a
         phit /= det[:, None, None]
     else:
-        sweep.raise_first(~(_eigh(H, vectors=False)[:, 0] > 0.0))
+        sweep.raise_first(~(_eigvalsh(H)[:, 0] > 0.0))
         phit = np.linalg.inv(H)
     psit = L[:, :, :nu] * phit
     psit[:, diag, diag] += c
@@ -196,10 +196,11 @@ def _chi_integrand(cl, theta, lams, sweep=None):
     """Unprojected gradient integrands, (len(lams), 2n+m, 2n+nu).
 
     The spectral quantities and the weight functions phi and psi come
-    from one sweep over all the frequencies: `sweep`, a sweep of this
-    loop, where its `lams` are these frequencies, else a new one.
+    from one sweep over all the frequencies: `sweep` where it is a sweep
+    of this loop (`sweep.cl is cl`) at these frequencies, else a new one.
     """
-    if sweep is None or not np.array_equal(sweep.lams, lams):
+    if (sweep is None or sweep.cl is not cl
+            or not np.array_equal(sweep.lams, lams)):
         sweep = spectral_sweep(cl, lams)
     Fh = _conj_t(sweep.F)
     if theta == 0.0:
@@ -230,8 +231,8 @@ def chi_matrix(cl, theta, quad=None, grid=None, sweep=None):
     Without `grid` the subdivision is adaptive; a FrequencyGrid passed in
     (a GrowthRate's) sums chi on its panels, which makes the gradient the
     exact derivative of the growth rate summed on that grid.  `sweep`, a
-    SpectralSweep of this loop (a frozen-grid GrowthRate's), is reused
-    where its `lams` are the nodes summed, in place of a new sweep.
+    SpectralSweep (a frozen-grid GrowthRate's), is reused where it is of
+    this loop and its `lams` are the nodes summed, in place of a new sweep.
     """
     check_loop(cl, theta)
     # conjugate evenness in lambda: the full-line integral is twice the

@@ -202,12 +202,13 @@ def _closed_loop(plant, weights, ctrl):
 
 
 def _admissible(plant, weights, ctrl, theta):
+    """The AdmissibilityReport of `ctrl`, or None (`_closed_loop`)."""
     cl = _closed_loop(plant, weights, ctrl)
-    return cl, None if cl is None else check_admissible(cl, theta)
+    return None if cl is None else check_admissible(cl, theta)
 
 
 def _trial(plant, weights, ctrl, theta, quad, ups, bound):
-    """Accepted (ctrl, cl, adm, cost) of a trial, or None (module doc)."""
+    """Accepted (ctrl, adm, cost) of a trial, or None (module doc)."""
     cl = _closed_loop(plant, weights, ctrl)
     if cl is None:
         return None
@@ -230,7 +231,7 @@ def _trial(plant, weights, ctrl, theta, quad, ups, bound):
             cost = qef_growth_rate(cl, theta, quad)
         except InadmissibleError:
             return None
-    return (ctrl, cl, adm, cost) if cost <= bound and cost < ups else None
+    return (ctrl, adm, cost) if cost <= bound and cost < ups else None
 
 
 def _flat(record):
@@ -277,19 +278,20 @@ def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
     """One stage at fixed theta; returns (ctrl, cost, resid, reason).
 
     Appends a row and an admissibility report per iterate.  `stage` is
-    (k, number of stages); `start` is (cl, adm) of `ctrl` if known.
+    (k, number of stages); `start` is the AdmissibilityReport of `ctrl`
+    if known.
     """
-    cl, adm = start or _admissible(plant, weights, ctrl, theta)
+    adm = start or _admissible(plant, weights, ctrl, theta)
     if adm is None or not adm.admissible:
         k, n = stage
         origin = ("the LQG controller" if k == 1
                   else f"the minimizer of stage {k - 1}")
         raise InadmissibleError(f"stage {k} of {n}: its start, {origin}, "
                                 f"is inadmissible at theta={theta:g}")
-    ups = qef_growth_rate(cl, theta, cfg.quad)
+    ups = qef_growth_rate(adm.cl, theta, cfg.quad)
     x, pairs, last = _flat(ctrl), deque(maxlen=_MEMORY), None
     for i in range(cfg.max_iters + 1):
-        report = frechet_derivatives(cl, theta, cfg.quad, grid=ups.grid,
+        report = frechet_derivatives(adm.cl, theta, cfg.quad, grid=ups.grid,
                                      sweep=ups.sweep)
         g = _flat(report)
         resid = optimality_residual(report)
@@ -318,7 +320,7 @@ def _descent(plant, weights, ctrl, theta, cfg, stage, iterates, adm_hist,
             break
         iterates.append((*row, step))
         last = x, g
-        ctrl, cl, adm, ups = accepted
+        ctrl, adm, ups = accepted
         x = _flat(ctrl)
     iterates.append((*row, np.nan))
     return ctrl, float(ups), resid, reason
@@ -335,8 +337,8 @@ def synthesize(plant, weights, cfg):
     if cfg.theta == 0.0:
         raise ValidationError("synthesize needs theta > 0")
     ctrl, cl = _lqg(plant, weights)
-    start = cl, check_admissible(cl, cfg.theta)
-    if start[1].admissible:
+    start = check_admissible(cl, cfg.theta)
+    if start.admissible:
         stages = [cfg.theta]
     else:
         stages, start = [cfg.theta / k for k in _CONTINUATION], None

@@ -1,11 +1,11 @@
 """CLI: instance parsing, command dispatch, exit codes, CSV emission."""
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -285,8 +285,7 @@ def test_riccati_failure_exits_4_without_a_controller(tmp_path, capsys):
 def test_synthesize_inadmissible_start_exit_code(tmp_path, capsys,
                                                  monkeypatch):
     def check(cl, theta):
-        return dataclasses.replace(check_admissible(cl, theta),
-                                   spec1_sup=1.0)
+        return SimpleNamespace(admissible=False, spec1_sup=1.0)
 
     monkeypatch.setattr(synth, "check_admissible", check)
     path = _write(tmp_path, _canonical_doc(theta=0.05))
@@ -619,7 +618,7 @@ def test_oracle_grid_too_coarse_is_numerical(tmp_path, capsys, monkeypatch,
         report = check_admissible(cl, theta)
         if spec1_sup is None:
             return report
-        return dataclasses.replace(report, spec1_sup=spec1_sup)
+        return SimpleNamespace(admissible=False, spec1_sup=spec1_sup)
 
     monkeypatch.setattr(cli, "check_admissible", check)
     out = tmp_path / "oracle.csv"

@@ -1,6 +1,5 @@
 """Quadrature machinery, per-frequency quantities, growth rate, admissibility."""
 
-import dataclasses
 import itertools
 import logging
 import pickle
@@ -228,7 +227,8 @@ def test_closed_form_eigh_matches_lapack():
     # measured: eigenvalues within 5.2 eps ||X||, the reconstruction
     # within 3.7 eps ||X|| and U* U - I within 3.0 eps
     X = _hermitian_stack(np.random.default_rng(11), 500)
-    w, U = freq._eigh(X)
+    w, h, bc, _ = freq._jacobi(X)
+    U = freq._rotation(h, bc)
     ref = np.linalg.eigvalsh(X)
     norm = np.max(np.abs(ref), axis=1)[:, None]
     assert np.all(np.abs(w - ref) <= 16 * _EPS * norm)
@@ -237,23 +237,25 @@ def test_closed_form_eigh_matches_lapack():
     recon = freq._mm(U * w[:, None, :], Uh) - X
     assert np.all(np.abs(recon) <= 16 * _EPS * norm[:, :, None])
     assert np.all(np.abs(freq._mm(Uh, U) - np.eye(2)) <= 8 * _EPS)
-    assert np.array_equal(freq._eigh(X, vectors=False), w)
+    assert np.array_equal(freq._eigvalsh(X), w)
     zero = np.zeros((1, 2, 2))
-    assert np.array_equal(freq._eigh(zero)[0], [[0.0, 0.0]])
+    assert np.array_equal(freq._jacobi(zero)[0], [[0.0, 0.0]])
 
 
-def test_small_factorizations_call_lapack_at_other_nu():
-    # at nu != 2 `_eigh` is np.linalg's own result, bit for bit
+def test_small_factorizations_call_lapack_at_other_nu(cl_lqg, cl_multimode):
+    # at nu != 2 `_eigvalsh` and a sweep's d0 and U are np.linalg's own
+    # results, bit for bit
     rng = np.random.default_rng(13)
     for nu in (1, 3, 4):
         A = (rng.standard_normal((40, nu, nu))
              + 1j * rng.standard_normal((40, nu, nu)))
         H = A + freq._conj_t(A)
-        w, U = freq._eigh(H)
-        ref_w, ref_U = np.linalg.eigh(H)
-        assert np.array_equal(w, ref_w) and np.array_equal(U, ref_U)
-        assert np.array_equal(freq._eigh(H, vectors=False),
-                              np.linalg.eigvalsh(H))
+        assert np.array_equal(freq._eigvalsh(H), np.linalg.eigvalsh(H))
+    for cl in (cl_lqg, cl_multimode):
+        sweep = spectral_sweep(cl, _body_and_tail(cl))
+        ref_w, ref_U = np.linalg.eigh(1j * sweep.Psi)
+        assert np.array_equal(sweep.d0, ref_w)
+        assert np.array_equal(sweep.U, ref_U)
 
 
 class _LapackCalled(Exception):
@@ -277,7 +279,7 @@ def test_square_loop_kernel_calls_no_small_lapack_factorization(
         monkeypatch.setattr(np.linalg, name, raise_called)
 
     rep = check_admissible(cl, theta_for_spec1(cl, 0.4))
-    assert _certified_report(rep) and rep.spec1_sup < 0.95
+    assert rep.certified and rep.spec1_sup < 0.95
     qef_growth_rate(cl, 0.05, grid=grids[2])
     frechet_derivatives(cl, 0.05, grid=grids[2])
     assert cl.nu == 2 and cl_lqg.nu == 3
@@ -521,15 +523,13 @@ def test_nu2_cost_forms_no_eigenvectors(monkeypatch, cl_square, quad_fast):
     # reusing that sweep gives the gradient of a fresh one bit for bit
     theta = theta_for_spec1(cl_square, 0.4)
     grid = growth_rate_grid(cl_square, theta, quad_fast)
-    eigh = freq._eigh
 
-    def values_only(X, vectors=True):
-        assert not vectors, "eigenvectors formed"
-        return eigh(X, vectors)
+    def vectors(*args):
+        raise AssertionError("eigenvectors formed")
 
     with monkeypatch.context() as m:
-        m.setattr(freq, "_eigh", values_only)
-        m.setattr(freq, "_rotation", values_only)
+        m.setattr(freq, "_rotation", vectors)
+        m.setattr(np.linalg, "eigh", vectors)
         ups = qef_growth_rate(cl_square, theta, quad_fast, grid=grid)
         qef_growth_rate(cl_square, theta, quad_fast)
     assert "U" not in vars(ups.sweep) and "W" not in vars(ups.sweep)
@@ -888,11 +888,6 @@ def test_theta_for_spec1_keeps_one_fine_sweep_per_argmax_node(monkeypatch,
     assert nodes < evaluations
 
 
-def _certified_report(rep):
-    """Whether `rep` holds a certified, not yet summed, supremum."""
-    return isinstance(vars(rep)["spec1_sup"], freq._Deferred)
-
-
 def test_certificate_bounds_the_dense_supremum():
     # wherever the Hamiltonian test certifies theta ||F||^2 < 1 - margin,
     # so does theta times the peak of sigma_max(F)^2 over 20 000 frequencies
@@ -931,8 +926,9 @@ def test_certificate_refuses_a_peak_sampling_misses():
     cl = _light_resonance()
     theta = theta_for_spec1(cl, 0.3)
     rep = check_admissible(cl, theta)
-    # sampling reads 0.3 and accepts, as it did before the certificate
-    assert not _certified_report(rep)
+    # sampling reads 0.3 and accepts, as it did before the certificate;
+    # the check itself sampled it
+    assert not rep.certified and "spec1_sup" in vars(rep)
     assert rep.admissible and abs(rep.spec1_sup - 0.3) <= 1e-4
     # the peak itself breaks the condition, and the certificate sees it
     assert spectral_sweep(cl, [1.0]).spec1(theta)[0] > 0.99
@@ -952,17 +948,19 @@ def test_certified_supremum_is_summed_when_read(monkeypatch):
         theta = theta_for_spec1(cl, 0.4)
         sups.clear()
         rep = check_admissible(cl, theta)
-        assert _certified_report(rep) and rep.admissible and sups == []
+        assert rep.certified == freq._certified(cl, theta)
+        assert rep.certified and rep.admissible and sups == []
+        assert "spec1_sup" not in vars(rep)
         grid = freq._admissibility_grid(cl)
         eager = sup(cl, grid, spectral_sweep(cl, grid), theta)
         assert rep.spec1_sup == eager and sups == [theta]
         assert rep.spec1_sup == eager and sups == [theta]   # summed once
-        # a value set in its place is read as given
-        assert not dataclasses.replace(rep, spec1_sup=1.0).admissible
-        assert AdmissibilityReport(1.0).spec1_sup == 1.0
-    # theta = 0 skips the certificate and samples a zero supremum
+        assert "spec1_sup" in vars(rep)
+    # theta = 0 skips the certificate and samples a zero supremum in the
+    # check itself
     rep = check_admissible(cl, 0.0)
-    assert rep.spec1_sup == 0.0 and not _certified_report(rep)
+    assert not rep.certified and "spec1_sup" in vars(rep)
+    assert rep.spec1_sup == 0.0
 
 
 class _Swept(Exception):
@@ -981,7 +979,7 @@ def test_certified_check_makes_no_sweep(monkeypatch, seed):
     for name in ("_transfer", "spectral_sweep"):
         monkeypatch.setattr(freq, name, swept)
     rep = check_admissible(cl, theta)
-    assert _certified_report(rep) and rep.admissible
+    assert rep.certified and rep.admissible
     with pytest.raises(_Swept):
         rep.spec1_sup
 
@@ -997,6 +995,18 @@ def test_certified_loop_raises_for_a_failed_base_resolvent(monkeypatch):
     assert rep.admissible
     with pytest.raises(NumericalError, match="near-singular shift"):
         rep.spec1_sup
+
+
+def test_uncertified_check_raises_for_a_failed_base_resolvent(monkeypatch,
+                                                              cl_square):
+    # a loop the Hamiltonian test leaves to sampling has its supremum read
+    # by check_admissible, so a failed resolvent raises from the call itself
+    theta = theta_for_spec1(cl_square, 0.8)
+    assert not freq._certified(cl_square, theta)
+    monkeypatch.setattr(freq, "_RESOLVENT_TOL", -1.0)
+    for t in (theta, 0.0):
+        with pytest.raises(NumericalError, match="near-singular shift"):
+            check_admissible(cl_square, t)
 
 
 def test_theta_for_spec1_rejects_unreachable_target(canonical_plant,

@@ -700,6 +700,20 @@ def test_gradient_ignores_a_sweep_of_other_nodes(monkeypatch, cl_square,
     assert len(calls) == 1 and calls[0] > 2
     assert np.array_equal(chi, chi_matrix(cl_square, theta, quad_fast,
                                           grid=grid)[0])
+    # nor a sweep of another loop at the same nodes: the seed-3 loop's
+    # sweep, reused for the seed-16 loop, gave an entry of dUps/da of
+    # 0.0597 where the loop's own sweep gives -0.0296
+    cl = random_stable_instance(np.random.default_rng(16))[2]
+    theta = theta_for_spec1(cl, 0.4)
+    grid = growth_rate_grid(cl, theta, quad_fast)
+    other = qef_growth_rate(random_stable_instance(
+        np.random.default_rng(3))[2], theta, quad_fast, grid=grid).sweep
+    calls.clear()
+    reused = frechet_derivatives(cl, theta, quad_fast, grid=grid, sweep=other)
+    assert calls == [len(other.lams)]
+    own = frechet_derivatives(cl, theta, quad_fast, grid=grid)
+    for block in ("dUps_da", "dUps_db", "dUps_dc"):
+        assert np.array_equal(getattr(reused, block), getattr(own, block))
 
 
 def _perturbed_stacked_loop(seed):

@@ -1,6 +1,7 @@
 """LQG initializer and the descent loop."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import scipy.linalg
 from qefsyn import grad, synth
 from qefsyn.errors import InadmissibleError, NumericalError, ValidationError
 from qefsyn.freq import (
-    AdmissibilityReport,
     QuadratureConfig,
     GrowthRate,
     check_admissible,
@@ -168,7 +168,7 @@ def test_admissible_maps_only_validation_errors(canonical_plant,
     monkeypatch.setattr(synth, "assemble_closed_loop",
                         raise_(ValidationError("shape mismatch")))
     assert synth._admissible(canonical_plant, weights_square, ctrl,
-                             0.05) == (None, None)
+                             0.05) is None
     # anything else is a bug in closed-loop assembly, not inadmissibility
     monkeypatch.setattr(synth, "assemble_closed_loop",
                         raise_(RuntimeError("assembly bug")))
@@ -192,9 +192,8 @@ def pool_problem():
     return plant, weights, cfg, full_step
 
 
-def _failing(report):
-    """`report` with its spectral supremum pushed past the margin."""
-    return AdmissibilityReport(spec1_sup=1.0)
+#: a stand-in report whose spectral supremum lies past the margin
+_FAILING = SimpleNamespace(admissible=False, spec1_sup=1.0)
 
 
 def test_check_failing_after_armijo_halves_the_step(pool_problem,
@@ -206,7 +205,7 @@ def test_check_failing_after_armijo_halves_the_step(pool_problem,
         checks.append(theta)
         report = check_admissible(cl, theta)
         # the start is check 1; check 2 is the first trial to pass Armijo
-        return _failing(report) if len(checks) == 2 else report
+        return _FAILING if len(checks) == 2 else report
 
     monkeypatch.setattr(synth, "check_admissible", check)
     report = synthesize(plant, weights, cfg)
@@ -232,7 +231,7 @@ def test_numerical_error_from_trial_cost(pool_problem, monkeypatch,
         if len(costs) != 2:
             return report
         checks_after_raise.append(theta)
-        return report if admissible else _failing(report)
+        return report if admissible else _FAILING
 
     monkeypatch.setattr(synth, "qef_growth_rate", cost)
     monkeypatch.setattr(synth, "check_admissible", check)
@@ -496,7 +495,7 @@ def test_inadmissible_later_stage_start_names_the_stage(monkeypatch):
     def check(cl, theta):
         checks.append(theta)
         report = check_admissible(cl, theta)
-        return _failing(report) if theta == cfg.theta else report
+        return _FAILING if theta == cfg.theta else report
 
     monkeypatch.setattr(synth, "check_admissible", check)
     # every loop fails at theta, so the minimizer of stage 3 (theta/2)
@@ -516,7 +515,7 @@ def test_inadmissible_lqg_start_names_the_first_stage(monkeypatch):
 
     def check(cl, theta):
         checks.append(theta)
-        return _failing(check_admissible(cl, theta))
+        return _FAILING
 
     monkeypatch.setattr(synth, "check_admissible", check)
     # this used to claim every continuation stage had been tried
