@@ -142,18 +142,29 @@ def check_theta(theta):
     check_number("theta", theta, lambda t: t >= 0, "finite and nonnegative")
 
 
-def _panels(f, edges):
-    """Kronrod integrals, shape (panels, k), and per-panel error estimates
-    |Kronrod - Gauss|, maximised over the k components, of f on
-    consecutive panels; one call of f evaluates every node of every panel."""
-    edges = np.asarray(edges, dtype=float)
+def _gk_nodes(edges):
+    """The GK15 nodes of consecutive panels between `edges`, flattened in
+    panel order, and the panel half-widths."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    vals = f((mid[:, None] + half[:, None] * _NODES).ravel())
+    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
+
+
+def _gk_sums(vals, half):
+    """Kronrod integrals, shape (panels, k), and per-panel error estimates
+    |Kronrod - Gauss|, maximised over the k components, from the values
+    (panels * 15, k) at `_gk_nodes`."""
     vals = vals.reshape(len(half), len(_NODES), -1)        # (panels, 15, k)
     ik = half[:, None] * (_WK @ vals)
     ig = half[:, None] * (_WG_FULL @ vals)
-    return ik, np.max(np.abs(ik - ig), axis=1)
+    return ik, _by_columns(np.maximum, np.abs(ik - ig))
+
+
+def _panels(f, edges):
+    """`_gk_sums` of f on consecutive panels; one call of f evaluates every
+    node of every panel."""
+    t, half = _gk_nodes(np.asarray(edges, dtype=float))
+    return _gk_sums(f(t), half)
 
 
 #: subdivision budget of one adaptive integral
@@ -251,6 +262,15 @@ def resonance_breakpoints(calA, lam_max):
     return tuple(pts)
 
 
+def _half_line(t, lam_max):
+    """The frequencies lambda at t in [0, 2] of the half-line map and its
+    Jacobian d lambda / d t: lambda = t lam_max up to t = 1, then
+    lambda = lam_max / (2 - t)."""
+    tail = t > 1.0
+    s = np.where(tail, 2.0 - t, 1.0)
+    return lam_max * np.where(tail, 1.0 / s, t), lam_max / s**2
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """A frozen composite-panel subdivision of the half-line integral.
@@ -262,10 +282,28 @@ class FrequencyGrid:
     error a smooth function of the system parameters, so it cancels in
     finite differences; the adaptive routine cannot offer that, because
     its subdivision jumps discontinuously between evaluations.
+
+    The grid keeps a read-only copy of its edges, and `nodes` holds the
+    GK15 nodes in lambda, the map's Jacobian there and the panel
+    half-widths, formed on first read by the same helpers as an adaptive
+    integral's (`_gk_nodes`, `_half_line`), so every frozen sum on the
+    grid reads them in place of mapping t to lambda again, with the same
+    values to the last bit.
     """
 
     lam_max: float
     edges: np.ndarray
+
+    def __post_init__(self):
+        edges = np.array(self.edges, dtype=float)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+
+    @cached_property
+    def nodes(self):
+        """(lambda, Jacobian, half-widths) of the grid's GK15 nodes."""
+        t, half = _gk_nodes(self.edges)
+        return (*_half_line(t, self.lam_max), half)
 
     @property
     def body_edges(self):
@@ -284,23 +322,22 @@ def integrate_half_line(f, lam_max, quad, breakpoints=(), grid=None):
     f takes an array of frequencies and returns an array (npts, k).  The
     half-line is mapped onto t in [0, 2]: lambda = t lam_max up to 1, then
     lambda = lam_max / (2 - t), which is u = 1/lambda and exact for
-    integrands decaying like 1/lambda^2.  One adaptive GK15 integral in t,
-    its panels seeded at t = 1 and at `breakpoints` (frequencies), stops
-    when its error estimate meets max(abs_tol, rel_tol |total|).  Passing
-    a FrequencyGrid skips adaptivity and sums its panels, mapped by its own
-    lam_max, in one call of f; the returned grid can be reused.
+    integrands decaying like 1/lambda^2 (`_half_line`).  One adaptive GK15
+    integral in t, its panels seeded at t = 1 and at `breakpoints`
+    (frequencies), stops when its error estimate meets
+    max(abs_tol, rel_tol |total|).  Passing a FrequencyGrid skips
+    adaptivity and sums its panels, mapped by its own lam_max, in one call
+    of f at the grid's kept `nodes`; the returned grid can be reused.
     """
-    lam_max = lam_max if grid is None else grid.lam_max
+    if grid is not None:
+        lam, jac, half = grid.nodes
+        ik, err = _gk_sums(f(lam) * jac[:, None], half)
+        return ik.sum(axis=0), float(err.sum()), grid
 
     def g(t):
-        tail = t > 1.0
-        s = np.where(tail, 2.0 - t, 1.0)
-        lam = lam_max * np.where(tail, 1.0 / s, t)
-        return f(lam) * (lam_max / s**2)[:, None]
+        lam, jac = _half_line(t, lam_max)
+        return f(lam) * jac[:, None]
 
-    if grid is not None:
-        ik, err = _panels(g, grid.edges)
-        return ik.sum(axis=0), float(err.sum()), grid
     total, err, edges = _adaptive(
         g, 0.0, 2.0, quad.abs_tol, quad.rel_tol,
         breakpoints=[b / lam_max for b in breakpoints] + [1.0])
@@ -341,6 +378,21 @@ def sinhc(x):
 def tanhc(x):
     """tanh(x)/x elementwise for real x, with the value 1 near 0."""
     return _over_x(np.tanh, x)
+
+
+def _by_columns(op, X):
+    """op.reduce(X, axis=1) of a (k, c) array, op np.add or np.maximum,
+    taken column by column where c < 8.  numpy spends about three times
+    as long on a reduction over a short last axis as on c - 1 elementwise
+    calls, and below 8 terms it adds them in column order too, so the
+    two agree to the last bit (np.maximum spreads a nan as np.max does);
+    from 8 terms on numpy sums pairwise, and the reduction is kept."""
+    if X.shape[1] >= 8:
+        return op.reduce(X, axis=1)
+    out = X[:, 0].copy()
+    for j in range(1, X.shape[1]):
+        op(out, X[:, j], out=out)
+    return out
 
 
 def _conj_t(X):
@@ -578,7 +630,7 @@ class SpectralSweep:
             ld = _log_det_eye_minus(theta * self._scaled_W(theta))
         self.raise_first(~np.isfinite(ld))
         half = np.sinh(0.5 * theta * self.d0)
-        return np.sum(np.log1p(2.0 * half * half), axis=1) + ld
+        return _by_columns(np.add, np.log1p(2.0 * half * half)) + ld
 
 
 @dataclass(frozen=True)
@@ -602,8 +654,10 @@ class _Modes:
     rounding: float
 
     def bound(self, lams, r):
-        """The residual bound at each frequency, given r per node."""
-        return self.inv_err + np.max(np.abs(r), axis=1) * (
+        """The residual bound at each frequency, given r per node; the
+        max |r| over the 2n modes is taken column by column
+        (`_by_columns`)."""
+        return self.inv_err + _by_columns(np.maximum, np.abs(r)) * (
             self.eig_err + self.rounding * np.abs(lams))
 
 
@@ -614,6 +668,11 @@ def _factor(n, data):
     The cache, keyed by content, factors each loop's calA once for all
     its sweeps and spectral facts; the arrays it hands out are read-only.
     Where V is singular, s is kept and every node is solved directly.
+    The bound's constants read the infinity norms (largest row sums) of
+    V, V^{-1}, V V^{-1} - I, R = calA V - V diag(s) and calA, and max |s|
+    as that of diag(s): one reduction over the stack of these six
+    matrices gives all six, each row summed in the same order as in its
+    own matrix, so they equal separate norms to the last bit.
     """
     calA = np.frombuffer(data).reshape(n, n)
     s, V = np.linalg.eig(calA)
@@ -625,19 +684,21 @@ def _factor(n, data):
         return _Modes(s, zero, zero, np.inf, 0.0, 0.0)
     for a in (V, Vinv):
         a.flags.writeable = False
-
-    def norm(X):                    # the infinity norm: largest row sum
-        return np.abs(X).sum(axis=1).max()
-
     # an overflow here (a nearly defective calA) leaves the bound
     # infinite or nan, which certifies no node
     with np.errstate(over="ignore", invalid="ignore"):
-        rounding = 4.0 * n * np.finfo(float).eps * norm(V) * norm(Vinv)
+        stack = np.zeros((6, n, n), dtype=complex)
+        stack[0], stack[1], stack[2] = V, Vinv, V @ Vinv
+        stack[2].flat[::n + 1] -= 1.0
+        stack[3], stack[4] = calA @ V - V * s, calA
+        stack[5].flat[::n + 1] = s
+        norms = np.abs(stack).sum(axis=2).max(axis=1).tolist()
+        nV, nVinv, nI, nR, nA, s_max = norms
+        rounding = 4.0 * n * np.finfo(float).eps * nV * nVinv
         return _Modes(
             s, V, Vinv,
-            inv_err=norm(V @ Vinv - np.eye(n)) + rounding,
-            eig_err=(norm(calA @ V - V * s) * norm(Vinv)
-                     + rounding * (norm(calA) + np.max(np.abs(s)))),
+            inv_err=nI + rounding,
+            eig_err=nR * nVinv + rounding * (nA + s_max),
             rounding=rounding)
 
 

@@ -580,6 +580,63 @@ def test_nearly_defective_system_matrix_certifies_no_node():
     assert not np.any(bound <= 1e-8)
 
 
+def _axis_bound(modes, lams, r):
+    """The residual bound with max |r| as one reduction over r's rows."""
+    return modes.inv_err + np.max(np.abs(r), axis=1) * (
+        modes.eig_err + modes.rounding * np.abs(lams))
+
+
+@pytest.mark.parametrize("loop", ["cl_square", "cl_multimode", "cl_lqg"])
+def test_column_reductions_match_the_axis_reductions(loop, request):
+    # nu = 2, the n = 4 multimode loop (nu = 4, 8 modes) and the stacked
+    # nu = 3 loop: the bound's max |r| and ln det Delta's sum of
+    # ln cosh over nu, taken column by column, are numpy's axis
+    # reductions to the last bit
+    cl = request.getfixturevalue(loop)
+    lams = _body_and_tail(cl)
+    modes = freq._modes(cl.calA)
+    r = 1.0 / (1j * lams[:, None] - modes.s)
+    assert np.array_equal(modes.bound(lams, r), _axis_bound(modes, lams, r))
+    sweep = spectral_sweep(cl, lams)
+    # theta sigma_max(F)^2 <= 0.3 at every node: finite everywhere
+    theta = 0.3 / float(np.max(np.linalg.eigvalsh(sweep.Phi)))
+    if cl.nu == 2:
+        ld = sweep._log_det_2x2(theta)
+    else:
+        ld = _ldl_log_det(sweep, theta)
+    half = np.sinh(0.5 * theta * sweep.d0)
+    want = np.sum(np.log1p(2.0 * half * half), axis=1) + ld
+    assert np.array_equal(sweep.log_det_delta(theta), want)
+
+
+def test_column_reductions_spread_nan_and_inf(cl_square):
+    # rows holding nan or inf: np.maximum spreads a nan as np.max does, so
+    # such a node is never certified; on the nearly defective calA of the
+    # test above every node's bound is already inf or nan
+    lams = np.linspace(0.0, 10.0, 11)
+    for modes in (freq._modes(cl_square.calA),
+                  freq._modes(np.array([[-1.0, 1e200], [0.0, -1.0]]))):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = 1.0 / (1j * lams[:, None] - modes.s)
+            r[2, 0], r[4, 1], r[6] = np.nan, np.inf, np.nan
+            bound, want = (modes.bound(lams, r),
+                           _axis_bound(modes, lams, r))
+        assert np.array_equal(bound, want, equal_nan=True)
+        assert not np.any(bound[[2, 4, 6]] <= freq._RESOLVENT_TOL)
+    # the helper against op.reduce at 1 to 9 columns, with nan and inf
+    # entries: from 8 columns on numpy sums pairwise, and the helper keeps
+    # the reduction there
+    rng = np.random.default_rng(7)
+    for cols in range(1, 10):
+        X = rng.standard_normal((40, cols)) * 10.0 ** rng.uniform(
+            -8, 8, (40, cols))
+        X[3, 0], X[5, -1], X[7, :] = np.nan, np.inf, -np.inf
+        for op in (np.add, np.maximum):
+            with np.errstate(invalid="ignore"):
+                got, want = freq._by_columns(op, X), op.reduce(X, axis=1)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 def _solve_reference(cl, lams):
     """F, Phi and Psi node by node from np.linalg.solve."""
     eye = np.eye(cl.calA.shape[0])
@@ -719,6 +776,49 @@ def test_frozen_grid_sum_is_one_sweep(cl_square, quad_fast):
     separate = body.sum(axis=0) + tail.sum(axis=0)
     assert abs(total[0] - separate[0]) <= 1e-15 * abs(separate[0])
     assert err == pytest.approx(body_err.sum() + tail_err.sum(), rel=1e-12)
+
+
+def _mapped(f, lam_max):
+    """f mapped onto t in [0, 2] as `integrate_half_line` maps it."""
+    def g(t):
+        tail = t > 1.0
+        s = np.where(tail, 2.0 - t, 1.0)
+        lam = lam_max * np.where(tail, 1.0 / s, t)
+        return f(lam) * (lam_max / s**2)[:, None]
+    return g
+
+
+def test_frozen_sum_reads_the_grid_nodes(cl_square, quad_fast):
+    # a frozen grid keeps its nodes in lambda: the sum of another loop on
+    # it is the same, bit for bit, on the warm grid, on a cold copy of its
+    # edges and on the grid of a pickled and restored GrowthRate, and it is
+    # _panels of the mapped integrand over the grid's edges
+    theta = 0.05
+    warm = qef_growth_rate(cl_square, theta, quad_fast).grid
+    assert "nodes" not in vars(warm)
+    loop = assemble_closed_loop(
+        cl_square.plant, (cl_square.S, cl_square.K),
+        cl_square.ctrl + ControllerParams(1e-3 * np.eye(2), np.zeros((2, 1)),
+                                          np.zeros((1, 2))))
+    first = qef_growth_rate(loop, theta, grid=warm)
+    assert "nodes" in vars(warm)
+    cold = freq.FrequencyGrid(warm.lam_max, warm.edges.copy())
+    thawed = pickle.loads(pickle.dumps(first)).grid
+    for grid in (warm, cold, thawed):
+        rate = qef_growth_rate(loop, theta, grid=grid)
+        assert float(rate).hex() == float(first).hex()
+        assert rate.error.hex() == first.error.hex()
+    with pytest.raises(ValueError):
+        warm.edges[0] = 1.0
+
+    def f(lams):
+        return spectral_sweep(loop, lams).log_det_delta(theta)[:, None]
+
+    total, err, _ = integrate_half_line(f, cold.lam_max, quad_fast,
+                                        grid=cold)
+    ik, panel_err = _panels(_mapped(f, warm.lam_max), warm.edges)
+    assert np.array_equal(total, ik.sum(axis=0))
+    assert err == float(panel_err.sum())
 
 
 def test_sweep_spec1_cache_matches_direct_eigh(cl_square):

@@ -107,6 +107,93 @@ def test_joint_realizability_any_controller(seed):
     assert np.max(np.abs(res)) <= 1e-9
 
 
+def _blocks(plant, weights, ctrl):
+    """calA, calB, calC and Gamma by np.block, without a check."""
+    (S, K), (a, b, c), n = weights, (ctrl.a, ctrl.b, ctrl.c), plant.n
+    return dict(calA=np.block([[plant.A, plant.E @ c], [b @ plant.C, a]]),
+                calB=np.vstack([plant.B, b @ plant.D]),
+                calC=np.hstack([S, K @ c]),
+                Gamma=np.block([[plant.Theta, np.zeros((n, n))],
+                                [np.zeros((n, 2 * n))]]))
+
+
+def _joint_residual(calA, calB, Gamma, J):
+    """calA Gamma + Gamma calA^T + calB J calB^T, formed in full."""
+    return calA @ Gamma + Gamma @ calA.T + calB @ J @ calB.T
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_factored_realizability_matches_the_full_product(seed):
+    # n = 4, d = r = 2 multimode plants: the joint residual's blocks are
+    # the plant-level A Theta + Theta A^T + B J B^T, P2 b^T, -b P2^T and
+    # b P3 b^T.  On a realizable plant both forms vanish to rounding; on
+    # one whose A and C are moved off the identities the residual is of
+    # order one, and the blocks match it to rounding.
+    rng = np.random.default_rng(seed)
+    p = derive_plant(random_plant_spec(rng, n=4, m=4, d=2, r=2))
+    weights = (np.eye(4), np.zeros((4, 2)))
+    ctrl = ControllerParams(a=rng.standard_normal((4, 4)),
+                            b=rng.standard_normal((4, 2)),
+                            c=rng.standard_normal((2, 4)))
+    b = ctrl.b
+    broken = dataclasses.replace(p, A=p.A + rng.standard_normal((4, 4)),
+                                 C=p.C + rng.standard_normal((2, 4)))
+    for plant in (p, broken):
+        blocks = _blocks(plant, weights, ctrl)
+        full = _joint_residual(blocks["calA"], blocks["calB"],
+                               blocks["Gamma"], plant.J)
+        res_a, P2, P3 = plant.realizability
+        factored = max(res_a, np.max(np.abs(P2 @ b.T)),
+                       np.max(np.abs(b @ P3 @ b.T)))
+        scale = (1.0 + np.max(np.abs(blocks["calA"]))
+                 + np.max(np.abs(blocks["calB"])) ** 2)
+        tol = 1e-14 * scale * max(1.0, np.max(np.abs(full)))
+        assert abs(factored - np.max(np.abs(full))) <= tol
+        assert abs(np.max(np.abs(full[:4, :4])) - res_a) <= tol
+        for got, want in ((full[:4, 4:], P2 @ b.T), (full[4:, :4], -b @ P2.T),
+                          (full[4:, 4:], b @ P3 @ b.T)):
+            assert np.max(np.abs(got - want)) <= tol
+    # the slices assemble np.block's arrays exactly
+    cl = assemble_closed_loop(p, weights, ctrl)
+    for name, want in _blocks(p, weights, ctrl).items():
+        assert np.array_equal(getattr(cl, name), want)
+
+
+#: a fixed direction that breaks A Theta + Theta A^T + B J B^T = 0 on the
+#: canonical plant: E Theta + Theta E^T is not zero for it
+_BREAK_A = np.array([[1.0, 0.0], [0.0, 0.0]])
+#: a fixed direction that breaks Theta C^T + B J D^T = 0: Theta is invertible
+_BREAK_C = np.array([[1.0, -0.5]])
+
+
+@pytest.mark.parametrize("field, direction",
+                         [("A", _BREAK_A), ("C", _BREAK_C)], ids=["A", "C"])
+def test_assembly_rejects_a_plant_that_is_not_realizable(canonical_plant,
+                                                         field, direction):
+    # a plant edited off its realizability identities after derive_plant;
+    # with b != 0 each broken identity shows in the joint residual
+    plant = dataclasses.replace(
+        canonical_plant,
+        **{field: getattr(canonical_plant, field) + 1e-6 * direction})
+    ctrl = ControllerParams(a=-np.eye(2), b=np.array([[1.0], [-0.5]]),
+                            c=np.ones((1, 2)))
+    weights = (np.eye(2), np.zeros((2, 1)))
+    with pytest.raises(ValidationError,
+                       match="joint realizability residual"):
+        assemble_closed_loop(plant, weights, ctrl)
+    # with b = 0 the controller reads no measurement: Theta C^T + B J D^T
+    # enters no block, and only the broken A is rejected
+    quiet = ControllerParams(a=-np.eye(2), b=np.zeros((2, 1)),
+                             c=np.ones((1, 2)))
+    if field == "A":
+        with pytest.raises(ValidationError,
+                           match="joint realizability residual"):
+            assemble_closed_loop(plant, weights, quiet)
+    else:
+        assemble_closed_loop(plant, weights, quiet)
+
+
 def test_closed_loop_block_structure(canonical_plant):
     p = canonical_plant
     ctrl = ControllerParams(a=-np.eye(2), b=np.ones((2, 1)),
